@@ -43,7 +43,7 @@ ReachCheckResult ReachChecker::Check(const ReachSpec& spec) const {
       for (const SymbolicPacket& packet : run.delivered) {
         if (PathSatisfies(packet, spec, waypoint_nodes)) {
           result.satisfied = true;
-          result.explanation = "satisfied via " + std::to_string(packet.history().size()) +
+          result.explanation = "satisfied via " + std::to_string(packet.hop_count()) +
                                "-hop path ending at " + packet.delivered_at();
           return result;
         }
@@ -74,7 +74,7 @@ bool ReachChecker::MatchFrom(const SymbolicPacket& packet, const ReachSpec& spec
   const std::vector<std::string>& candidates = waypoint_nodes[waypoint];
   const auto& history = packet.history();
   for (int hop = from_hop; hop < static_cast<int>(history.size()); ++hop) {
-    const std::string& hop_node = history[static_cast<size_t>(hop)].node;
+    const std::string& hop_node = history[static_cast<size_t>(hop)]->node;
     if (std::find(candidates.begin(), candidates.end(), hop_node) == candidates.end()) {
       continue;
     }

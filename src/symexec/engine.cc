@@ -66,7 +66,7 @@ EngineResult Engine::Run(const SymGraph& graph, int start, int in_port, Symbolic
   while (!work.empty()) {
     WorkItem item = std::move(work.front());
     work.pop_front();
-    if (static_cast<int>(item.packet.history().size()) >= options_.max_hops) {
+    if (item.packet.hop_count() >= options_.max_hops) {
       result.truncated = true;
       continue;
     }

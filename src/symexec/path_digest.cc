@@ -23,12 +23,12 @@ bool IsEndpointClass(const std::string& class_name) {
 std::vector<std::string> Canonicalize(const SymbolicPacket& packet,
                                       const std::map<std::string, std::string>& classes) {
   std::vector<std::string> chain;
-  for (const Hop& hop : packet.history()) {
-    auto it = classes.find(hop.node);
+  for (const Hop* hop : packet.history()) {
+    auto it = classes.find(hop->node);
     if (it != classes.end() && IsEndpointClass(it->second)) {
       continue;
     }
-    chain.push_back(hop.node);
+    chain.push_back(hop->node);
   }
   return chain;
 }

@@ -37,14 +37,26 @@ bool SymbolicPacket::Constrain(HeaderField f, const ValueSet& allowed) {
     }
     return feasible_;
   }
-  auto it = constraints_.find(value.var);
-  ValueSet narrowed =
-      it == constraints_.end() ? allowed : it->second.Intersect(allowed);
+  const ValueSet* current = nullptr;
+  if (constraints_) {
+    auto it = constraints_->find(value.var);
+    current = it == constraints_->end() ? nullptr : &it->second;
+  }
+  ValueSet narrowed = current ? current->Intersect(allowed) : allowed;
   if (narrowed.IsEmpty()) {
     feasible_ = false;
     return false;
   }
-  constraints_[value.var] = std::move(narrowed);
+  static const ValueSet kFull = ValueSet::Full();
+  if (narrowed == (current ? *current : kFull)) {
+    return true;  // nothing narrowed: keep sharing the store
+  }
+  if (!constraints_) {
+    constraints_ = std::make_shared<ConstraintMap>();
+  } else if (constraints_.use_count() > 1) {
+    constraints_ = std::make_shared<ConstraintMap>(*constraints_);
+  }
+  (*constraints_)[value.var] = std::move(narrowed);
   return true;
 }
 
@@ -52,8 +64,11 @@ ValueSet SymbolicPacket::PossibleValuesOf(const SymbolicValue& v) const {
   if (v.is_const) {
     return ValueSet::Single(v.const_value);
   }
-  auto it = constraints_.find(v.var);
-  return it == constraints_.end() ? ValueSet::Full() : it->second;
+  if (!constraints_) {
+    return ValueSet::Full();
+  }
+  auto it = constraints_->find(v.var);
+  return it == constraints_->end() ? ValueSet::Full() : it->second;
 }
 
 ValueSet SymbolicPacket::PossibleValues(HeaderField f) const {
@@ -167,17 +182,41 @@ bool SymbolicPacket::CanMatchFlowSpec(const FlowSpec& spec, int hop_index) const
   return true;
 }
 
+SymbolicPacket::HopRecord::~HopRecord() {
+  // Unlink each ancestor this record solely owns before it is destroyed, so
+  // releasing a chain takes a loop instead of one stack frame per hop.
+  std::shared_ptr<HopRecord> next = std::move(parent);
+  while (next && next.use_count() == 1) {
+    next = std::move(next->parent);
+  }
+}
+
 void SymbolicPacket::RecordHop(const std::string& node, int out_port) {
-  Hop hop;
-  hop.node = node;
-  hop.out_port = out_port;
-  hop.fields = fields_;
-  history_.push_back(std::move(hop));
+  auto hop = std::make_shared<HopRecord>();
+  hop->node = node;
+  hop->out_port = out_port;
+  hop->fields = fields_;
+  hop->parent = std::move(last_hop_);
+  last_hop_ = std::move(hop);
+  ++hop_count_;
+}
+
+const std::vector<const Hop*>& SymbolicPacket::history() const {
+  if (!hop_index_ || hop_index_->size() != static_cast<size_t>(hop_count_)) {
+    auto index = std::make_shared<std::vector<const Hop*>>(static_cast<size_t>(hop_count_));
+    size_t i = index->size();
+    for (const HopRecord* hop = last_hop_.get(); hop != nullptr; hop = hop->parent.get()) {
+      (*index)[--i] = hop;
+    }
+    hop_index_ = std::move(index);
+  }
+  return *hop_index_;
 }
 
 int SymbolicPacket::FindHop(const std::string& name, int from) const {
-  for (size_t i = static_cast<size_t>(from); i < history_.size(); ++i) {
-    if (history_[i].node == name) {
+  const std::vector<const Hop*>& hops = history();
+  for (size_t i = static_cast<size_t>(from); i < hops.size(); ++i) {
+    if (hops[i]->node == name) {
       return static_cast<int>(i);
     }
   }
@@ -185,14 +224,12 @@ int SymbolicPacket::FindHop(const std::string& name, int from) const {
 }
 
 bool SymbolicPacket::FieldInvariantBetween(HeaderField f, int from_hop, int to_hop) const {
-  if (from_hop < 0 || to_hop < from_hop ||
-      static_cast<size_t>(to_hop) >= history_.size()) {
+  if (from_hop < 0 || to_hop < from_hop || to_hop >= hop_count_) {
     return false;
   }
   // The field is invariant iff its last definition as of `to_hop` happened at
   // or before `from_hop` — i.e., no node in between rewrote it.
-  const FieldState& state = history_[static_cast<size_t>(to_hop)].fields[Index(f)];
-  return state.last_def_hop <= from_hop;
+  return FieldAtHop(f, to_hop).last_def_hop <= from_hop;
 }
 
 std::string SymbolicPacket::Describe() const {

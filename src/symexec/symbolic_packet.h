@@ -13,6 +13,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -59,7 +60,8 @@ struct FieldState {
 };
 
 // One step of the packet's journey; `fields` snapshots the state when the
-// packet *left* the node.
+// packet *left* the node. A hop is immutable once recorded and shared by
+// every branch that descends from it.
 struct Hop {
   std::string node;
   int out_port = 0;
@@ -116,14 +118,19 @@ class SymbolicPacket {
 
   // --- History ----------------------------------------------------------------------
   // Records departure from `node` via `out_port`, snapshotting field state.
+  // O(1): the new hop links to the previous one, which stays shared.
   void RecordHop(const std::string& node, int out_port);
-  const std::vector<Hop>& history() const { return history_; }
+  int hop_count() const { return hop_count_; }
+  // Every hop, oldest first. Walks the chain once (O(hops)) on the first call
+  // after a RecordHop; later calls and the indexed readers below are O(1).
+  // That first call writes the index, so it must not race another reader.
+  const std::vector<const Hop*>& history() const;
   // First hop index at or after `from` whose node equals `name`; -1 if none.
   int FindHop(const std::string& name, int from = 0) const;
 
-  // Field state as of hop `index` (must be < history().size()).
+  // Field state as of hop `index` (must be < hop_count()).
   const FieldState& FieldAtHop(HeaderField f, int index) const {
-    return history_[static_cast<size_t>(index)].fields[Index(f)];
+    return history()[static_cast<size_t>(index)]->fields[Index(f)];
   }
 
   // True when `f` kept a single definition between hops `from_hop` and
@@ -138,7 +145,7 @@ class SymbolicPacket {
 
  private:
   static size_t Index(HeaderField f) { return static_cast<size_t>(f); }
-  int NextDefHop() const { return static_cast<int>(history_.size()); }
+  int NextDefHop() const { return hop_count_; }
 
   static std::array<VarId, kNumHeaderFields> NoVars() {
     std::array<VarId, kNumHeaderFields> vars;
@@ -146,10 +153,23 @@ class SymbolicPacket {
     return vars;
   }
 
+  // A hop plus the link to the hop before it; releases its ancestors
+  // iteratively so a long chain cannot overflow the stack.
+  struct HopRecord : Hop {
+    ~HopRecord();
+    std::shared_ptr<HopRecord> parent;
+  };
+  using ConstraintMap = std::unordered_map<VarId, ValueSet>;  // absent var => Full()
+
   std::array<FieldState, kNumHeaderFields> fields_{};
   std::array<VarId, kNumHeaderFields> ingress_vars_ = NoVars();
-  std::unordered_map<VarId, ValueSet> constraints_;  // absent var => Full()
-  std::vector<Hop> history_;
+  // Copy-on-write: copies share the map until one of them narrows a variable.
+  std::shared_ptr<ConstraintMap> constraints_;
+  // Newest hop; copies share the whole chain behind it.
+  std::shared_ptr<HopRecord> last_hop_;
+  int hop_count_ = 0;
+  // Lazily built index over the chain, shared by copies like the chain.
+  mutable std::shared_ptr<const std::vector<const Hop*>> hop_index_;
   std::string delivered_at_;
   bool feasible_ = true;
 };

@@ -91,7 +91,7 @@ std::string RenderTrace(const SymbolicPacket& packet) {
 
   const auto& history = packet.history();
   for (size_t hop = 0; hop < history.size(); ++hop) {
-    out << PadTo(history[hop].node, kNodeWidth);
+    out << PadTo(history[hop]->node, kNodeWidth);
     for (HeaderField field : kColumns) {
       const FieldState& state = packet.FieldAtHop(field, static_cast<int>(hop));
       std::string cell = RenderValue(packet, state.value, field);

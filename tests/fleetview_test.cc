@@ -92,14 +92,17 @@ TEST_F(FleetViewTest, SustainedBurstFlagsRegionalIncident) {
   // Warmup with quiet deltas of 1, then a sustained burst of 100/digest.
   for (int i = 0; i < 6; ++i) {
     cumulative += 1;
-    view_.Ingest("east", ++seq, seq * kSecond, false, Sample(cumulative));
+    ++seq;
+    view_.Ingest("east", seq, seq * kSecond, false, Sample(cumulative));
   }
   EXPECT_TRUE(view_.incidents().empty());
   cumulative += 100;
-  view_.Ingest("east", ++seq, seq * kSecond, false, Sample(cumulative));
+  ++seq;
+  view_.Ingest("east", seq, seq * kSecond, false, Sample(cumulative));
   EXPECT_TRUE(view_.incidents().empty()) << "one deviant window must not flag yet";
   cumulative += 100;
-  view_.Ingest("east", ++seq, seq * kSecond, false, Sample(cumulative));
+  ++seq;
+  view_.Ingest("east", seq, seq * kSecond, false, Sample(cumulative));
 
   ASSERT_EQ(view_.incidents().size(), 1u);
   const FleetView::Incident& incident = view_.incidents()[0];
@@ -112,7 +115,8 @@ TEST_F(FleetViewTest, SustainedBurstFlagsRegionalIncident) {
 
   // The flag is one-per-episode: further deviant windows don't re-raise.
   cumulative += 100;
-  view_.Ingest("east", ++seq, seq * kSecond, false, Sample(cumulative));
+  ++seq;
+  view_.Ingest("east", seq, seq * kSecond, false, Sample(cumulative));
   EXPECT_EQ(view_.incidents().size(), 1u);
 
   // The episode's trace event went to our tracer with the wire kind.
@@ -159,11 +163,13 @@ TEST_F(FleetViewTest, AnomalousRegionsExpireWithTheWindow) {
   uint64_t seq = 0;
   for (int i = 0; i < 6; ++i) {
     cumulative += 1;
-    view_.Ingest("east", ++seq, seq * kSecond, false, Sample(cumulative));
+    ++seq;
+    view_.Ingest("east", seq, seq * kSecond, false, Sample(cumulative));
   }
   for (int i = 0; i < 2; ++i) {
     cumulative += 100;
-    view_.Ingest("east", ++seq, seq * kSecond, false, Sample(cumulative));
+    ++seq;
+    view_.Ingest("east", seq, seq * kSecond, false, Sample(cumulative));
   }
   uint64_t flagged_at = seq * kSecond;
   ASSERT_EQ(view_.AnomalousRegions(flagged_at).size(), 1u);

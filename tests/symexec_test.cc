@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+
+#include <algorithm>
+
 #include "src/click/config_parser.h"
 #include "src/symexec/click_models.h"
 #include "src/symexec/engine.h"
+#include "src/symexec/path_digest.h"
 #include "src/symexec/symbolic_packet.h"
 #include "src/symexec/trace_render.h"
-#include <algorithm>
 #include "src/symexec/value_set.h"
 
 namespace innet::symexec {
@@ -144,6 +148,89 @@ TEST(SymbolicPacket, HistoryAndLastDef) {
   EXPECT_TRUE(p.FieldInvariantBetween(HeaderField::kPayload, 0, 2));
 }
 
+TEST(SymbolicPacket, CopiesAreIndependent) {
+  VarAllocator vars;
+  SymbolicPacket original = SymbolicPacket::MakeUnconstrained(&vars);
+  original.Constrain(HeaderField::kDstPort, ValueSet::Range(1000, 2000));
+  original.RecordHop("a", 0);  // hop 0
+  original.SetConst(HeaderField::kProto, kProtoUdp);
+  original.RecordHop("b", 1);  // hop 1
+  ASSERT_EQ(original.history().size(), 2u);
+
+  SymbolicPacket copy = original;
+  copy.Constrain(HeaderField::kDstPort, ValueSet::Range(1500, 3000));
+  copy.SetFresh(HeaderField::kIpDst, &vars);
+  copy.RecordHop("c", 0);  // hop 2
+  copy.RecordHop("a", 0);  // hop 3
+
+  // The original sees none of the copy's narrowing, rewrites or hops.
+  EXPECT_EQ(original.history().size(), 2u);
+  EXPECT_EQ(original.history()[1]->node, "b");
+  EXPECT_EQ(original.PossibleValues(HeaderField::kDstPort), ValueSet::Range(1000, 2000));
+  EXPECT_EQ(original.value(HeaderField::kIpDst).var, original.ingress_var(HeaderField::kIpDst));
+  EXPECT_EQ(original.FieldAtHop(HeaderField::kProto, 1).value,
+            SymbolicValue::Const(kProtoUdp));
+  EXPECT_EQ(original.FieldAtHop(HeaderField::kProto, 0).last_def_hop, -1);
+  EXPECT_TRUE(original.FieldInvariantBetween(HeaderField::kIpDst, 0, 1));
+  EXPECT_EQ(original.FindHop("a", 1), -1);
+  EXPECT_EQ(original.FindHop("c"), -1);
+
+  // The copy sees the shared prefix plus its own changes.
+  ASSERT_EQ(copy.history().size(), 4u);
+  EXPECT_EQ(copy.history()[1]->node, "b");
+  EXPECT_EQ(copy.PossibleValues(HeaderField::kDstPort), ValueSet::Range(1500, 2000));
+  EXPECT_EQ(copy.FieldAtHop(HeaderField::kProto, 1).value, SymbolicValue::Const(kProtoUdp));
+  EXPECT_TRUE(copy.FieldInvariantBetween(HeaderField::kIpDst, 0, 1));
+  EXPECT_FALSE(copy.FieldInvariantBetween(HeaderField::kIpDst, 0, 2));
+  EXPECT_EQ(copy.FindHop("a", 1), 3);
+  EXPECT_EQ(copy.FindHop("c"), 2);
+
+  // And the other way round: changing the original leaves the copy alone.
+  original.Constrain(HeaderField::kDstPort, ValueSet::Single(1000));
+  original.SetConst(HeaderField::kPayload, 7);
+  original.RecordHop("d", 0);
+  EXPECT_EQ(copy.PossibleValues(HeaderField::kDstPort), ValueSet::Range(1500, 2000));
+  EXPECT_FALSE(copy.value(HeaderField::kPayload).is_const);
+  EXPECT_EQ(copy.FindHop("d"), -1);
+  EXPECT_EQ(copy.history().size(), 4u);
+  EXPECT_EQ(original.FindHop("d"), 2);
+}
+
+// Destroys `packet` on a thread whose 256 KiB stack holds a few thousand
+// frames at most, so a release that recursed once per hop would overflow it.
+void ReleaseOnSmallStack(SymbolicPacket packet) {
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&attr, 256 * 1024), 0);
+  auto release = [](void* arg) -> void* {
+    delete static_cast<SymbolicPacket*>(arg);
+    return nullptr;
+  };
+  pthread_t thread;
+  ASSERT_EQ(pthread_create(&thread, &attr, release, new SymbolicPacket(std::move(packet))), 0);
+  EXPECT_EQ(pthread_join(thread, nullptr), 0);
+  pthread_attr_destroy(&attr);
+}
+
+TEST(SymbolicPacket, LongHistoryReleasesIteratively) {
+  // max_hops grows with the network; dropping a long hop chain must not
+  // recurse once per hop.
+  constexpr int kHops = 100000;
+  VarAllocator vars;
+  SymbolicPacket packet = SymbolicPacket::MakeUnconstrained(&vars);
+  for (int i = 0; i < kHops; ++i) {
+    packet.RecordHop("n", i % 2);
+  }
+  SymbolicPacket branch = packet;
+  branch.RecordHop("tail", 0);
+  EXPECT_EQ(branch.hop_count(), kHops + 1);
+  ReleaseOnSmallStack(std::move(branch));  // releases only the branch's own hop
+  EXPECT_EQ(packet.hop_count(), kHops);
+  EXPECT_EQ(packet.FindHop("n", kHops - 1), kHops - 1);
+  EXPECT_EQ(packet.history()[kHops - 1]->out_port, 1);
+  ReleaseOnSmallStack(std::move(packet));  // releases the whole chain
+}
+
 TEST(SymbolicPacket, ConstrainToFlowSpecForksEitherDirection) {
   VarAllocator vars;
   SymbolicPacket p = SymbolicPacket::MakeUnconstrained(&vars);
@@ -189,7 +276,7 @@ TEST(Engine, LinearPathDelivers) {
   EngineResult result = engine.Run(graph, a, 0, seed);
   ASSERT_EQ(result.delivered.size(), 1u);
   EXPECT_EQ(result.delivered[0].delivered_at(), "c");
-  EXPECT_EQ(result.delivered[0].history().size(), 3u);
+  EXPECT_EQ(result.delivered[0].hop_count(), 3);
 }
 
 TEST(Engine, UnconnectedPortDrops) {
@@ -397,6 +484,56 @@ TEST(TraceRender, InfeasibleMarked) {
   p.Constrain(HeaderField::kProto, ValueSet::Single(kProtoTcp));
   p.RecordHop("x", 0);
   EXPECT_NE(RenderTrace(p).find("infeasible"), std::string::npos);
+}
+
+// A module that branches three ways (classifier arms and a Tee) and joins two
+// of the branches at one rewriter, so its delivered paths share prefixes.
+constexpr char kBranchingModule[] =
+    "src :: FromNetfront(); cls :: IPClassifier(udp dst port 1500, tcp, -);"
+    "t :: Tee(2); rw :: IPRewriter(pattern - - 172.16.15.133 - 0 0);"
+    "a :: ToNetfront(); b :: ToNetfront(); d :: Discard();"
+    "src -> cls; cls[0] -> rw; cls[1] -> t; cls[2] -> d; t[0] -> rw; t[1] -> b; rw -> a;";
+
+std::string BranchingTraces() {
+  std::string traces;
+  for (const SymbolicPacket& p : RunModule(kBranchingModule)) {
+    traces += "@" + p.delivered_at() + "\n" + RenderTrace(p);
+  }
+  return traces;
+}
+
+// Captured before branches shared hop records and constraint stores; the
+// sharing must not change a byte of either output.
+constexpr char kBranchingTraces[] = R"(@a
+node                      src host              dst host              proto                 src port              dst port              payload               firewall_tag          
+src                       src host0             dst host0             proto0=udp            src port0             dst port0=1500        payload0              firewall_tag0         
+cls                       src host0             dst host0             proto0=udp            src port0             dst port0=1500        payload0              firewall_tag0         
+rw                        src host0             172.16.15.133*        proto0=udp            src port0             dst port0=1500        payload0              firewall_tag0         
+a                         src host0             172.16.15.133         proto0=udp            src port0             dst port0=1500        payload0              firewall_tag0         
+@b
+node                      src host              dst host              proto                 src port              dst port              payload               firewall_tag          
+src                       src host0             dst host0             proto0=tcp            src port0             dst port0             payload0              firewall_tag0         
+cls                       src host0             dst host0             proto0=tcp            src port0             dst port0             payload0              firewall_tag0         
+t                         src host0             dst host0             proto0=tcp            src port0             dst port0             payload0              firewall_tag0         
+b                         src host0             dst host0             proto0=tcp            src port0             dst port0             payload0              firewall_tag0         
+@a
+node                      src host              dst host              proto                 src port              dst port              payload               firewall_tag          
+src                       src host0             dst host0             proto0=tcp            src port0             dst port0             payload0              firewall_tag0         
+cls                       src host0             dst host0             proto0=tcp            src port0             dst port0             payload0              firewall_tag0         
+t                         src host0             dst host0             proto0=tcp            src port0             dst port0             payload0              firewall_tag0         
+rw                        src host0             172.16.15.133*        proto0=tcp            src port0             dst port0             payload0              firewall_tag0         
+a                         src host0             172.16.15.133         proto0=tcp            src port0             dst port0             payload0              firewall_tag0         
+)";
+constexpr char kBranchingDigest[] =
+    "intd1:c:34a4ec5eabeba40c,491b78a4172f127a,68ac0bd364eb030d:"
+    "14650fb0739d0383,34a4ec5eabeba40c,491b78a4172f127a,68ac0bd364eb030d,cf6baf5103593855";
+
+TEST(TraceRender, BranchingModuleMatchesGolden) {
+  EXPECT_EQ(BranchingTraces(), kBranchingTraces);
+}
+
+TEST(PathDigest, BranchingModuleMatchesGolden) {
+  EXPECT_EQ(ComputePathDigestFromText(kBranchingModule).Encode(), kBranchingDigest);
 }
 
 TEST(ClickModels, SourceAndSinkDiscovery) {
