@@ -142,6 +142,30 @@ else
   fi
 fi
 
+step "dataplane profile bench (determinism: two runs must be byte-identical)"
+if [ ! -x build/bench/dataplane_profile ]; then
+  echo "ERROR: build/bench/dataplane_profile missing — build step failed?" >&2
+  fail=1
+else
+  dp_ok=1
+  (cd build/bench && ./dataplane_profile >/dev/null) || dp_ok=0
+  cp build/bench/BENCH_dataplane_profile.json build/bench/BENCH_dataplane_profile.run1.json 2>/dev/null
+  (cd build/bench && ./dataplane_profile >/dev/null) || dp_ok=0
+  if [ "$dp_ok" -ne 1 ]; then
+    echo "ERROR: dataplane_profile failed" >&2
+    fail=1
+  elif ! cmp -s build/bench/BENCH_dataplane_profile.json build/bench/BENCH_dataplane_profile.run1.json; then
+    echo "ERROR: BENCH_dataplane_profile.json differs between two runs at the same seed" >&2
+    fail=1
+  elif ! cmp -s build/bench/BENCH_dataplane_profile.json BENCH_dataplane_profile.json; then
+    echo "ERROR: regenerated BENCH_dataplane_profile.json differs from the committed snapshot" >&2
+    echo "       (if the change is intentional: cp build/bench/BENCH_dataplane_profile.json .)" >&2
+    fail=1
+  else
+    echo "ok: dataplane_profile byte-identical across runs, snapshot current"
+  fi
+fi
+
 step "INT conformance bench (determinism: two runs must be byte-identical)"
 if [ ! -x build/bench/int_conformance ]; then
   echo "ERROR: build/bench/int_conformance missing — build step failed?" >&2

@@ -79,6 +79,10 @@ class Element {
   // Instance name from the configuration ("batcher" in "batcher :: ...").
   const std::string& name() const { return name_; }
   void set_name(std::string name) { name_ = std::move(name); }
+  // Dense index of this element in its graph (declaration order), assigned
+  // by Graph::Build. Per-packet telemetry records ids, never names.
+  uint32_t id() const { return id_; }
+  void set_id(uint32_t id) { id_ = id; }
 
   uint64_t drops() const { return drops_; }
 
@@ -163,6 +167,7 @@ class Element {
   static inline bool trace_enabled_ = false;
 
   std::string name_;
+  uint32_t id_ = 0;
   int n_inputs_ = 1;
   int n_outputs_ = 1;
   std::vector<PortTarget> outputs_{1};

@@ -1,6 +1,48 @@
 #include "src/click/graph.h"
 
+#include <set>
+#include <string_view>
+
 namespace innet::click {
+namespace {
+
+// Source/sink adapters sit outside the tenant's processing chain: they are
+// excluded from canonical chains on BOTH sides of attestation (the symexec
+// digest filters the same class set — see src/symexec/path_digest.cc), so
+// the two can never disagree about where a path starts. Discard belongs here
+// too: symbolically it never forwards, so it never appears in a path history.
+bool IsEndpointClass(std::string_view class_name) {
+  return class_name == "FromNetfront" || class_name == "ToNetfront" ||
+         class_name == "FromDevice" || class_name == "ToDevice" || class_name == "Discard";
+}
+
+// Fills the consolidated-tenant slot of a "t<i>_"-prefixed element name (the
+// prefix ConsolidateTenants gives each tenant's elements) and, when the
+// prefix is spelled exactly "t<slot>_", its length.
+void ParseTenantPrefix(std::string_view name, obs::ElementNameTable::Entry* entry) {
+  constexpr size_t kMaxDigits = 9;  // keeps the slot within int
+  if (name.size() < 3 || name[0] != 't') {
+    return;
+  }
+  size_t i = 1;
+  int slot = 0;
+  while (i < name.size() && name[i] >= '0' && name[i] <= '9') {
+    if (i > kMaxDigits) {
+      return;
+    }
+    slot = slot * 10 + (name[i] - '0');
+    ++i;
+  }
+  if (i == 1 || i >= name.size() || name[i] != '_') {
+    return;
+  }
+  entry->tenant_slot = slot;
+  if (name[1] != '0' || i == 2) {
+    entry->prefix_len = static_cast<uint32_t>(i + 1);
+  }
+}
+
+}  // namespace
 
 std::unique_ptr<Graph> Graph::Build(const ConfigGraph& config, std::string* error,
                                     const Registry& registry, sim::EventQueue* clock) {
@@ -8,6 +50,8 @@ std::unique_ptr<Graph> Graph::Build(const ConfigGraph& config, std::string* erro
   graph->config_ = config;
   graph->context_.clock = clock;
 
+  auto names = std::make_shared<obs::ElementNameTable>();
+  std::set<int> tenant_slots;
   for (const ElementDecl& decl : config.elements) {
     std::unique_ptr<Element> element = registry.Create(decl.class_name, decl.args, error);
     if (element == nullptr) {
@@ -15,12 +59,22 @@ std::unique_ptr<Graph> Graph::Build(const ConfigGraph& config, std::string* erro
       return nullptr;
     }
     element->set_name(decl.name);
+    element->set_id(static_cast<uint32_t>(graph->elements_.size()));
+    obs::ElementNameTable::Entry& entry = names->elements.emplace_back();
+    entry.name = decl.name;
+    entry.endpoint = IsEndpointClass(element->class_name());
+    ParseTenantPrefix(decl.name, &entry);
+    if (entry.tenant_slot >= 0) {
+      tenant_slots.insert(entry.tenant_slot);
+    }
     graph->by_name_[decl.name] = element.get();
     if (graph->default_source_ == nullptr && element->class_name() == "FromNetfront") {
       graph->default_source_ = element.get();
     }
     graph->elements_.push_back(std::move(element));
   }
+  names->tenant_slots.assign(tenant_slots.begin(), tenant_slots.end());
+  graph->names_ = std::move(names);
 
   for (const Connection& conn : config.connections) {
     Element* from = graph->Find(conn.from);
@@ -73,40 +127,30 @@ Element* Graph::FindByClass(std::string_view class_name) const {
 }
 
 void Graph::Inject(const std::string& name, Packet& packet) {
-  Element* element = Find(name);
-  if (element == nullptr) {
-    return;
+  if (Element* element = Find(name)) {
+    InjectAt(*element, packet);
   }
-  element->CountArrival(packet);
-  if (profiler_ != nullptr) {
-    uint64_t now_ns = context_.clock != nullptr ? context_.clock->now() : 0;
-    profiler_->BeginWalk(now_ns, packet);
-    profiler_->EnterElement(*element, packet);
-    element->Push(0, packet);
-    profiler_->ExitElement();
-    profiler_->EndWalk();
-    profiler_->FinishWalkInt(packet, now_ns);
-    return;
-  }
-  element->Push(0, packet);
 }
 
 void Graph::InjectAtSource(Packet& packet) {
-  if (default_source_ == nullptr) {
+  if (default_source_ != nullptr) {
+    InjectAt(*default_source_, packet);
+  }
+}
+
+void Graph::InjectAt(Element& element, Packet& packet) {
+  element.CountArrival(packet);
+  if (profiler_ == nullptr) {
+    element.Push(0, packet);
     return;
   }
-  default_source_->CountArrival(packet);
-  if (profiler_ != nullptr) {
-    uint64_t now_ns = context_.clock != nullptr ? context_.clock->now() : 0;
-    profiler_->BeginWalk(now_ns, packet);
-    profiler_->EnterElement(*default_source_, packet);
-    default_source_->Push(0, packet);
-    profiler_->ExitElement();
-    profiler_->EndWalk();
-    profiler_->FinishWalkInt(packet, now_ns);
-    return;
-  }
-  default_source_->Push(0, packet);
+  uint64_t now_ns = context_.clock != nullptr ? context_.clock->now() : 0;
+  profiler_->BeginWalk(now_ns, packet);
+  profiler_->EnterElement(element, packet);
+  element.Push(0, packet);
+  profiler_->ExitElement();
+  profiler_->EndWalk();
+  profiler_->FinishWalkInt(packet, now_ns);
 }
 
 void Graph::ExportMetrics(obs::MetricsRegistry* registry, const obs::Labels& base_labels) const {
@@ -131,7 +175,7 @@ void Graph::ExportMetrics(obs::MetricsRegistry* registry, const obs::Labels& bas
 }
 
 GraphProfiler* Graph::EnableProfiling(GraphProfilerConfig config) {
-  profiler_ = std::make_unique<GraphProfiler>(std::move(config));
+  profiler_ = std::make_unique<GraphProfiler>(std::move(config), names_);
   context_.profiler = profiler_.get();
   return profiler_.get();
 }

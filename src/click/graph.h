@@ -11,6 +11,7 @@
 #include "src/click/element.h"
 #include "src/click/profiler.h"
 #include "src/click/registry.h"
+#include "src/obs/int_telemetry.h"
 #include "src/obs/metrics.h"
 
 namespace innet::click {
@@ -41,8 +42,13 @@ class Graph {
   // Injects at the first FromNetfront.
   void InjectAtSource(Packet& packet);
 
+  // Indexed by Element::id().
   const std::vector<std::unique_ptr<Element>>& elements() const { return elements_; }
   const ConfigGraph& config() const { return config_; }
+  // Element names, tenant slots and endpoint flags by element id, resolved
+  // once at build time; shared with the profiler and every INT postcard the
+  // graph stamps.
+  const std::shared_ptr<const obs::ElementNameTable>& element_names() const { return names_; }
 
   // Snapshots every element's packet/byte/drop/proc-time counters (and
   // per-output-port packet counts) into `registry` as innet_element_*_total
@@ -63,8 +69,13 @@ class Graph {
  private:
   Graph() = default;
 
+  // Pushes `packet` into `element`'s input 0; with a profiler attached, the
+  // push is one profiled walk.
+  void InjectAt(Element& element, Packet& packet);
+
   ConfigGraph config_;
   std::vector<std::unique_ptr<Element>> elements_;
+  std::shared_ptr<const obs::ElementNameTable> names_;
   std::unordered_map<std::string, Element*> by_name_;
   Element* default_source_ = nullptr;
   ElementContext context_;

@@ -6,8 +6,10 @@
 //     cost is charged to the chain of elements the packet traversed to reach
 //     it ("src;filter;rewriter 1234"), exactly the folded-stack format
 //     flame-graph tooling consumes. Accumulated for every packet whenever a
-//     profiler is attached — the per-forward cost is an append to an
-//     incremental chain string plus one map bump.
+//     profiler is attached. Chains live in a per-graph trie keyed by element
+//     id (Element::id()): a forward steps to the child node for the next
+//     element and adds the cost to its weight, a return steps back to the
+//     parent. Names are joined only when the folded dump is rendered.
 //
 //  2. Sampled packet walks. A deterministic 1-in-N sampler (phased by a
 //     seed; no wall clock — the decision is a pure function of the packet
@@ -18,6 +20,11 @@
 //     cost), so the Perfetto export renders one sampled packet as a
 //     connected slice chain on its own track.
 //
+// In-band telemetry rides on the same walk: INT-sampled packets carry POD
+// hop records (element id, ports, queue depth, cost), and EmitPostcard hands
+// the IntCollector a postcard that names elements through the graph's
+// ElementNameTable. Unsampled walks allocate nothing.
+//
 // Determinism contract: sampling depends only on (seed, sample_n, packet
 // ordinal); timestamps mix only sim time and the deterministic element cost
 // model. Two seeded runs produce byte-identical folded and trace dumps.
@@ -27,11 +34,13 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
 
 #include "src/click/element.h"
+#include "src/obs/int_telemetry.h"
 #include "src/obs/metrics.h"
 
 namespace innet::click {
@@ -52,12 +61,16 @@ struct GraphProfilerConfig {
   // Tenant attribution for postcards: called with -1 for the graph's owning
   // tenant (dedicated VMs; may return "" for shared graphs) or with a
   // consolidated slot index parsed from a "t<i>_" element-name prefix.
+  // Consulted when the profiler is attached and on RefreshIntTenants(),
+  // never per postcard.
   std::function<std::string(int)> int_tenant;
 };
 
 class GraphProfiler {
  public:
-  explicit GraphProfiler(GraphProfilerConfig config) : config_(std::move(config)) {}
+  // `names` is the profiled graph's element name table (Graph::
+  // element_names()); element ids index it.
+  GraphProfiler(GraphProfilerConfig config, std::shared_ptr<const obs::ElementNameTable> names);
   GraphProfiler(const GraphProfiler&) = delete;
   GraphProfiler& operator=(const GraphProfiler&) = delete;
 
@@ -66,9 +79,28 @@ class GraphProfiler {
   // stale in-band state a reused Packet object may carry).
   void BeginWalk(uint64_t time_ns, Packet& packet);
   // `in_port` is the input port the packet arrives on — recorded in the
-  // packet's in-band hop stack when INT is active for it.
-  void EnterElement(const Element& element, Packet& packet, int in_port = 0);
-  void ExitElement();
+  // packet's in-band hop stack when INT is active for it. Inline: these run
+  // on every forward, and an unsampled walk only steps the chain trie.
+  void EnterElement(const Element& element, Packet& packet, int in_port = 0) {
+    uint64_t cost = element.SimulatedCostNs(packet);
+    if (packet.int_active() && !packet.int_done()) {
+      AppendIntHop(element, packet, in_port, cost);
+    }
+    chain_ = ChildChain(element.id());
+    chains_[chain_].weight_ns += cost;
+    if (walk_sampled_) {
+      OpenElementSpan(element, cost);
+    }
+  }
+  void ExitElement() {
+    if (chain_ == kRootChain) {
+      return;  // unbalanced exit (deferred release outside a walk): ignore
+    }
+    chain_ = chains_[chain_].parent;
+    if (walk_sampled_) {
+      CloseElementSpan();
+    }
+  }
   // Called by ToNetfront when the packet leaves the graph; decides whether
   // the walk closes with kPacketEgress or kPacketDrop, and completes the
   // packet's in-band stack into a delivered postcard.
@@ -81,13 +113,20 @@ class GraphProfiler {
   // after each deferred release.
   void FinishWalkInt(Packet& packet, uint64_t now_ns);
 
+  // Re-reads the config's int_tenant for the owning tenant and every tenant
+  // slot the graph names. Owners of the attribution inputs call this when
+  // they change (a guest's owner is set, a consolidated guest's tenant order
+  // is recorded).
+  void RefreshIntTenants();
+
   uint64_t walks() const { return walks_; }
   uint64_t sampled_walks() const { return sampled_walks_; }
   uint64_t int_walks() const { return int_walks_; }
 
   // chain -> accumulated simulated ns (self cost per frame, flame-graph
-  // semantics). Sorted, so the folded dump is deterministic.
-  const std::map<std::string, uint64_t>& folded_ns() const { return folded_ns_; }
+  // semantics), rendered from the chain trie. Sorted, so the folded dump is
+  // deterministic.
+  std::map<std::string, uint64_t> folded_ns() const;
   // "prefix;chain;of;elements weight\n" lines (prefix omitted when empty).
   void WriteFolded(std::ostream& out) const;
 
@@ -97,9 +136,52 @@ class GraphProfiler {
   const GraphProfilerConfig& config() const { return config_; }
 
  private:
-  struct Frame {
-    size_t chain_len = 0;  // chain_ length before this element was appended
-    uint64_t span = 0;     // open kElementProcess span id (0 = not sampled)
+  // One call chain: the chain of `parent` extended by `element`. Children
+  // of a node form a singly linked sibling list.
+  struct ChainNode {
+    uint32_t parent = 0;
+    uint32_t element = 0;
+    uint32_t first_child = 0;   // 0 = none (the root is never a child)
+    uint32_t next_sibling = 0;  // 0 = none
+    uint64_t weight_ns = 0;
+  };
+  static constexpr uint32_t kRootChain = 0;  // the empty chain
+
+  // The node for the live chain extended by `element`, created on first use.
+  uint32_t ChildChain(uint32_t element) {
+    uint32_t child = chains_[chain_].first_child;
+    while (child != 0 && chains_[child].element != element) {
+      child = chains_[child].next_sibling;
+    }
+    return child != 0 ? child : AddChildChain(element);
+  }
+  uint32_t AddChildChain(uint32_t element);
+  // The rarer halves of EnterElement / ExitElement, out of line.
+  void AppendIntHop(const Element& element, Packet& packet, int in_port, uint64_t cost);
+  void OpenElementSpan(const Element& element, uint64_t cost);
+  void CloseElementSpan();
+
+  // Selects walk ordinals ≡ seed (mod period) — the sampling contract —
+  // by tracking the ordinal's residue instead of dividing per walk.
+  class OrdinalSampler {
+   public:
+    OrdinalSampler(uint32_t period, uint64_t seed)
+        : period_(period), phase_(period == 0 ? 0 : static_cast<uint32_t>(seed % period)) {}
+    // Steps to the next walk ordinal; true when it is selected.
+    bool Advance() {
+      if (period_ == 0) {
+        return false;
+      }
+      if (++residue_ == period_) {
+        residue_ = 0;
+      }
+      return residue_ == phase_;
+    }
+
+   private:
+    uint32_t period_;
+    uint32_t phase_;
+    uint32_t residue_ = 0;  // walks so far, modulo period_
   };
 
   // Builds the postcard from the packet's hop stack (tenant attribution,
@@ -107,19 +189,27 @@ class GraphProfiler {
   void EmitPostcard(Packet& packet, uint64_t now_ns, bool egress);
 
   GraphProfilerConfig config_;
+  std::shared_ptr<const obs::ElementNameTable> names_;
+  // Resolved int_tenant answers: the owner (slot -1) and one per entry of
+  // names_->tenant_slots.
+  std::string owner_tenant_;
+  std::vector<std::string> slot_tenants_;
+
+  OrdinalSampler walk_sampler_;
+  OrdinalSampler int_sampler_;
   uint64_t walks_ = 0;
   uint64_t sampled_walks_ = 0;
   uint64_t int_walks_ = 0;
-  std::map<std::string, uint64_t> folded_ns_;
-  std::string chain_;          // incremental "a;b;c" of the live call chain
-  std::vector<Frame> frames_;
+  std::vector<ChainNode> chains_;  // [kRootChain] is the empty chain
+  uint32_t chain_ = kRootChain;    // node of the live call chain
+  std::vector<uint64_t> spans_;    // open kElementProcess spans of a sampled walk
 
   bool walk_sampled_ = false;
   bool egress_ = false;
   uint64_t walk_span_ = 0;
   uint64_t cursor_ns_ = 0;     // synthetic clock: ingress time + costs so far
   std::string walk_target_;
-  std::string last_element_;   // drop attribution for sampled walks
+  uint32_t last_element_ = 0;  // drop attribution for sampled walks
 };
 
 }  // namespace innet::click

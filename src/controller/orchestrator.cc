@@ -496,10 +496,10 @@ void Orchestrator::DeployViaChannel(const ClientRequest& request, DeployCallback
                 }
                 uint64_t now = clock_->now();
                 if (resp.ok) {
-                  PlatformState& state = platforms_[platform_name];
-                  state.consolidated.push_back(tenant);
-                  state.consolidated_module_ids.push_back(module_id);
-                  state.shared_vm = resp.vm_id;
+                  PlatformState& acked_state = platforms_[platform_name];
+                  acked_state.consolidated.push_back(tenant);
+                  acked_state.consolidated_module_ids.push_back(module_id);
+                  acked_state.shared_vm = resp.vm_id;
                   CommitPlacement(request, module_id, platform_name, 0);
                   guard->Confirm();
                   result.consolidated = true;
@@ -665,22 +665,22 @@ void Orchestrator::ConfirmProbe(uint64_t journal_id, int rounds_left) {
         if (watch.expired()) {
           return;
         }
-        JournalEntry* entry = journal_->Find(journal_id);
-        if (entry == nullptr ||
-            (entry->state != JournalState::kPlaced && entry->state != JournalState::kBooted)) {
+        JournalEntry* live = journal_->Find(journal_id);
+        if (live == nullptr ||
+            (live->state != JournalState::kPlaced && live->state != JournalState::kBooted)) {
           return;
         }
         uint64_t now = clock_->now();
         if (r.gave_up) {
           // Unreachable (partitioned): stop probing; the heal reconcile
           // re-arms the chain.
-          RecordGiveUp(fleet_, clock_, platform_name, "confirm:" + entry->module_id);
+          RecordGiveUp(fleet_, clock_, platform_name, "confirm:" + live->module_id);
           return;
         }
         bool up = r.ok && r.vm_known &&
                   (r.vm_state == VmState::kRunning || r.vm_state == VmState::kSuspended);
         if (up) {
-          if (entry->state == JournalState::kPlaced) {
+          if (live->state == JournalState::kPlaced) {
             journal_->Advance(journal_id, JournalState::kBooted, now, "probe saw guest up");
             ScheduleConfirm(journal_id, rounds_left - 1);
           } else {
@@ -693,7 +693,7 @@ void Orchestrator::ConfirmProbe(uint64_t journal_id, int rounds_left) {
           // The dedicated guest vanished before it ever confirmed.
           journal_->Advance(journal_id, JournalState::kKilled, now,
                             "guest lost before cut-over");
-          Kill(entry->module_id);
+          Kill(live->module_id);
           return;
         }
         // Still booting / resuming (or a transient error): probe again.
@@ -1105,7 +1105,7 @@ void Orchestrator::MigrationImportDone(const std::shared_ptr<MigrationCtx>& ctx,
     if (watch.expired()) {
       return;
     }
-    obs::ScopedParent in_migration(obs::Tracer(), ctx->migrate_span);
+    obs::ScopedParent in_rollback(obs::Tracer(), ctx->migrate_span);
     if (resp.ok) {
       auto placement = placements_.find(ctx->module_id);
       if (placement != placements_.end()) {

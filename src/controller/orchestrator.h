@@ -168,7 +168,7 @@ class Orchestrator {
   Orchestrator(topology::Network network, sim::EventQueue* clock, OrchestratorOptions options);
   Orchestrator(topology::Network network, sim::EventQueue* clock,
                platform::VmCostModel cost_model = {})
-      : Orchestrator(std::move(network), clock, OrchestratorOptions{cost_model}) {}
+      : Orchestrator(std::move(network), clock, WithCostModel(std::move(cost_model))) {}
   // Crash-recovery form: attaches to a fleet and journal that outlive the
   // orchestrator. Destroying an orchestrator and constructing a new one over
   // the same (fleet, journal) simulates a controller crash + restart; call
@@ -300,6 +300,13 @@ class Orchestrator {
       const std::string& module_id) const;
 
  private:
+  // Default options with only the guest cost model replaced.
+  static OrchestratorOptions WithCostModel(platform::VmCostModel cost_model) {
+    OrchestratorOptions options;
+    options.cost_model = std::move(cost_model);
+    return options;
+  }
+
   struct PlatformState {
     std::vector<platform::TenantConfig> consolidated;      // shared-VM tenants
     std::vector<std::string> consolidated_module_ids;      // parallel to the above

@@ -29,15 +29,17 @@ inline constexpr size_t kIpHeaderLen = sizeof(Ipv4Header);
 
 // One in-band telemetry (INT) hop record: appended by the profiler as a
 // sampled packet enters each element, completed with the egress port by the
-// forwarding element. Names are owned strings — a postcard must stay valid
-// after the graph that stamped it is torn down (migration, crash bundles).
+// forwarding element. A fixed-size POD: the element is its dense id in the
+// stamping graph (Graph::Build), and names are resolved through that graph's
+// element name table only when a postcard is folded or rendered — the table
+// outlives the graph, so postcards stay valid after teardown.
 struct IntHop {
-  std::string element;
+  uint32_t element = 0;
   uint16_t ingress_port = 0;
   uint16_t egress_port = 0;
   uint32_t queue_depth = 0;  // occupancy of queue-like elements at traversal
-  uint64_t hop_ns = 0;       // simulated processing cost of this hop
   bool endpoint = false;     // source/sink adapter, outside the tenant chain
+  uint64_t hop_ns = 0;       // simulated processing cost of this hop
 };
 
 // Bound on the in-band stack, like INT's hop-count budget on real switches:
@@ -172,12 +174,12 @@ class Packet {
   uint64_t int_ingress_ns() const { return int_ingress_ns_; }
   uint32_t int_truncated() const { return int_truncated_; }
   const std::vector<IntHop>& int_hops() const { return int_hops_; }
-  void AppendIntHop(IntHop hop) {
+  void AppendIntHop(const IntHop& hop) {
     if (int_hops_.size() >= kMaxIntHops) {
       ++int_truncated_;
       return;
     }
-    int_hops_.push_back(std::move(hop));
+    int_hops_.push_back(hop);
   }
   // Stamped by the forwarding element just before handing the packet on, so
   // the record for the hop being left carries the chosen output port.

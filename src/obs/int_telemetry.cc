@@ -18,15 +18,26 @@ constexpr uint64_t kFnvPrime = 1099511628211ULL;
 // wait: 64ns .. ~2.1s.
 std::vector<double> PathLatencyBucketsNs() { return ExponentialBuckets(64.0, 4.0, 13); }
 
-std::string JoinChain(const std::vector<std::string>& chain) {
-  std::string text;
-  for (const std::string& element : chain) {
-    if (!text.empty()) {
-      text.push_back(';');
-    }
-    text.append(element);
+constexpr const char* kStatusNames[] = {"drop", "egress", "unattested", "unattributed"};
+
+uint64_t Fnv1a(uint64_t hash, std::string_view bytes) {
+  for (char c : bytes) {
+    hash = (hash ^ static_cast<uint64_t>(static_cast<unsigned char>(c))) * kFnvPrime;
   }
-  return text;
+  return hash;
+}
+
+// Appends the ';'-joined canonical chain: element names from the table,
+// each without its "t<i>_" prefix when `strip_prefix` is set.
+void AppendChainText(const ElementNameTable* names, std::span<const uint32_t> chain,
+                     bool strip_prefix, std::string* out) {
+  for (size_t i = 0; i < chain.size(); ++i) {
+    if (i != 0) {
+      out->push_back(';');
+    }
+    const ElementNameTable::Entry& entry = names->elements[chain[i]];
+    out->append(std::string_view(entry.name).substr(strip_prefix ? entry.prefix_len : 0));
+  }
 }
 
 void AppendHex(std::string* out, uint64_t value) {
@@ -81,18 +92,16 @@ bool ParseHexList(const std::string& text, std::vector<uint64_t>* out) {
 
 uint64_t HashChain(const std::vector<std::string>& chain) {
   uint64_t hash = kFnvOffset;
-  bool first = true;
-  for (const std::string& element : chain) {
-    if (!first) {
-      hash = (hash ^ static_cast<uint64_t>(';')) * kFnvPrime;
+  for (size_t i = 0; i < chain.size(); ++i) {
+    if (i != 0) {
+      hash = Fnv1a(hash, ";");
     }
-    first = false;
-    for (char c : element) {
-      hash = (hash ^ static_cast<uint64_t>(static_cast<unsigned char>(c))) * kFnvPrime;
-    }
+    hash = Fnv1a(hash, chain[i]);
   }
   return hash;
 }
+
+uint64_t HashChainText(std::string_view joined) { return Fnv1a(kFnvOffset, joined); }
 
 bool IntPathDigest::MatchesFull(uint64_t hash) const {
   return std::binary_search(full_paths.begin(), full_paths.end(), hash);
@@ -179,9 +188,26 @@ const IntPathDigest* IntCollector::FindTenantDigest(const std::string& tenant) c
   return it == digests_.end() ? nullptr : &it->second;
 }
 
-void IntCollector::CountStatus(const std::string& status) {
+Counter* IntCollector::HopCounter(const ElementNameTable& names, uint32_t element) {
+  if (names.hop_registry_ != registry_ || names.hop_counters_.size() != names.elements.size()) {
+    names.hop_registry_ = registry_;
+    names.hop_counters_.assign(names.elements.size(), nullptr);
+  }
+  Counter*& counter = names.hop_counters_[element];
+  if (counter == nullptr) {
+    counter = registry_->GetCounter("innet_int_hop_ns_total",
+                                    {{"element", names.elements[element].name}});
+  }
+  return counter;
+}
+
+void IntCollector::CountStatus(Status status) {
   ++status_counts_[status];
-  registry_->GetCounter("innet_int_postcards_total", {{"status", status}})->Increment();
+  Counter*& counter = status_counters_[status];
+  if (counter == nullptr) {
+    counter = registry_->GetCounter("innet_int_postcards_total", {{"status", kStatusNames[status]}});
+  }
+  counter->Increment();
 }
 
 void IntCollector::Fold(const IntPostcard& postcard) {
@@ -190,51 +216,60 @@ void IntCollector::Fold(const IntPostcard& postcard) {
   }
   ++postcards_;
   for (const IntPostcardHop& hop : postcard.hops) {
-    registry_->GetCounter("innet_int_hop_ns_total", {{"element", hop.element}})
-        ->Increment(hop.hop_ns);
+    HopCounter(*postcard.names, hop.element)->Increment(hop.hop_ns);
   }
   if (postcard.truncated_hops > 0) {
-    registry_->GetCounter("innet_int_hops_truncated_total", {})
-        ->Increment(postcard.truncated_hops);
+    if (truncated_counter_ == nullptr) {
+      truncated_counter_ = registry_->GetCounter("innet_int_hops_truncated_total", {});
+    }
+    truncated_counter_->Increment(postcard.truncated_hops);
   }
 
-  std::string chain_text = JoinChain(postcard.chain);
-  std::string status;
+  chain_text_.clear();
+  AppendChainText(postcard.names.get(), postcard.chain, postcard.strip_prefix, &chain_text_);
+  Status status = kUnattributed;
   bool conformant = true;
-  if (postcard.tenant.empty()) {
-    status = "unattributed";
-  } else {
-    status = postcard.egress ? "egress" : "drop";
-    registry_
-        ->GetHistogram("innet_int_path_latency_ns", {{"tenant", postcard.tenant}},
-                       PathLatencyBucketsNs())
-        ->Observe(static_cast<double>(postcard.path_ns));
+  if (!postcard.tenant.empty()) {
+    status = postcard.egress ? kEgress : kDrop;
+    auto paths_it = chains_.find(postcard.tenant);
+    if (paths_it == chains_.end()) {
+      std::string tenant(postcard.tenant);
+      TenantPaths fresh;
+      fresh.latency = registry_->GetHistogram("innet_int_path_latency_ns", {{"tenant", tenant}},
+                                              PathLatencyBucketsNs());
+      paths_it = chains_.emplace(std::move(tenant), std::move(fresh)).first;
+    }
+    TenantPaths& paths = paths_it->second;
+    paths.latency->Observe(static_cast<double>(postcard.path_ns));
     auto digest_it = digests_.find(postcard.tenant);
     if (digest_it == digests_.end()) {
-      status = "unattested";
+      status = kUnattested;
     } else if (digest_it->second.truncated || postcard.truncated_hops > 0) {
       // Either side ran out of budget: the sets (or the observed chain) are
       // incomplete, so a mismatch proves nothing. Counted above, not flagged.
     } else {
-      uint64_t hash = HashChain(postcard.chain);
+      uint64_t hash = HashChainText(chain_text_);
       conformant = postcard.egress ? digest_it->second.MatchesFull(hash)
                                    : digest_it->second.MatchesPrefix(hash);
       if (!conformant) {
+        std::string tenant(postcard.tenant);
         ++violations_;
-        ++tenant_violations_[postcard.tenant];
-        registry_
-            ->GetCounter("innet_path_conformance_violations_total",
-                         {{"tenant", postcard.tenant}})
+        ++tenant_violations_[tenant];
+        registry_->GetCounter("innet_path_conformance_violations_total", {{"tenant", tenant}})
             ->Increment();
         if (Tracer().enabled()) {
-          Tracer().RecordNow(EventKind::kPathViolation, "tenant:" + postcard.tenant,
-                             (postcard.egress ? "egress:" : "drop:") + chain_text,
+          Tracer().RecordNow(EventKind::kPathViolation, "tenant:" + tenant,
+                             (postcard.egress ? "egress:" : "drop:") + chain_text_,
                              static_cast<int64_t>(postcard.path_ns));
         }
-        Health().CountPathViolation(postcard.tenant);
+        Health().CountPathViolation(tenant);
       }
     }
-    ChainStats& stats = chains_[postcard.tenant][chain_text];
+    auto row_it = paths.rows.find(chain_text_);
+    if (row_it == paths.rows.end()) {
+      row_it = paths.rows.emplace(chain_text_, ChainStats{}).first;
+    }
+    ChainStats& stats = row_it->second;
     if (stats.count == 0 || postcard.path_ns < stats.min_ns) {
       stats.min_ns = postcard.path_ns;
     }
@@ -251,18 +286,38 @@ void IntCollector::Fold(const IntPostcard& postcard) {
     }
   }
   CountStatus(status);
+  Remember(postcard, status, !conformant);
+}
 
-  std::string line = "t=" + (postcard.tenant.empty() ? "-" : postcard.tenant) +
-                     " vm=" + postcard.vm + " " + status +
-                     " chain=" + (chain_text.empty() ? "-" : chain_text) +
-                     " ns=" + std::to_string(postcard.path_ns);
-  if (!conformant) {
+void IntCollector::Remember(const IntPostcard& postcard, Status status, bool violation) {
+  RecentPostcard* slot;
+  if (recent_.size() < kRecentDepth) {
+    slot = &recent_.emplace_back();
+  } else {
+    slot = &recent_[recent_next_];
+    recent_next_ = (recent_next_ + 1) % kRecentDepth;
+  }
+  slot->names = postcard.names;
+  slot->tenant.assign(postcard.tenant);
+  slot->vm.assign(postcard.vm);
+  slot->chain.assign(postcard.chain.begin(), postcard.chain.end());
+  slot->strip_prefix = postcard.strip_prefix;
+  slot->status = status;
+  slot->path_ns = postcard.path_ns;
+  slot->violation = violation;
+}
+
+std::string IntCollector::RenderRecent(const RecentPostcard& recent) const {
+  std::string chain;
+  AppendChainText(recent.names.get(), recent.chain, recent.strip_prefix, &chain);
+  std::string line = "t=" + (recent.tenant.empty() ? "-" : recent.tenant) + " vm=" + recent.vm +
+                     " " + kStatusNames[recent.status] +
+                     " chain=" + (chain.empty() ? "-" : chain) +
+                     " ns=" + std::to_string(recent.path_ns);
+  if (recent.violation) {
     line += " VIOLATION";
   }
-  recent_.push_back(std::move(line));
-  while (recent_.size() > recent_depth_) {
-    recent_.pop_front();
-  }
+  return line;
 }
 
 uint64_t IntCollector::TenantViolations(const std::string& tenant) const {
@@ -271,7 +326,12 @@ uint64_t IntCollector::TenantViolations(const std::string& tenant) const {
 }
 
 std::vector<std::string> IntCollector::RecentPostcards() const {
-  return {recent_.begin(), recent_.end()};
+  std::vector<std::string> lines;
+  lines.reserve(recent_.size());
+  for (size_t i = 0; i < recent_.size(); ++i) {
+    lines.push_back(RenderRecent(recent_[(recent_next_ + i) % recent_.size()]));
+  }
+  return lines;
 }
 
 json::Value IntCollector::ToJson() const {
@@ -279,8 +339,10 @@ json::Value IntCollector::ToJson() const {
   root.Set("postcards", postcards_);
   root.Set("violations", violations_);
   json::Value status = json::Value::Object();
-  for (const auto& [name, count] : status_counts_) {
-    status.Set(name, count);
+  for (size_t i = 0; i < kStatusCount; ++i) {
+    if (status_counts_[i] != 0) {
+      status.Set(kStatusNames[i], status_counts_[i]);
+    }
   }
   root.Set("status", std::move(status));
 
@@ -307,7 +369,7 @@ json::Value IntCollector::ToJson() const {
     json::Value paths = json::Value::Array();
     auto chain_it = chains_.find(tenant);
     if (chain_it != chains_.end()) {
-      for (const auto& [chain, stats] : chain_it->second) {
+      for (const auto& [chain, stats] : chain_it->second.rows) {
         json::Value row = json::Value::Object();
         row.Set("chain", chain);
         row.Set("count", stats.count);
@@ -326,8 +388,8 @@ json::Value IntCollector::ToJson() const {
   root.Set("tenants", std::move(tenants));
 
   json::Value recent = json::Value::Array();
-  for (const std::string& line : recent_) {
-    recent.Push(line);
+  for (std::string& line : RecentPostcards()) {
+    recent.Push(std::move(line));
   }
   root.Set("recent", std::move(recent));
   return root;
@@ -341,10 +403,11 @@ void IntCollector::Clear() {
   postcards_ = 0;
   violations_ = 0;
   digests_.clear();
-  status_counts_.clear();
+  status_counts_.fill(0);
   tenant_violations_.clear();
   chains_.clear();
   recent_.clear();
+  recent_next_ = 0;
 }
 
 IntCollector& IntCollector::Global() {

@@ -27,10 +27,13 @@
 #ifndef SRC_OBS_INT_TELEMETRY_H_
 #define SRC_OBS_INT_TELEMETRY_H_
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <map>
+#include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/obs/json.h"
@@ -40,8 +43,9 @@ namespace innet::obs {
 
 // FNV-1a 64 over the ';'-joined chain — the one hash both the verify-time
 // digest and the runtime attestation use, so they can never disagree on
-// canonical form.
+// canonical form. HashChainText takes the chain already joined.
 uint64_t HashChain(const std::vector<std::string>& chain);
+uint64_t HashChainText(std::string_view joined);
 
 // Compact per-tenant path digest exported by symexec at verify time, stored
 // in the deploy journal, and carried through migration. Two hash sets: full
@@ -66,25 +70,61 @@ struct IntPathDigest {
   static bool Decode(const std::string& text, IntPathDigest* out);
 };
 
+// Names of one graph's elements, indexed by the dense element id
+// Graph::Build assigns. Built once per graph and shared (by shared_ptr) with
+// every postcard and recent-postcard entry the graph stamps, so postcards
+// still render after the graph is torn down (migration, crash bundles).
+class ElementNameTable {
+ public:
+  struct Entry {
+    std::string name;
+    // Consolidated-tenant slot parsed from a "t<i>_" name prefix; -1 when
+    // the name is not prefixed.
+    int tenant_slot = -1;
+    // Length of the prefix when it is spelled exactly "t<slot>_" (the form
+    // canonical chains strip); 0 otherwise.
+    uint32_t prefix_len = 0;
+    // Source/sink adapter class, outside the tenant's processing chain.
+    bool endpoint = false;
+  };
+
+  std::vector<Entry> elements;
+  // Distinct tenant slots named by `elements`, ascending.
+  std::vector<int> tenant_slots;
+
+ private:
+  friend class IntCollector;
+  // innet_int_hop_ns_total{element} per element id, resolved in
+  // `hop_registry` the first time a folded hop names the element.
+  mutable MetricsRegistry* hop_registry_ = nullptr;
+  mutable std::vector<Counter*> hop_counters_;
+};
+
 // One hop of a completed postcard (mirrors innet::IntHop, decoupled so obs
 // has no netcore dependency).
 struct IntPostcardHop {
-  std::string element;
-  int ingress_port = 0;
-  int egress_port = 0;
-  uint64_t queue_depth = 0;
-  uint64_t hop_ns = 0;
+  uint32_t element = 0;  // id in the postcard's name table
+  uint16_t ingress_port = 0;
+  uint16_t egress_port = 0;
+  uint32_t queue_depth = 0;
   bool endpoint = false;
+  uint64_t hop_ns = 0;
 };
 
+// A completed postcard as handed to Fold: a view over the stamping
+// profiler's stack-local state, valid for the duration of the call.
 struct IntPostcard {
-  std::string tenant;  // "" = unattributable (no owner, no prefixed elements)
-  std::string vm;      // graph identity, e.g. "vm:3"
-  std::vector<IntPostcardHop> hops;  // full observed sequence, in order
-  std::vector<std::string> chain;    // canonical tenant-interior chain
-  uint64_t path_ns = 0;              // queue wait + summed hop costs
-  uint64_t truncated_hops = 0;       // hops beyond the in-band stack budget
-  bool egress = false;               // delivered (true) vs dropped (false)
+  std::shared_ptr<const ElementNameTable> names;  // resolves element ids
+  std::string_view tenant;  // "" = unattributable (no owner, no prefixed elements)
+  std::string_view vm;      // graph identity, e.g. "vm:3"
+  std::span<const IntPostcardHop> hops;  // full observed sequence, in order
+  // Canonical tenant-interior chain, as element ids. With `strip_prefix`,
+  // each name is rendered without its "t<i>_" prefix.
+  std::span<const uint32_t> chain;
+  bool strip_prefix = false;
+  uint64_t path_ns = 0;         // queue wait + summed hop costs
+  uint64_t truncated_hops = 0;  // hops beyond the in-band stack budget
+  bool egress = false;          // delivered (true) vs dropped (false)
 };
 
 class IntCollector {
@@ -107,6 +147,9 @@ class IntCollector {
   const IntPathDigest* FindTenantDigest(const std::string& tenant) const;
 
   // Folds one completed postcard: heatmap row, live metrics, attestation.
+  // Registry instruments are resolved once per element, tenant and status
+  // and the recent-postcard line is rendered only when read, so a fold that
+  // sees no new tenant, chain or element allocates nothing.
   void Fold(const IntPostcard& postcard);
 
   uint64_t postcards() const { return postcards_; }
@@ -120,7 +163,6 @@ class IntCollector {
   // flight-recorder postmortem bundles so a crash dump shows the packet
   // journeys that preceded it.
   std::vector<std::string> RecentPostcards() const;
-  void set_recent_depth(size_t depth) { recent_depth_ = depth == 0 ? 1 : depth; }
 
   // {"postcards", "violations", "status", "tenants": [per-tenant heatmap +
   // attestation], "recent"} — sorted and byte-deterministic.
@@ -134,6 +176,9 @@ class IntCollector {
   static IntCollector& Global();
 
  private:
+  // Postcard outcome, in the (alphabetical) order ToJson lists statuses.
+  enum Status : size_t { kDrop, kEgress, kUnattested, kUnattributed, kStatusCount };
+
   struct ChainStats {
     uint64_t count = 0;
     uint64_t total_ns = 0;
@@ -142,20 +187,45 @@ class IntCollector {
     uint64_t violations = 0;
     bool egress = false;  // any delivered postcard took this chain
   };
+  // One observed tenant: its latency histogram (resolved once) and its
+  // canonical chain text -> latency/violation stats.
+  struct TenantPaths {
+    Histogram* latency = nullptr;
+    std::map<std::string, ChainStats, std::less<>> rows;
+  };
+  // One recent-postcard line, kept unrendered until it is read.
+  struct RecentPostcard {
+    std::shared_ptr<const ElementNameTable> names;
+    std::string tenant;
+    std::string vm;
+    std::vector<uint32_t> chain;
+    bool strip_prefix = false;
+    Status status = kDrop;
+    uint64_t path_ns = 0;
+    bool violation = false;
+  };
 
-  void CountStatus(const std::string& status);
+  Counter* HopCounter(const ElementNameTable& names, uint32_t element);
+  void CountStatus(Status status);
+  void Remember(const IntPostcard& postcard, Status status, bool violation);
+  std::string RenderRecent(const RecentPostcard& recent) const;
 
   bool enabled_ = false;
   MetricsRegistry* registry_;
   uint64_t postcards_ = 0;
   uint64_t violations_ = 0;
-  size_t recent_depth_ = 8;
-  std::map<std::string, IntPathDigest> digests_;
-  std::map<std::string, uint64_t> status_counts_;
+  std::map<std::string, IntPathDigest, std::less<>> digests_;
+  std::array<uint64_t, kStatusCount> status_counts_{};
+  std::array<Counter*, kStatusCount> status_counters_{};
+  Counter* truncated_counter_ = nullptr;
   std::map<std::string, uint64_t> tenant_violations_;
-  // tenant -> canonical chain text -> latency/violation stats.
-  std::map<std::string, std::map<std::string, ChainStats>> chains_;
-  std::deque<std::string> recent_;
+  std::map<std::string, TenantPaths, std::less<>> chains_;
+  // Ring of the last kRecentDepth postcards; recent_next_ is the oldest
+  // entry, which the next postcard overwrites once the ring is full.
+  static constexpr size_t kRecentDepth = 8;
+  std::vector<RecentPostcard> recent_;
+  size_t recent_next_ = 0;
+  std::string chain_text_;  // canonical chain of the postcard being folded
 };
 
 // Shorthand for the global collector.

@@ -86,6 +86,7 @@ Vm::VmId InNetPlatform::InstallConsolidated(const std::vector<TenantConfig>& ten
     installed_[tenant.addr.value()] = vm->id();
     vm_rules_[vm->id()].addrs.push_back(tenant.addr.value());
   }
+  vms_.RefreshIntTenants(vm->id());
   return vm->id();
 }
 

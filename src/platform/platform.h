@@ -183,6 +183,7 @@ class InNetPlatform {
     Vm* vm = vms_.Find(vm_id);
     if (vm != nullptr) {
       vm->set_owner(std::move(owner));
+      vms_.RefreshIntTenants(vm_id);
     }
   }
   // The dedicated or shared guest currently routed for `addr` (0 when none).

@@ -141,6 +141,13 @@ void VmManager::SetIntTenantResolver(IntTenantResolver resolver) {
   }
 }
 
+void VmManager::RefreshIntTenants(Vm::VmId id) {
+  Vm* vm = Find(id);
+  if (vm != nullptr && vm->graph_ != nullptr && vm->graph_->profiler() != nullptr) {
+    vm->graph_->profiler()->RefreshIntTenants();
+  }
+}
+
 void VmManager::MaybeAttachProfiler(Vm* vm) {
   if (!profile_enabled_ || vm == nullptr || vm->graph_ == nullptr) {
     return;

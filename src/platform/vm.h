@@ -193,9 +193,14 @@ class VmManager {
   // means the whole graph belongs to one tenant (dedicated guests). The
   // platform installs this so the resolver can consult VM ownership and the
   // consolidation merge order. Applies to future profiler attachments and
-  // re-binds live ones.
+  // re-binds live ones. Consulted when a profiler is attached or refreshed,
+  // never per packet.
   using IntTenantResolver = std::function<std::string(Vm::VmId, int)>;
   void SetIntTenantResolver(IntTenantResolver resolver);
+  // Re-resolves the guest's INT tenant attribution (GraphProfiler::
+  // RefreshIntTenants); the platform calls it whenever an input of the
+  // resolver changes for `id`. No-op without a profiled graph.
+  void RefreshIntTenants(Vm::VmId id);
 
   Vm* Find(Vm::VmId id);
   size_t vm_count() const { return vms_.size(); }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -141,17 +142,44 @@ TEST(PathDigest, UnparseableConfigYieldsEmptyDigest) {
 
 // --- Collector fold + attestation semantics --------------------------------------------
 
-IntPostcard MakePostcard(const std::string& tenant, std::vector<std::string> chain,
-                         bool egress, uint64_t path_ns = 100) {
-  IntPostcard postcard;
+// A hand-made postcard with one 10 ns hop per chain element, each named
+// through the postcard's own element name table. Owns the storage that the
+// IntPostcard handed to Fold views.
+struct TestPostcard {
+  std::string tenant;
+  std::shared_ptr<obs::ElementNameTable> names = std::make_shared<obs::ElementNameTable>();
+  std::vector<IntPostcardHop> hops;
+  std::vector<uint32_t> chain;
+  uint64_t path_ns = 100;
+  uint64_t truncated_hops = 0;
+  bool egress = false;
+
+  IntPostcard View() const {
+    IntPostcard postcard;
+    postcard.names = names;
+    postcard.tenant = tenant;
+    postcard.vm = "vm:1";
+    postcard.hops = hops;
+    postcard.chain = chain;
+    postcard.path_ns = path_ns;
+    postcard.truncated_hops = truncated_hops;
+    postcard.egress = egress;
+    return postcard;
+  }
+};
+
+TestPostcard MakePostcard(const std::string& tenant, const std::vector<std::string>& chain,
+                          bool egress, uint64_t path_ns = 100) {
+  TestPostcard postcard;
   postcard.tenant = tenant;
-  postcard.vm = "vm:1";
-  postcard.chain = std::move(chain);
-  for (const std::string& element : postcard.chain) {
+  for (const std::string& element : chain) {
+    uint32_t id = static_cast<uint32_t>(postcard.names->elements.size());
+    postcard.names->elements.emplace_back().name = element;
     IntPostcardHop hop;
-    hop.element = element;
+    hop.element = id;
     hop.hop_ns = 10;
     postcard.hops.push_back(hop);
+    postcard.chain.push_back(id);
   }
   postcard.path_ns = path_ns;
   postcard.egress = egress;
@@ -164,16 +192,16 @@ TEST(IntCollector, AttestsEgressAgainstFullPathsAndDropsAgainstPrefixes) {
   collector.Enable();
   collector.SetTenantDigest("t", DigestForChain({"a", "b"}));
 
-  collector.Fold(MakePostcard("t", {"a", "b"}, /*egress=*/true));   // full match
-  collector.Fold(MakePostcard("t", {"a"}, /*egress=*/false));       // drop at a: prefix
-  collector.Fold(MakePostcard("t", {}, /*egress=*/false));          // drop pre-chain
+  collector.Fold(MakePostcard("t", {"a", "b"}, /*egress=*/true).View());   // full match
+  collector.Fold(MakePostcard("t", {"a"}, /*egress=*/false).View());       // drop at a: prefix
+  collector.Fold(MakePostcard("t", {}, /*egress=*/false).View());          // drop pre-chain
   EXPECT_EQ(collector.postcards(), 3u);
   EXPECT_EQ(collector.violations(), 0u);
 
   // A delivered packet that only walked a prefix is a violation — and so is
   // a drop on a chain no verified path starts with.
-  collector.Fold(MakePostcard("t", {"a"}, /*egress=*/true));
-  collector.Fold(MakePostcard("t", {"b"}, /*egress=*/false));
+  collector.Fold(MakePostcard("t", {"a"}, /*egress=*/true).View());
+  collector.Fold(MakePostcard("t", {"b"}, /*egress=*/false).View());
   EXPECT_EQ(collector.violations(), 2u);
   EXPECT_EQ(collector.TenantViolations("t"), 2u);
   EXPECT_EQ(registry
@@ -192,13 +220,13 @@ TEST(IntCollector, StatusesSeparateUnattributedUnattestedAndTruncated) {
   collector.SetTenantDigest("t", DigestForChain({"a"}));
 
   // No tenant: counted, never attested.
-  collector.Fold(MakePostcard("", {"x"}, /*egress=*/true));
+  collector.Fold(MakePostcard("", {"x"}, /*egress=*/true).View());
   // Tenant without a registered digest: observed but unattested.
-  collector.Fold(MakePostcard("other", {"x"}, /*egress=*/true));
+  collector.Fold(MakePostcard("other", {"x"}, /*egress=*/true).View());
   // Truncated hop stack: a mismatch proves nothing, so no violation.
-  IntPostcard truncated = MakePostcard("t", {"x"}, /*egress=*/true);
+  TestPostcard truncated = MakePostcard("t", {"x"}, /*egress=*/true);
   truncated.truncated_hops = 2;
-  collector.Fold(truncated);
+  collector.Fold(truncated.View());
 
   EXPECT_EQ(collector.postcards(), 3u);
   EXPECT_EQ(collector.violations(), 0u);
@@ -214,7 +242,7 @@ TEST(IntCollector, StatusesSeparateUnattributedUnattestedAndTruncated) {
   IntPathDigest partial = DigestForChain({"a"});
   partial.truncated = true;
   collector.SetTenantDigest("t", partial);
-  collector.Fold(MakePostcard("t", {"zz"}, /*egress=*/true));
+  collector.Fold(MakePostcard("t", {"zz"}, /*egress=*/true).View());
   EXPECT_EQ(collector.violations(), 0u);
 }
 
@@ -222,7 +250,7 @@ TEST(IntCollector, DisabledCollectorIgnoresPostcards) {
   obs::MetricsRegistry registry;
   IntCollector collector(&registry);
   collector.SetTenantDigest("t", DigestForChain({"a"}));
-  collector.Fold(MakePostcard("t", {"zz"}, /*egress=*/true));
+  collector.Fold(MakePostcard("t", {"zz"}, /*egress=*/true).View());
   EXPECT_EQ(collector.postcards(), 0u);
   EXPECT_EQ(collector.violations(), 0u);
 }
@@ -238,7 +266,7 @@ TEST(IntCollector, ViolationRaisesTraceEventAndHealthClause) {
   obs::Health().Clear();
   obs::Health().Enable();
 
-  collector.Fold(MakePostcard("t", {"zz"}, /*egress=*/true, /*path_ns=*/777));
+  collector.Fold(MakePostcard("t", {"zz"}, /*egress=*/true, /*path_ns=*/777).View());
 
   bool saw_event = false;
   for (const obs::TraceEvent& event : obs::Tracer().events()) {
@@ -255,7 +283,7 @@ TEST(IntCollector, ViolationRaisesTraceEventAndHealthClause) {
   obs::Health().EvaluateAll();
   EXPECT_EQ(obs::Health().CurrentState("t"), obs::HealthState::kDegraded);
   for (int i = 0; i < 3; ++i) {
-    collector.Fold(MakePostcard("t", {"zz"}, /*egress=*/true));
+    collector.Fold(MakePostcard("t", {"zz"}, /*egress=*/true).View());
   }
   obs::Health().EvaluateAll();
   EXPECT_EQ(obs::Health().CurrentState("t"), obs::HealthState::kViolated);
@@ -271,8 +299,8 @@ TEST(IntCollector, ToJsonCarriesHeatmapAndAttestationRows) {
   IntCollector collector(&registry);
   collector.Enable();
   collector.SetTenantDigest("t", DigestForChain({"a", "b"}));
-  collector.Fold(MakePostcard("t", {"a", "b"}, /*egress=*/true, 100));
-  collector.Fold(MakePostcard("t", {"a", "b"}, /*egress=*/true, 300));
+  collector.Fold(MakePostcard("t", {"a", "b"}, /*egress=*/true, 100).View());
+  collector.Fold(MakePostcard("t", {"a", "b"}, /*egress=*/true, 300).View());
 
   obs::json::Value dump = collector.ToJson();
   EXPECT_EQ(dump.Find("postcards")->int_number(), 2);
@@ -293,7 +321,53 @@ TEST(IntCollector, ToJsonCarriesHeatmapAndAttestationRows) {
   EXPECT_TRUE(paths->at(0).Find("delivered")->bool_value());
 }
 
+TEST(IntCollector, RecentRingKeepsTheLastPostcardsOldestFirst) {
+  obs::MetricsRegistry registry;
+  IntCollector collector(&registry);
+  collector.Enable();
+  collector.Fold(MakePostcard("", {}, /*egress=*/false, 1).View());
+  for (uint64_t ns = 2; ns <= 10; ++ns) {
+    collector.Fold(MakePostcard("t", {"a", "b"}, /*egress=*/true, ns).View());
+  }
+  // Ten folds into a ring of eight: the two oldest are gone.
+  std::vector<std::string> recent = collector.RecentPostcards();
+  ASSERT_EQ(recent.size(), 8u);
+  EXPECT_EQ(recent.front(), "t=t vm=vm:1 unattested chain=a;b ns=3");
+  EXPECT_EQ(recent.back(), "t=t vm=vm:1 unattested chain=a;b ns=10");
+  collector.Clear();
+  collector.Fold(MakePostcard("", {}, /*egress=*/false, 11).View());
+  EXPECT_EQ(collector.RecentPostcards(),
+            (std::vector<std::string>{"t=- vm=vm:1 unattributed chain=- ns=11"}));
+}
+
 // --- Graph-level in-band collection ----------------------------------------------------
+
+TEST(GraphInt, NameTableResolvesTenantSlotsOnceAtBuild) {
+  std::string error;
+  auto graph = Graph::FromText(
+      "FromNetfront() -> t01_x :: Counter() -> t1_y :: Counter() -> t12_z :: Counter() -> "
+      "plain :: Counter() -> ToNetfront();",
+      &error);
+  ASSERT_NE(graph, nullptr) << error;
+  const obs::ElementNameTable& names = *graph->element_names();
+  ASSERT_EQ(names.elements.size(), graph->elements().size());
+  for (const auto& element : graph->elements()) {
+    EXPECT_EQ(names.elements[element->id()].name, element->name());
+  }
+  auto entry = [&](const char* name) { return names.elements[graph->Find(name)->id()]; };
+  // "t01_" names slot 1 but is not the canonical spelling canonical chains
+  // strip; "t1_" and "t12_" are.
+  EXPECT_EQ(entry("t01_x").tenant_slot, 1);
+  EXPECT_EQ(entry("t01_x").prefix_len, 0u);
+  EXPECT_EQ(entry("t1_y").tenant_slot, 1);
+  EXPECT_EQ(entry("t1_y").prefix_len, 3u);
+  EXPECT_EQ(entry("t12_z").tenant_slot, 12);
+  EXPECT_EQ(entry("t12_z").prefix_len, 4u);
+  EXPECT_EQ(entry("plain").tenant_slot, -1);
+  EXPECT_FALSE(entry("plain").endpoint);
+  EXPECT_TRUE(names.elements[graph->FindByClass("ToNetfront")->id()].endpoint);
+  EXPECT_EQ(names.tenant_slots, (std::vector<int>{1, 12}));
+}
 
 TEST(GraphInt, SampledWalksCarryHopStacksThatAttestClean) {
   IntGuard guard;

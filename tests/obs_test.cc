@@ -429,6 +429,7 @@ TEST(Tracer, SpanIdsAreUniqueAndParentDefaultsToTheStackTop) {
   EXPECT_EQ(events[0].parent, 0u);          // stack empty: root
   EXPECT_EQ(events[1].parent, outer);       // defaulted to stack top
   EXPECT_EQ(events[2].parent, inner);       // explicit parent wins
+  EXPECT_EQ(events[2].span, explicit_parent);
   EXPECT_EQ(events[3].parent, 0u);          // popped back to root
   EXPECT_EQ(events[3].span, root_again);
 }
