@@ -166,6 +166,30 @@ else
   fi
 fi
 
+step "placement scaling bench (determinism: two runs must be byte-identical)"
+if [ ! -x build/bench/placement_scaling ]; then
+  echo "ERROR: build/bench/placement_scaling missing — build step failed?" >&2
+  fail=1
+else
+  ps_ok=1
+  (cd build/bench && ./placement_scaling >/dev/null) || ps_ok=0
+  cp build/bench/BENCH_placement_scaling.json build/bench/BENCH_placement_scaling.run1.json 2>/dev/null
+  (cd build/bench && ./placement_scaling >/dev/null) || ps_ok=0
+  if [ "$ps_ok" -ne 1 ]; then
+    echo "ERROR: placement_scaling failed" >&2
+    fail=1
+  elif ! cmp -s build/bench/BENCH_placement_scaling.json build/bench/BENCH_placement_scaling.run1.json; then
+    echo "ERROR: BENCH_placement_scaling.json differs between two runs" >&2
+    fail=1
+  elif ! cmp -s build/bench/BENCH_placement_scaling.json BENCH_placement_scaling.json; then
+    echo "ERROR: regenerated BENCH_placement_scaling.json differs from the committed snapshot" >&2
+    echo "       (if the change is intentional: cp build/bench/BENCH_placement_scaling.json .)" >&2
+    fail=1
+  else
+    echo "ok: placement_scaling byte-identical across runs, snapshot current"
+  fi
+fi
+
 step "INT conformance bench (determinism: two runs must be byte-identical)"
 if [ ! -x build/bench/int_conformance ]; then
   echo "ERROR: build/bench/int_conformance missing — build step failed?" >&2
