@@ -610,6 +610,55 @@ TEST(Partition, DegradedPlatformKeepsServingAndHealReconciles) {
   EXPECT_EQ(orch.platform(name)->vms().vm_count(), 1u);
 }
 
+// A partition that eats a migration's suspend ack makes the migration give
+// up while the source guest is frozen and marked migrating-out. The heal
+// must clear the mark, or traffic parks behind the guest and never resumes
+// it.
+TEST(Partition, SuspendGiveUpReleasesSourceGuestOnHeal) {
+  sim::EventQueue clock;
+  Orchestrator orch(topology::Network::MakeFigure3(), &clock);
+  auto deployed = orch.Deploy(MeterRequest("meter", "10.10.0.5", "10.10.0.0/24"));
+  ASSERT_TRUE(deployed.outcome.accepted) << deployed.outcome.reason;
+  ASSERT_NE(deployed.vm_id, 0u);
+  clock.RunUntil(clock.now() + sim::FromSeconds(1));  // guest boots
+  const std::string source = deployed.outcome.platform;
+  const std::string target = source == "platform2" ? "platform1" : "platform2";
+
+  sim::FaultPlan plan;
+  plan.seed = 3;
+  plan.control_delay_mean_ms = 1.0;
+  sim::FaultInjector faults(plan);
+  orch.SetControlFaults(&faults);
+  std::optional<MigrationReport> report;
+  ASSERT_TRUE(orch.MigrateTenant(deployed.outcome.module_id, target,
+                                 [&](const MigrationReport& r) { report = r; })
+                  .started);
+  // The suspend lands and the guest starts freezing; its ack will find the
+  // platform cut off.
+  clock.RunUntil(clock.now() + 10 * sim::kMillisecond);
+  Vm* guest = orch.platform(source)->vms().Find(deployed.vm_id);
+  ASSERT_NE(guest, nullptr);
+  ASSERT_EQ(guest->state(), VmState::kSuspending);
+  orch.SetPartitioned(source, true);
+  clock.RunUntil(clock.now() + sim::FromSeconds(60));
+  ASSERT_TRUE(report.has_value());
+  EXPECT_FALSE(report->ok);
+  EXPECT_NE(report->reason.find("gave up"), std::string::npos);
+  EXPECT_EQ(guest->state(), VmState::kSuspended);
+
+  orch.SetPartitioned(source, false);
+  clock.RunUntil(clock.now() + sim::FromSeconds(1));
+  int egress = 0;
+  orch.platform(source)->SetEgressHandler([&](Packet&) { ++egress; });
+  Packet packet = Packet::MakeUdp(Ipv4Address::MustParse("8.8.8.8"),
+                                  deployed.outcome.module_addr, 4000, 53, 64);
+  orch.platform(source)->HandlePacket(packet);
+  clock.RunUntil(clock.now() + sim::FromSeconds(1));
+  EXPECT_EQ(guest->state(), VmState::kRunning);
+  EXPECT_EQ(egress, 1);
+  EXPECT_TRUE(orch.HasPlacement(deployed.outcome.module_id));
+}
+
 // --- Determinism -----------------------------------------------------------------------
 
 // Same seed, same scenario: the journal (every transition, every note, every
