@@ -102,7 +102,6 @@ class DeployJournal {
   uint64_t MintEpoch() { return ++epoch_seq_; }
 
   const std::deque<JournalEntry>& entries() const { return entries_; }
-  std::deque<JournalEntry>& mutable_entries() { return entries_; }
 
   static bool IsTerminal(JournalState state) {
     return state == JournalState::kRolledBack || state == JournalState::kSuperseded ||
