@@ -23,7 +23,48 @@ double MillisSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
+SecurityOptions SecurityOptionsFor(const ClientRequest& request, Ipv4Address module_addr) {
+  SecurityOptions options;
+  options.requester = request.requester;
+  options.module_addr = module_addr;
+  options.whitelist = request.whitelist;
+  options.owned_prefixes = request.owned_prefixes;
+  return options;
+}
+
+// The graph node names of every element of module `module_id`.
+std::vector<std::string> ModuleNodeNames(const std::string& module_id,
+                                         const click::ConfigGraph& config) {
+  std::vector<std::string> names;
+  names.reserve(config.elements.size());
+  for (const click::ElementDecl& decl : config.elements) {
+    names.push_back(module_id + "/" + decl.name);
+  }
+  return names;
+}
+
 }  // namespace
+
+std::shared_ptr<const ModuleFragment> BuildModuleFragment(const click::ConfigGraph& config,
+                                                          std::string* error) {
+  auto graph = symexec::BuildClickModel(config, error, /*embedded=*/true);
+  if (!graph) {
+    return nullptr;
+  }
+  auto fragment = std::make_shared<ModuleFragment>();
+  fragment->graph = std::move(*graph);
+  std::vector<std::string> sources = symexec::ModuleSources(config);
+  if (!sources.empty()) {
+    fragment->entry = fragment->graph.FindNode(sources[0]);
+  }
+  for (const std::string& sink : symexec::ModuleSinks(config)) {
+    int exit = fragment->graph.FindNode(sink);
+    if (exit >= 0) {
+      fragment->exits.push_back(exit);
+    }
+  }
+  return fragment;
+}
 
 Controller::Controller(topology::Network network) : network_(std::move(network)) {}
 
@@ -44,26 +85,78 @@ std::optional<Ipv4Address> Controller::NextAddress(const topology::Node& platfor
   // Addresses .10 upward in the platform pool; skip those already assigned.
   for (uint32_t offset = 10; offset < 250; ++offset) {
     Ipv4Address candidate(platform.address_pool.base().value() + offset);
-    bool taken = false;
-    for (const Deployment& dep : deployments_) {
-      if (dep.addr == candidate) {
-        taken = true;
-        break;
-      }
-    }
-    if (!taken) {
+    if (by_addr_.count(candidate.value()) == 0) {
       return candidate;
     }
   }
   return std::nullopt;
 }
 
+const Deployment* Controller::FindDeployment(const std::string& module_id) const {
+  auto it = by_module_.find(module_id);
+  return it == by_module_.end() ? nullptr : &deployments_[it->second];
+}
+
+void Controller::Commit(Deployment deployment) {
+  size_t index = deployments_.size();
+  by_module_.try_emplace(deployment.module_id, index);
+  by_addr_.try_emplace(deployment.addr.value(), index);
+  deployments_.push_back(std::move(deployment));
+}
+
+void Controller::Reindex() {
+  by_module_.clear();
+  by_addr_.clear();
+  for (size_t i = 0; i < deployments_.size(); ++i) {
+    by_module_.try_emplace(deployments_[i].module_id, i);
+    by_addr_.try_emplace(deployments_[i].addr.value(), i);
+  }
+}
+
+std::optional<Deployment> Controller::MakeTrial(const ClientRequest& request,
+                                                const std::string& module_id,
+                                                const std::string& platform, Ipv4Address addr,
+                                                std::string* error) const {
+  std::string config_text = SubstituteSelf(request.click_config, addr);
+  auto config = click::ConfigGraph::Parse(config_text, error);
+  if (!config) {
+    return std::nullopt;
+  }
+  Deployment trial;
+  trial.module_id = module_id;
+  trial.client_id = request.client_id;
+  trial.platform = platform;
+  trial.addr = addr;
+  // Symbolic execution tells the controller exactly which flows the module
+  // emits; it opens firewall pinholes for precisely those (and only when
+  // the destination explicitly authorized them via the whitelist).
+  for (FlowSpec& pinhole : DeriveEgressPinholes(*config, error)) {
+    bool authorized = false;
+    for (const AddrPredicate& pred : pinhole.addr_predicates()) {
+      for (Ipv4Address owned : request.whitelist) {
+        if (pred.prefix.Contains(owned)) {
+          authorized = true;
+        }
+      }
+    }
+    if (authorized) {
+      trial.pinholes.push_back(std::move(pinhole));
+    }
+  }
+  trial.fragment = BuildModuleFragment(*config, error);
+  trial.config = std::move(*config);
+  trial.config_text = std::move(config_text);
+  return trial;
+}
+
 symexec::SymGraph Controller::BuildVerificationGraph(const Deployment* trial,
                                                      std::string* error) {
-  // Attach every committed module plus the trial one, then build and merge.
+  // Attach every committed module plus the trial one, then merge their
+  // fragments.
   network_.ClearAttachments();
   network_.ClearFirewallPinholes();
   std::vector<const Deployment*> all;
+  all.reserve(deployments_.size() + 1);
   for (const Deployment& dep : deployments_) {
     all.push_back(&dep);
   }
@@ -76,23 +169,17 @@ symexec::SymGraph Controller::BuildVerificationGraph(const Deployment* trial,
     }
   }
   for (const Deployment* dep : all) {
-    std::vector<std::string> sources = symexec::ModuleSources(dep->config);
-    std::vector<std::string> sinks = symexec::ModuleSinks(dep->config);
-    topology::Network::ModuleAttachment att;
-    att.platform = dep->platform;
-    att.addr = dep->addr;
-    att.entry_node = sources.empty() ? "" : dep->module_id + "/" + sources[0];
-    att.exit_node = sinks.empty() ? "" : dep->module_id + "/" + sinks[0];
-    network_.AttachModule(std::move(att));
+    network_.AttachModule({dep->platform, dep->addr});
   }
 
   SymGraph graph = network_.BuildSymGraph();
   for (const Deployment* dep : all) {
-    auto module_graph = symexec::BuildClickModel(dep->config, error, /*embedded=*/true);
-    if (!module_graph) {
+    if (dep->fragment == nullptr) {
+      *error = "module " + dep->module_id + " has no symbolic model";
       continue;  // committed deployments were validated before; trial caller checks *error
     }
-    graph.Merge(*module_graph, dep->module_id);
+    const ModuleFragment& fragment = *dep->fragment;
+    int offset = graph.Merge(fragment.graph, dep->module_id);
 
     // Wire the platform switch to the module. The platform's module ports
     // start after its physical links, in attachment order.
@@ -110,20 +197,12 @@ symexec::SymGraph Controller::BuildVerificationGraph(const Deployment* trial,
         ++module_port;
       }
     }
-    std::vector<std::string> sources = symexec::ModuleSources(dep->config);
-    std::vector<std::string> sinks = symexec::ModuleSinks(dep->config);
-    if (!sources.empty()) {
-      int entry = graph.FindNode(dep->module_id + "/" + sources[0]);
-      if (entry >= 0) {
-        graph.Connect(platform_id, module_port, entry, 0);
-      }
+    if (fragment.entry >= 0) {
+      graph.Connect(platform_id, module_port, offset + fragment.entry, 0);
     }
     // Every module egress returns to the platform on the module's port.
-    for (const std::string& sink : sinks) {
-      int exit = graph.FindNode(dep->module_id + "/" + sink);
-      if (exit >= 0) {
-        graph.Connect(exit, 0, platform_id, module_port);
-      }
+    for (int exit : fragment.exits) {
+      graph.Connect(offset + exit, 0, platform_id, module_port);
     }
   }
   network_.ClearAttachments();
@@ -131,33 +210,11 @@ symexec::SymGraph Controller::BuildVerificationGraph(const Deployment* trial,
 }
 
 policy::NodeResolver Controller::MakeResolver(const Deployment* trial) const {
-  // Capture by value what we need; the resolver outlives this call.
-  std::string module_id = trial != nullptr ? trial->module_id : "";
-  Ipv4Address module_addr = trial != nullptr ? trial->addr : Ipv4Address();
-  const topology::Network* net = &network_;
-  // Per committed deployment: (address, module id, element node names).
-  struct DeployedRef {
-    Ipv4Address addr;
-    std::string id;
-    std::vector<std::string> nodes;
-  };
-  std::vector<DeployedRef> deployed_addrs;
-  for (const Deployment& dep : deployments_) {
-    DeployedRef ref;
-    ref.addr = dep.addr;
-    ref.id = dep.module_id;
-    for (const click::ElementDecl& decl : dep.config.elements) {
-      ref.nodes.push_back(dep.module_id + "/" + decl.name);
-    }
-    deployed_addrs.push_back(std::move(ref));
-  }
-
-  return [net, module_id, module_addr, deployed_addrs,
-          trial_config = trial != nullptr ? trial->config : click::ConfigGraph()](
-             const std::string& spec) -> std::vector<std::string> {
+  return [this, trial](const std::string& spec) -> std::vector<std::string> {
+    const topology::Network& net = network_;
     if (spec == "internet") {
       std::vector<std::string> names;
-      for (const topology::Node& node : net->nodes()) {
+      for (const topology::Node& node : net.nodes()) {
         if (node.kind == topology::NodeKind::kInternet) {
           names.push_back(node.name);
         }
@@ -166,7 +223,7 @@ policy::NodeResolver Controller::MakeResolver(const Deployment* trial) const {
     }
     if (spec == "client" || spec == "clients") {
       std::vector<std::string> names;
-      for (const topology::Node& node : net->nodes()) {
+      for (const topology::Node& node : net.nodes()) {
         if (node.kind == topology::NodeKind::kClientSubnet) {
           names.push_back(node.name);
         }
@@ -175,13 +232,10 @@ policy::NodeResolver Controller::MakeResolver(const Deployment* trial) const {
     }
     // Sentinel: any element of the module under deployment.
     if (spec == "__module_any__") {
-      std::vector<std::string> names;
-      if (!module_id.empty()) {
-        for (const click::ElementDecl& decl : trial_config.elements) {
-          names.push_back(module_id + "/" + decl.name);
-        }
+      if (trial == nullptr) {
+        return {};
       }
-      return names;
+      return ModuleNodeNames(trial->module_id, trial->config);
     }
     // Fully-qualified graph node names ("module-id/element") pass through
     // untouched — but "10.3.0.0/16" is a prefix, handled below.
@@ -199,38 +253,32 @@ policy::NodeResolver Controller::MakeResolver(const Deployment* trial) const {
       if (colon2 != std::string::npos) {
         element = element.substr(0, colon2);  // the trailing :port is accepted and ignored
       }
-      for (const DeployedRef& ref : deployed_addrs) {
-        if (ref.id == owner) {
-          return {ref.id + "/" + element};
-        }
+      if (by_module_.count(owner) != 0) {
+        return {owner + "/" + element};
       }
-      if (!module_id.empty()) {
-        return {module_id + "/" + element};
+      if (trial != nullptr) {
+        return {trial->module_id + "/" + element};
       }
       return {};
     }
     // IP address or prefix: the owning endpoint, or a deployed module (any
     // of whose elements counts as a waypoint hit).
     if (auto addr = Ipv4Address::Parse(spec)) {
-      if (!module_id.empty() && *addr == module_addr) {
-        std::vector<std::string> names;
-        for (const click::ElementDecl& decl : trial_config.elements) {
-          names.push_back(module_id + "/" + decl.name);
-        }
-        return names;
+      if (trial != nullptr && *addr == trial->addr) {
+        return ModuleNodeNames(trial->module_id, trial->config);
       }
-      for (const DeployedRef& ref : deployed_addrs) {
-        if (*addr == ref.addr) {
-          return ref.nodes;
-        }
+      auto deployed = by_addr_.find(addr->value());
+      if (deployed != by_addr_.end()) {
+        const Deployment& dep = deployments_[deployed->second];
+        return ModuleNodeNames(dep.module_id, dep.config);
       }
-      if (const topology::Node* owner = net->OwnerOf(*addr)) {
+      if (const topology::Node* owner = net.OwnerOf(*addr)) {
         return {owner->name};
       }
       return {};
     }
     if (auto prefix = Ipv4Prefix::Parse(spec)) {
-      for (const topology::Node& node : net->nodes()) {
+      for (const topology::Node& node : net.nodes()) {
         if (node.kind == topology::NodeKind::kClientSubnet &&
             node.subnet.Overlaps(*prefix)) {
           return {node.name};
@@ -239,10 +287,10 @@ policy::NodeResolver Controller::MakeResolver(const Deployment* trial) const {
       return {};
     }
     // A bare element name of the trial module, or a topology node name.
-    if (!module_id.empty() && trial_config.FindElement(spec) != nullptr) {
-      return {module_id + "/" + spec};
+    if (trial != nullptr && trial->config.FindElement(spec) != nullptr) {
+      return {trial->module_id + "/" + spec};
     }
-    if (net->Find(spec) != nullptr) {
+    if (net.Find(spec) != nullptr) {
       return {spec};
     }
     return {};
@@ -259,16 +307,17 @@ bool Controller::CheckAllRequirements(const SymGraph& graph, const Deployment& t
       std::max(256, static_cast<int>(graph.node_count()) * 2 + 64);
   ReachChecker checker(&graph, MakeResolver(&trial), options);
   for (const ReachSpec& spec : specs) {
-    ReachSpec effective = spec;
+    std::optional<ReachSpec> effective;
     if (via_module) {
       // A client requirement is about *its* processing: the flow must pass
       // through the module being deployed (this is what makes unreachable
       // platforms — Figure 3's platforms 1 and 2 for the UDP batcher — fail).
+      effective = spec;
       policy::ReachNode module_waypoint;
       module_waypoint.spec = "__module_any__";
-      effective.waypoints.insert(effective.waypoints.begin(), std::move(module_waypoint));
+      effective->waypoints.insert(effective->waypoints.begin(), std::move(module_waypoint));
     }
-    policy::ReachCheckResult result = checker.Check(effective);
+    policy::ReachCheckResult result = checker.Check(effective ? *effective : spec);
     *steps += result.engine_steps;
     if (!result.satisfied) {
       *failure = spec.ToString() + ": " + result.explanation;
@@ -281,15 +330,23 @@ bool Controller::CheckAllRequirements(const SymGraph& graph, const Deployment& t
 void Controller::RecordDeployMetrics(DeployOutcome* outcome, uint64_t graph_nodes) const {
   outcome->sim_verify_ns = verify_cost_.ns_per_engine_step * outcome->engine_steps +
                            verify_cost_.ns_per_graph_node * graph_nodes;
+  // Instruments are resolved once, each on its first use (as the per-call
+  // lookups created them), so metric dumps are unchanged.
   auto& registry = obs::Registry();
-  registry.GetCounter("innet_controller_requests_total",
-                      {{"outcome", outcome->accepted ? "accepted" : "rejected"}})
-      ->Increment();
-  registry.GetCounter("innet_controller_engine_steps_total")->Increment(outcome->engine_steps);
-  registry
-      .GetHistogram("innet_controller_verify_latency_ms", {},
-                    obs::ExponentialBuckets(0.25, 2.0, 16))
-      ->Observe(static_cast<double>(outcome->sim_verify_ns) / 1e6);
+  if (outcome->accepted) {
+    static obs::Counter* const accepted =
+        registry.GetCounter("innet_controller_requests_total", {{"outcome", "accepted"}});
+    accepted->Increment();
+  } else {
+    static obs::Counter* const rejected =
+        registry.GetCounter("innet_controller_requests_total", {{"outcome", "rejected"}});
+    rejected->Increment();
+  }
+  static obs::Counter* const steps = registry.GetCounter("innet_controller_engine_steps_total");
+  static obs::Histogram* const latency = registry.GetHistogram(
+      "innet_controller_verify_latency_ms", {}, obs::ExponentialBuckets(0.25, 2.0, 16));
+  steps->Increment(outcome->engine_steps);
+  latency->Observe(static_cast<double>(outcome->sim_verify_ns) / 1e6);
   if (obs::Tracer().enabled()) {
     obs::Tracer().RecordNow(obs::EventKind::kVerifyFinish, "controller",
                             outcome->accepted ? "accepted" : "rejected: " + outcome->reason,
@@ -401,50 +458,24 @@ DeployOutcome Controller::Deploy(const ClientRequest& request,
 
     // "Compilation": parse the configuration and build its model.
     auto t_build = std::chrono::steady_clock::now();
-    std::string config_text = SubstituteSelf(request.click_config, *addr);
     std::string error;
-    auto config = click::ConfigGraph::Parse(config_text, &error);
-    if (!config) {
+    std::optional<Deployment> trial =
+        MakeTrial(request, request.client_id + "-m" + std::to_string(next_module_seq_),
+                  platform->name, *addr, &error);
+    if (!trial) {
       outcome.reason = "bad configuration: " + error;
       RecordDeployMetrics(&outcome, graph_nodes);
       return outcome;
     }
-    Deployment trial;
-    trial.module_id = request.client_id + "-m" + std::to_string(next_module_seq_);
-    trial.client_id = request.client_id;
-    trial.platform = platform->name;
-    trial.addr = *addr;
-    trial.config = *config;
-    trial.config_text = config_text;
-    // Symbolic execution tells the controller exactly which flows the module
-    // emits; it opens firewall pinholes for precisely those (and only when
-    // the destination explicitly authorized them via the whitelist).
-    for (FlowSpec& pinhole : DeriveEgressPinholes(*config, &error)) {
-      bool authorized = false;
-      for (const AddrPredicate& pred : pinhole.addr_predicates()) {
-        for (Ipv4Address owned : request.whitelist) {
-          if (pred.prefix.Contains(owned)) {
-            authorized = true;
-          }
-        }
-      }
-      if (authorized) {
-        trial.pinholes.push_back(std::move(pinhole));
-      }
-    }
-    SymGraph graph = BuildVerificationGraph(&trial, &error);
+    SymGraph graph = BuildVerificationGraph(&*trial, &error);
     graph_nodes += graph.node_count();
     outcome.model_build_ms += MillisSince(t_build);
 
     // Checking: security rules, then operator policy, then client
     // requirements — all on this candidate placement.
     auto t_check = std::chrono::steady_clock::now();
-    SecurityOptions sec_options;
-    sec_options.requester = request.requester;
-    sec_options.module_addr = *addr;
-    sec_options.whitelist = request.whitelist;
-    sec_options.owned_prefixes = request.owned_prefixes;
-    SecurityReport security = CheckModuleSecurity(*config, sec_options, &error);
+    SecurityReport security =
+        CheckModuleSecurity(trial->config, SecurityOptionsFor(request, *addr), &error);
     outcome.security = security;
     if (security.verdict == Verdict::kRejected) {
       outcome.check_ms += MillisSince(t_check);
@@ -453,10 +484,10 @@ DeployOutcome Controller::Deploy(const ClientRequest& request,
     }
 
     std::string failure;
-    bool ok = CheckAllRequirements(graph, trial, operator_policies_, &failure,
+    bool ok = CheckAllRequirements(graph, *trial, operator_policies_, &failure,
                                    &outcome.engine_steps, /*via_module=*/false);
     if (ok) {
-      ok = CheckAllRequirements(graph, trial, client_specs, &failure, &outcome.engine_steps,
+      ok = CheckAllRequirements(graph, *trial, client_specs, &failure, &outcome.engine_steps,
                                 /*via_module=*/true);
     }
     outcome.check_ms += MillisSince(t_check);
@@ -466,15 +497,15 @@ DeployOutcome Controller::Deploy(const ClientRequest& request,
     }
 
     // Commit.
-    trial.sandboxed = security.verdict == Verdict::kNeedsSandbox;
-    trial.path_digest = symexec::ComputePathDigest(trial.config).Encode();
+    trial->sandboxed = security.verdict == Verdict::kNeedsSandbox;
+    trial->path_digest = symexec::ComputePathDigest(trial->config).Encode();
     outcome.accepted = true;
-    outcome.module_id = trial.module_id;
-    outcome.platform = trial.platform;
-    outcome.module_addr = trial.addr;
-    outcome.sandboxed = trial.sandboxed;
+    outcome.module_id = trial->module_id;
+    outcome.platform = trial->platform;
+    outcome.module_addr = trial->addr;
+    outcome.sandboxed = trial->sandboxed;
     outcome.reason = "deployed";
-    deployments_.push_back(std::move(trial));
+    Commit(std::move(*trial));
     ++next_module_seq_;
     (void)t_start;
     RecordDeployMetrics(&outcome, graph_nodes);
@@ -493,55 +524,27 @@ bool Controller::RestoreDeployment(const ClientRequest& request, const std::stri
   if (error == nullptr) {
     error = &local_error;
   }
-  for (const Deployment& dep : deployments_) {
-    if (dep.module_id == module_id) {
-      return true;  // already committed — recovery replayed an applied entry
-    }
+  if (FindDeployment(module_id) != nullptr) {
+    return true;  // already committed — recovery replayed an applied entry
   }
   if (network_.Find(platform) == nullptr) {
     *error = "unknown platform " + platform;
     return false;
   }
 
-  std::string config_text = SubstituteSelf(request.click_config, addr);
-  auto config = click::ConfigGraph::Parse(config_text, error);
-  if (!config) {
+  std::optional<Deployment> trial = MakeTrial(request, module_id, platform, addr, error);
+  if (!trial) {
     *error = "bad configuration: " + *error;
     return false;
   }
-  Deployment trial;
-  trial.module_id = module_id;
-  trial.client_id = request.client_id;
-  trial.platform = platform;
-  trial.addr = addr;
-  trial.config = *config;
-  trial.config_text = config_text;
-  for (FlowSpec& pinhole : DeriveEgressPinholes(*config, error)) {
-    bool authorized = false;
-    for (const AddrPredicate& pred : pinhole.addr_predicates()) {
-      for (Ipv4Address owned : request.whitelist) {
-        if (pred.prefix.Contains(owned)) {
-          authorized = true;
-        }
-      }
-    }
-    if (authorized) {
-      trial.pinholes.push_back(std::move(pinhole));
-    }
-  }
-
-  SecurityOptions sec_options;
-  sec_options.requester = request.requester;
-  sec_options.module_addr = addr;
-  sec_options.whitelist = request.whitelist;
-  sec_options.owned_prefixes = request.owned_prefixes;
-  SecurityReport security = CheckModuleSecurity(*config, sec_options, error);
+  SecurityReport security =
+      CheckModuleSecurity(trial->config, SecurityOptionsFor(request, addr), error);
   if (security.verdict == Verdict::kRejected) {
     *error = "security: " + security.Summary();
     return false;
   }
-  trial.sandboxed = security.verdict == Verdict::kNeedsSandbox;
-  trial.path_digest = symexec::ComputePathDigest(trial.config).Encode();
+  trial->sandboxed = security.verdict == Verdict::kNeedsSandbox;
+  trial->path_digest = symexec::ComputePathDigest(trial->config).Encode();
 
   if (reverify) {
     std::vector<ReachSpec> client_specs;
@@ -553,13 +556,13 @@ bool Controller::RestoreDeployment(const ClientRequest& request, const std::stri
       }
       client_specs.push_back(std::move(*spec));
     }
-    SymGraph graph = BuildVerificationGraph(&trial, error);
+    SymGraph graph = BuildVerificationGraph(&*trial, error);
     uint64_t steps = 0;
     std::string failure;
-    bool ok = CheckAllRequirements(graph, trial, operator_policies_, &failure, &steps,
+    bool ok = CheckAllRequirements(graph, *trial, operator_policies_, &failure, &steps,
                                    /*via_module=*/false);
     if (ok) {
-      ok = CheckAllRequirements(graph, trial, client_specs, &failure, &steps,
+      ok = CheckAllRequirements(graph, *trial, client_specs, &failure, &steps,
                                 /*via_module=*/true);
     }
     if (!ok) {
@@ -568,7 +571,7 @@ bool Controller::RestoreDeployment(const ClientRequest& request, const std::stri
     }
   }
 
-  deployments_.push_back(std::move(trial));
+  Commit(std::move(*trial));
   // Keep fresh module ids unique: skip the sequence number the restored id
   // embeds ("<client>-m<seq>") so post-recovery deploys cannot collide.
   size_t marker = module_id.rfind("-m");
@@ -591,13 +594,13 @@ bool Controller::RestoreDeployment(const ClientRequest& request, const std::stri
 }
 
 bool Controller::Kill(const std::string& module_id) {
-  for (size_t i = 0; i < deployments_.size(); ++i) {
-    if (deployments_[i].module_id == module_id) {
-      deployments_.erase(deployments_.begin() + static_cast<ptrdiff_t>(i));
-      return true;
-    }
+  auto it = by_module_.find(module_id);
+  if (it == by_module_.end()) {
+    return false;
   }
-  return false;
+  deployments_.erase(deployments_.begin() + static_cast<ptrdiff_t>(it->second));
+  Reindex();
+  return true;
 }
 
 }  // namespace innet::controller

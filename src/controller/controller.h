@@ -5,6 +5,7 @@
 #ifndef SRC_CONTROLLER_CONTROLLER_H_
 #define SRC_CONTROLLER_CONTROLLER_H_
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -36,6 +37,20 @@ struct ClientRequest {
   std::string pinned_platform;
 };
 
+// A module's symbolic model in the form the verification graph embeds (its
+// ToNetfront elements forward back into the platform), with the ids of its
+// ingress and egress nodes.
+struct ModuleFragment {
+  symexec::SymGraph graph;
+  int entry = -1;          // the first FromNetfront; -1 when there is none
+  std::vector<int> exits;  // every ToNetfront
+};
+
+// Builds the fragment of `config`; nullptr and *error when it cannot be
+// modeled.
+std::shared_ptr<const ModuleFragment> BuildModuleFragment(const click::ConfigGraph& config,
+                                                          std::string* error);
+
 struct Deployment {
   std::string module_id;
   std::string client_id;
@@ -52,6 +67,9 @@ struct Deployment {
   // carried through migration so the INT collector can attest sampled
   // packets against it at runtime.
   std::string path_digest;
+  // Built once, when the deployment is verified or restored; every later
+  // verification graph merges it instead of modeling the config again.
+  std::shared_ptr<const ModuleFragment> fragment;
 };
 
 struct DeployOutcome {
@@ -126,7 +144,11 @@ class Controller {
     return failed_platforms_.count(name) != 0;
   }
 
+  // Committed deployments in commit order (which fixes each module's port on
+  // its platform in the verification graph).
   const std::vector<Deployment>& deployments() const { return deployments_; }
+  // The committed deployment `module_id`, or nullptr.
+  const Deployment* FindDeployment(const std::string& module_id) const;
   const topology::Network& network() const { return network_; }
 
   void set_verify_cost_model(VerifyCostModel model) { verify_cost_ = model; }
@@ -137,11 +159,22 @@ class Controller {
   symexec::SymGraph BuildVerificationGraph(const Deployment* trial, std::string* error);
 
   // Resolves reach-language node specs against the current graph; `trial`
-  // names the module whose elements "module:element" refs resolve into.
+  // names the module whose elements "module:element" refs resolve into. The
+  // resolver refers to this controller and to `trial` rather than copying
+  // them: it is valid while neither changes.
   policy::NodeResolver MakeResolver(const Deployment* trial) const;
 
  private:
   std::optional<Ipv4Address> NextAddress(const topology::Node& platform) const;
+  // A trial deployment of `request` at `addr` on `platform`: the parsed
+  // config, the pinholes the request's whitelist authorizes, and the module's
+  // fragment. nullopt and *error when the config does not parse.
+  std::optional<Deployment> MakeTrial(const ClientRequest& request, const std::string& module_id,
+                                      const std::string& platform, Ipv4Address addr,
+                                      std::string* error) const;
+  void Commit(Deployment deployment);
+  // Rebuilds the module-id and address indexes from deployments_.
+  void Reindex();
   bool CheckAllRequirements(const symexec::SymGraph& graph, const Deployment& trial,
                             const std::vector<policy::ReachSpec>& specs, std::string* failure,
                             uint64_t* steps, bool via_module) const;
@@ -152,6 +185,9 @@ class Controller {
 
   topology::Network network_;
   std::vector<Deployment> deployments_;
+  // Indexes into deployments_; on a shared address, the first in commit order.
+  std::unordered_map<std::string, size_t> by_module_;
+  std::unordered_map<uint32_t, size_t> by_addr_;
   std::vector<policy::ReachSpec> operator_policies_;
   std::unordered_set<std::string> failed_platforms_;
   uint64_t next_module_seq_ = 1;

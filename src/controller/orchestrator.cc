@@ -46,16 +46,6 @@ bool Confirming(const JournalEntry* e) {
   return e != nullptr && (e->state == JournalState::kPlaced || e->state == JournalState::kBooted);
 }
 
-// The controller's deployment record for `module_id`, or nullptr.
-const Deployment* FindDeployment(const Controller& controller, const std::string& module_id) {
-  for (const Deployment& dep : controller.deployments()) {
-    if (dep.module_id == module_id) {
-      return &dep;
-    }
-  }
-  return nullptr;
-}
-
 }  // namespace
 
 // One run of the deploy pipeline: first the entry path's input (what to
@@ -194,7 +184,7 @@ std::vector<TenantConfig> Orchestrator::SharedTenants(const PlatformState& state
 }
 
 void Orchestrator::ClearModuleDigest(const std::string& module_id) {
-  const Deployment* dead = FindDeployment(controller_, module_id);
+  const Deployment* dead = controller_.FindDeployment(module_id);
   if (dead == nullptr) {
     return;
   }
@@ -474,7 +464,7 @@ void Orchestrator::CommitPlacement(DeployTask& task, Vm::VmId vm_id) {
   obs::IntPathDigest digest;
   // An empty digest (config with no symbolic model) attests nothing: leave
   // the tenant unattested rather than flag every walk.
-  const Deployment* dep = FindDeployment(controller_, module_id);
+  const Deployment* dep = controller_.FindDeployment(module_id);
   if (dep != nullptr && obs::IntPathDigest::Decode(dep->path_digest, &digest) &&
       !digest.empty()) {
     obs::Int().SetTenantDigest(task.request.client_id, digest);
@@ -1115,7 +1105,7 @@ RecoveryReport Orchestrator::RecoverFromJournal() {
       journal_->Advance(e->id, JournalState::kRolledBack, now, why + err);
       return nullptr;
     }
-    const Deployment* dep = FindDeployment(controller_, e->module_id);
+    const Deployment* dep = controller_.FindDeployment(e->module_id);
     auto task = std::make_shared<DeployTask>();
     task->request = e->request;
     task->journal_id = e->id;

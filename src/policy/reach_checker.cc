@@ -18,12 +18,21 @@ ReachCheckResult ReachChecker::Check(const ReachSpec& spec) const {
     result.explanation = "unresolvable source node '" + spec.from.spec + "'";
     return result;
   }
-  std::vector<std::vector<std::string>> waypoint_nodes;
+  // Waypoints are matched against hop node ids; a resolved name the graph
+  // does not hold never matches.
+  std::vector<std::vector<int>> waypoint_nodes;
   for (const ReachNode& node : spec.waypoints) {
-    waypoint_nodes.push_back(resolver_(node.spec));
-    if (waypoint_nodes.back().empty()) {
+    std::vector<std::string> names = resolver_(node.spec);
+    if (names.empty()) {
       result.explanation = "unresolvable node '" + node.spec + "'";
       return result;
+    }
+    std::vector<int>& ids = waypoint_nodes.emplace_back();
+    for (const std::string& name : names) {
+      int id = graph_->FindNode(name);
+      if (id >= 0) {
+        ids.push_back(id);
+      }
     }
   }
 
@@ -58,24 +67,23 @@ ReachCheckResult ReachChecker::Check(const ReachSpec& spec) const {
 
 bool ReachChecker::PathSatisfies(
     const SymbolicPacket& packet, const ReachSpec& spec,
-    const std::vector<std::vector<std::string>>& waypoint_nodes) const {
+    const std::vector<std::vector<int>>& waypoint_nodes) const {
   return MatchFrom(packet, spec, waypoint_nodes, 0, 0);
 }
 
 // Recursively matches waypoint `waypoint` at some hop >= from_hop, trying
 // every candidate position (a node can appear several times on a path).
 bool ReachChecker::MatchFrom(const SymbolicPacket& packet, const ReachSpec& spec,
-                             const std::vector<std::vector<std::string>>& waypoint_nodes,
+                             const std::vector<std::vector<int>>& waypoint_nodes,
                              size_t waypoint, int from_hop) const {
   if (waypoint == spec.waypoints.size()) {
     return true;
   }
   const ReachNode& node = spec.waypoints[waypoint];
-  const std::vector<std::string>& candidates = waypoint_nodes[waypoint];
-  const auto& history = packet.history();
-  for (int hop = from_hop; hop < static_cast<int>(history.size()); ++hop) {
-    const std::string& hop_node = history[static_cast<size_t>(hop)]->node;
-    if (std::find(candidates.begin(), candidates.end(), hop_node) == candidates.end()) {
+  const std::vector<int>& candidates = waypoint_nodes[waypoint];
+  for (int hop = from_hop; hop < packet.hop_count(); ++hop) {
+    if (std::find(candidates.begin(), candidates.end(), packet.HopNode(hop)) ==
+        candidates.end()) {
       continue;
     }
     if (!packet.CanMatchFlowSpec(node.flow, hop)) {

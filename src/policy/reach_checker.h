@@ -37,9 +37,9 @@ class ReachChecker {
 
  private:
   bool PathSatisfies(const symexec::SymbolicPacket& packet, const ReachSpec& spec,
-                     const std::vector<std::vector<std::string>>& waypoint_nodes) const;
+                     const std::vector<std::vector<int>>& waypoint_nodes) const;
   bool MatchFrom(const symexec::SymbolicPacket& packet, const ReachSpec& spec,
-                 const std::vector<std::vector<std::string>>& waypoint_nodes, size_t waypoint,
+                 const std::vector<std::vector<int>>& waypoint_nodes, size_t waypoint,
                  int from_hop) const;
 
   const symexec::SymGraph* graph_;

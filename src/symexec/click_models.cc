@@ -9,12 +9,6 @@ namespace {
 
 using click::Element;
 
-// Branches of `packet` constrained to match `spec`.
-std::vector<SymbolicPacket> MatchBranches(ModelContext* ctx, const SymbolicPacket& packet,
-                                          const FlowSpec& spec) {
-  return packet.ConstrainToFlowSpec(spec, ctx->vars);
-}
-
 // The branch of `packet` that does NOT match `spec`. Exact when the spec has
 // a single directed predicate (the common case for classifier patterns);
 // over-approximate (unconstrained) otherwise — which can only make the
@@ -65,22 +59,18 @@ class FilterModel : public SymbolicModel {
  public:
   explicit FilterModel(std::vector<click::IPFilter::Rule> rules) : rules_(std::move(rules)) {}
 
-  std::vector<Transition> Apply(ModelContext* ctx, const SymbolicPacket& packet,
-                                int /*in_port*/) override {
-    std::vector<Transition> out;
+  void Apply(ModelContext* ctx, const SymbolicPacket& packet, int /*in_port*/,
+             Transitions* out) override {
     SymbolicPacket remaining = packet;
     for (const auto& rule : rules_) {
       if (!remaining.feasible()) {
         break;
       }
       if (rule.allow) {
-        for (SymbolicPacket& branch : MatchBranches(ctx, remaining, rule.spec)) {
-          out.push_back({0, std::move(branch)});
-        }
+        EmitFlowSpecBranches(ctx, remaining, rule.spec, 0, out);
       }
       remaining = ElseBranch(remaining, rule.spec);
     }
-    return out;
   }
 
  private:
@@ -91,20 +81,16 @@ class ClassifierModel : public SymbolicModel {
  public:
   explicit ClassifierModel(std::vector<FlowSpec> patterns) : patterns_(std::move(patterns)) {}
 
-  std::vector<Transition> Apply(ModelContext* ctx, const SymbolicPacket& packet,
-                                int /*in_port*/) override {
-    std::vector<Transition> out;
+  void Apply(ModelContext* ctx, const SymbolicPacket& packet, int /*in_port*/,
+             Transitions* out) override {
     SymbolicPacket remaining = packet;
     for (size_t i = 0; i < patterns_.size(); ++i) {
       if (!remaining.feasible()) {
         break;
       }
-      for (SymbolicPacket& branch : MatchBranches(ctx, remaining, patterns_[i])) {
-        out.push_back({static_cast<int>(i), std::move(branch)});
-      }
+      EmitFlowSpecBranches(ctx, remaining, patterns_[i], static_cast<int>(i), out);
       remaining = ElseBranch(remaining, patterns_[i]);
     }
-    return out;
   }
 
  private:
@@ -117,22 +103,22 @@ class RewriteModel : public SymbolicModel {
                std::optional<uint16_t> sport, std::optional<uint16_t> dport)
       : src_(src), dst_(dst), sport_(sport), dport_(dport) {}
 
-  std::vector<Transition> Apply(ModelContext* /*ctx*/, const SymbolicPacket& packet,
-                                int /*in_port*/) override {
-    SymbolicPacket out = packet;
+  void Apply(ModelContext* /*ctx*/, const SymbolicPacket& packet, int /*in_port*/,
+             Transitions* out) override {
+    SymbolicPacket next = packet;
     if (src_) {
-      out.SetConst(HeaderField::kIpSrc, *src_);
+      next.SetConst(HeaderField::kIpSrc, *src_);
     }
     if (dst_) {
-      out.SetConst(HeaderField::kIpDst, *dst_);
+      next.SetConst(HeaderField::kIpDst, *dst_);
     }
     if (sport_) {
-      out.SetConst(HeaderField::kSrcPort, *sport_);
+      next.SetConst(HeaderField::kSrcPort, *sport_);
     }
     if (dport_) {
-      out.SetConst(HeaderField::kDstPort, *dport_);
+      next.SetConst(HeaderField::kDstPort, *dport_);
     }
-    return {{0, std::move(out)}};
+    out->push_back({0, std::move(next)});
   }
 
  private:
@@ -144,26 +130,24 @@ class RewriteModel : public SymbolicModel {
 
 class DecTtlModel : public SymbolicModel {
  public:
-  std::vector<Transition> Apply(ModelContext* ctx, const SymbolicPacket& packet,
-                                int /*in_port*/) override {
-    SymbolicPacket out = packet;
+  void Apply(ModelContext* ctx, const SymbolicPacket& packet, int /*in_port*/,
+             Transitions* out) override {
+    SymbolicPacket next = packet;
     // We do not model arithmetic; a decrement is a redefinition, which is all
     // invariant checking needs.
-    out.SetFresh(HeaderField::kTtl, ctx->vars);
-    return {{0, std::move(out)}};
+    next.SetFresh(HeaderField::kTtl, ctx->vars);
+    out->push_back({0, std::move(next)});
   }
 };
 
 class TeeModel : public SymbolicModel {
  public:
   explicit TeeModel(int n) : n_(n) {}
-  std::vector<Transition> Apply(ModelContext* /*ctx*/, const SymbolicPacket& packet,
-                                int /*in_port*/) override {
-    std::vector<Transition> out;
+  void Apply(ModelContext* /*ctx*/, const SymbolicPacket& packet, int /*in_port*/,
+             Transitions* out) override {
     for (int i = 0; i < n_; ++i) {
-      out.push_back({i, packet});
+      out->push_back({i, packet});
     }
-    return out;
   }
 
  private:
@@ -172,33 +156,33 @@ class TeeModel : public SymbolicModel {
 
 class ContentMatchModel : public SymbolicModel {
  public:
-  std::vector<Transition> Apply(ModelContext* /*ctx*/, const SymbolicPacket& packet,
-                                int /*in_port*/) override {
+  void Apply(ModelContext* /*ctx*/, const SymbolicPacket& packet, int /*in_port*/,
+             Transitions* out) override {
     // The payload is opaque: both outcomes are possible.
-    return {{0, packet}, {1, packet}};
+    out->push_back({0, packet});
+    out->push_back({1, packet});
   }
 };
 
 class ChangeEnforcerModel : public SymbolicModel {
  public:
-  explicit ChangeEnforcerModel(std::vector<uint32_t> whitelist)
-      : whitelist_(std::move(whitelist)) {}
-
-  std::vector<Transition> Apply(ModelContext* /*ctx*/, const SymbolicPacket& packet,
-                                int in_port) override {
-    if (in_port == 0) {
-      return {{0, packet}};  // inbound records state; folded into the flow
+  explicit ChangeEnforcerModel(const std::vector<uint32_t>& whitelist) {
+    for (uint32_t addr : whitelist) {
+      whitelist_ = whitelist_.Union(ValueSet::Single(addr));
     }
-    std::vector<Transition> out;
+  }
+
+  void Apply(ModelContext* /*ctx*/, const SymbolicPacket& packet, int in_port,
+             Transitions* out) override {
+    if (in_port == 0) {
+      out->push_back({0, packet});  // inbound records state; folded into the flow
+      return;
+    }
     // Outbound branch A: destination in the whitelist.
-    if (!whitelist_.empty()) {
-      ValueSet allowed;
-      for (uint32_t addr : whitelist_) {
-        allowed = allowed.Union(ValueSet::Single(addr));
-      }
+    if (!whitelist_.IsEmpty()) {
       SymbolicPacket branch = packet;
-      if (branch.Constrain(HeaderField::kIpDst, allowed)) {
-        out.push_back({1, std::move(branch)});
+      if (branch.Constrain(HeaderField::kIpDst, whitelist_)) {
+        out->push_back({1, std::move(branch)});
       }
     }
     // Outbound branch B: response to an authorized peer — the destination is
@@ -207,13 +191,12 @@ class ChangeEnforcerModel : public SymbolicModel {
       SymbolicPacket branch = packet;
       branch.SetValue(HeaderField::kIpDst,
                       SymbolicValue::Var(packet.ingress_var(HeaderField::kIpSrc)));
-      out.push_back({1, std::move(branch)});
+      out->push_back({1, std::move(branch)});
     }
-    return out;
   }
 
  private:
-  std::vector<uint32_t> whitelist_;
+  ValueSet whitelist_;
 };
 
 class TunnelEncapModel : public SymbolicModel {
@@ -221,16 +204,16 @@ class TunnelEncapModel : public SymbolicModel {
   TunnelEncapModel(uint32_t src, uint32_t dst, uint16_t port)
       : src_(src), dst_(dst), port_(port) {}
 
-  std::vector<Transition> Apply(ModelContext* ctx, const SymbolicPacket& packet,
-                                int /*in_port*/) override {
-    SymbolicPacket out = packet;
-    out.SetConst(HeaderField::kIpSrc, src_);
-    out.SetConst(HeaderField::kIpDst, dst_);
-    out.SetConst(HeaderField::kProto, kProtoUdp);
-    out.SetConst(HeaderField::kSrcPort, port_);
-    out.SetConst(HeaderField::kDstPort, port_);
-    out.SetFresh(HeaderField::kPayload, ctx->vars);  // inner packet rides inside
-    return {{0, std::move(out)}};
+  void Apply(ModelContext* ctx, const SymbolicPacket& packet, int /*in_port*/,
+             Transitions* out) override {
+    SymbolicPacket next = packet;
+    next.SetConst(HeaderField::kIpSrc, src_);
+    next.SetConst(HeaderField::kIpDst, dst_);
+    next.SetConst(HeaderField::kProto, kProtoUdp);
+    next.SetConst(HeaderField::kSrcPort, port_);
+    next.SetConst(HeaderField::kDstPort, port_);
+    next.SetFresh(HeaderField::kPayload, ctx->vars);  // inner packet rides inside
+    out->push_back({0, std::move(next)});
   }
 
  private:
@@ -241,22 +224,22 @@ class TunnelEncapModel : public SymbolicModel {
 
 class TunnelDecapModel : public SymbolicModel {
  public:
-  std::vector<Transition> Apply(ModelContext* ctx, const SymbolicPacket& packet,
-                                int /*in_port*/) override {
-    SymbolicPacket out = packet;
-    if (!out.Constrain(HeaderField::kProto, ValueSet::Single(kProtoUdp))) {
-      return {};
+  void Apply(ModelContext* ctx, const SymbolicPacket& packet, int /*in_port*/,
+             Transitions* out) override {
+    SymbolicPacket next = packet;
+    if (!next.Constrain(HeaderField::kProto, ValueSet::Single(kProtoUdp))) {
+      return;
     }
     // Everything about the inner packet is decided at runtime by the tunnel
     // payload — fresh unknowns. This is precisely why Table 1 gives tunnels a
     // sandbox verdict for third parties.
-    out.SetFresh(HeaderField::kIpSrc, ctx->vars);
-    out.SetFresh(HeaderField::kIpDst, ctx->vars);
-    out.SetFresh(HeaderField::kProto, ctx->vars);
-    out.SetFresh(HeaderField::kSrcPort, ctx->vars);
-    out.SetFresh(HeaderField::kDstPort, ctx->vars);
-    out.SetFresh(HeaderField::kPayload, ctx->vars);
-    return {{0, std::move(out)}};
+    next.SetFresh(HeaderField::kIpSrc, ctx->vars);
+    next.SetFresh(HeaderField::kIpDst, ctx->vars);
+    next.SetFresh(HeaderField::kProto, ctx->vars);
+    next.SetFresh(HeaderField::kSrcPort, ctx->vars);
+    next.SetFresh(HeaderField::kDstPort, ctx->vars);
+    next.SetFresh(HeaderField::kPayload, ctx->vars);
+    out->push_back({0, std::move(next)});
   }
 };
 
@@ -270,9 +253,8 @@ class IpLookupModel : public SymbolicModel {
     });
   }
 
-  std::vector<Transition> Apply(ModelContext* /*ctx*/, const SymbolicPacket& packet,
-                                int /*in_port*/) override {
-    std::vector<Transition> out;
+  void Apply(ModelContext* /*ctx*/, const SymbolicPacket& packet, int /*in_port*/,
+             Transitions* out) override {
     ValueSet remaining = packet.PossibleValues(HeaderField::kIpDst);
     for (const auto& route : routes_) {
       ValueSet range = ValueSet::FromPrefix(route.prefix);
@@ -280,7 +262,7 @@ class IpLookupModel : public SymbolicModel {
       if (!matched.IsEmpty()) {
         SymbolicPacket branch = packet;
         if (branch.Constrain(HeaderField::kIpDst, matched)) {
-          out.push_back({route.out_port, std::move(branch)});
+          out->push_back({route.out_port, std::move(branch)});
         }
       }
       remaining = remaining.Subtract(range);
@@ -288,7 +270,6 @@ class IpLookupModel : public SymbolicModel {
         break;
       }
     }
-    return out;
   }
 
  private:
@@ -299,20 +280,21 @@ class NatModel : public SymbolicModel {
  public:
   explicit NatModel(uint32_t public_addr) : public_addr_(public_addr) {}
 
-  std::vector<Transition> Apply(ModelContext* ctx, const SymbolicPacket& packet,
-                                int in_port) override {
-    SymbolicPacket out = packet;
+  void Apply(ModelContext* ctx, const SymbolicPacket& packet, int in_port,
+             Transitions* out) override {
+    SymbolicPacket next = packet;
     if (in_port == 0) {
       // Outbound: source-NAT to the public address.
-      out.SetConst(HeaderField::kIpSrc, public_addr_);
-      out.SetFresh(HeaderField::kSrcPort, ctx->vars);
-      return {{0, std::move(out)}};
+      next.SetConst(HeaderField::kIpSrc, public_addr_);
+      next.SetFresh(HeaderField::kSrcPort, ctx->vars);
+      out->push_back({0, std::move(next)});
+      return;
     }
     // Inbound: the restored destination comes from NAT state, unknown at
     // install time.
-    out.SetFresh(HeaderField::kIpDst, ctx->vars);
-    out.SetFresh(HeaderField::kDstPort, ctx->vars);
-    return {{1, std::move(out)}};
+    next.SetFresh(HeaderField::kIpDst, ctx->vars);
+    next.SetFresh(HeaderField::kDstPort, ctx->vars);
+    out->push_back({1, std::move(next)});
   }
 
  private:
@@ -321,23 +303,23 @@ class NatModel : public SymbolicModel {
 
 class DnsServerModel : public SymbolicModel {
  public:
-  std::vector<Transition> Apply(ModelContext* /*ctx*/, const SymbolicPacket& packet,
-                                int /*in_port*/) override {
-    SymbolicPacket out = packet;
-    if (!out.Constrain(HeaderField::kProto, ValueSet::Single(kProtoUdp)) ||
-        !out.Constrain(HeaderField::kDstPort, ValueSet::Single(53))) {
-      return {};
+  void Apply(ModelContext* /*ctx*/, const SymbolicPacket& packet, int /*in_port*/,
+             Transitions* out) override {
+    SymbolicPacket next = packet;
+    if (!next.Constrain(HeaderField::kProto, ValueSet::Single(kProtoUdp)) ||
+        !next.Constrain(HeaderField::kDstPort, ValueSet::Single(53))) {
+      return;
     }
     // Respond to the requester: swap addresses and ports.
-    SymbolicValue old_src = out.value(HeaderField::kIpSrc);
-    SymbolicValue old_dst = out.value(HeaderField::kIpDst);
-    SymbolicValue old_sport = out.value(HeaderField::kSrcPort);
-    out.SetValue(HeaderField::kIpSrc, old_dst);
-    out.SetValue(HeaderField::kIpDst, old_src);
-    out.SetConst(HeaderField::kSrcPort, 53);
-    out.SetValue(HeaderField::kDstPort, old_sport);
+    SymbolicValue old_src = next.value(HeaderField::kIpSrc);
+    SymbolicValue old_dst = next.value(HeaderField::kIpDst);
+    SymbolicValue old_sport = next.value(HeaderField::kSrcPort);
+    next.SetValue(HeaderField::kIpSrc, old_dst);
+    next.SetValue(HeaderField::kIpDst, old_src);
+    next.SetConst(HeaderField::kSrcPort, 53);
+    next.SetValue(HeaderField::kDstPort, old_sport);
     // The answer payload is generated by the server.
-    return {{0, std::move(out)}};
+    out->push_back({0, std::move(next)});
   }
 };
 
@@ -345,9 +327,8 @@ class ReverseProxyModel : public SymbolicModel {
  public:
   ReverseProxyModel(uint32_t self, uint32_t origin) : self_(self), origin_(origin) {}
 
-  std::vector<Transition> Apply(ModelContext* ctx, const SymbolicPacket& packet,
-                                int /*in_port*/) override {
-    std::vector<Transition> out;
+  void Apply(ModelContext* ctx, const SymbolicPacket& packet, int /*in_port*/,
+             Transitions* out) override {
     // Hit: reply to the requester as ourselves.
     {
       SymbolicPacket hit = packet;
@@ -358,7 +339,7 @@ class ReverseProxyModel : public SymbolicModel {
       hit.SetConst(HeaderField::kSrcPort, 80);
       hit.SetValue(HeaderField::kDstPort, req_port);
       hit.SetFresh(HeaderField::kPayload, ctx->vars);
-      out.push_back({0, std::move(hit)});
+      out->push_back({0, std::move(hit)});
     }
     // Miss: fetch from the whitelisted origin, as ourselves.
     {
@@ -366,9 +347,8 @@ class ReverseProxyModel : public SymbolicModel {
       miss.SetConst(HeaderField::kIpSrc, self_);
       miss.SetConst(HeaderField::kIpDst, origin_);
       miss.SetConst(HeaderField::kDstPort, 80);
-      out.push_back({1, std::move(miss)});
+      out->push_back({1, std::move(miss)});
     }
-    return out;
   }
 
  private:
@@ -378,29 +358,29 @@ class ReverseProxyModel : public SymbolicModel {
 
 class OpaqueModel : public SymbolicModel {
  public:
-  std::vector<Transition> Apply(ModelContext* ctx, const SymbolicPacket& packet,
-                                int /*in_port*/) override {
+  void Apply(ModelContext* ctx, const SymbolicPacket& packet, int /*in_port*/,
+             Transitions* out) override {
     // An arbitrary x86 VM: every field may be anything on egress.
-    SymbolicPacket out = packet;
-    out.SetFresh(HeaderField::kIpSrc, ctx->vars);
-    out.SetFresh(HeaderField::kIpDst, ctx->vars);
-    out.SetFresh(HeaderField::kProto, ctx->vars);
-    out.SetFresh(HeaderField::kTtl, ctx->vars);
-    out.SetFresh(HeaderField::kSrcPort, ctx->vars);
-    out.SetFresh(HeaderField::kDstPort, ctx->vars);
-    out.SetFresh(HeaderField::kPayload, ctx->vars);
-    return {{0, std::move(out)}};
+    SymbolicPacket next = packet;
+    next.SetFresh(HeaderField::kIpSrc, ctx->vars);
+    next.SetFresh(HeaderField::kIpDst, ctx->vars);
+    next.SetFresh(HeaderField::kProto, ctx->vars);
+    next.SetFresh(HeaderField::kTtl, ctx->vars);
+    next.SetFresh(HeaderField::kSrcPort, ctx->vars);
+    next.SetFresh(HeaderField::kDstPort, ctx->vars);
+    next.SetFresh(HeaderField::kPayload, ctx->vars);
+    out->push_back({0, std::move(next)});
   }
 };
 
 class PaintModel : public SymbolicModel {
  public:
   explicit PaintModel(uint8_t color) : color_(color) {}
-  std::vector<Transition> Apply(ModelContext* /*ctx*/, const SymbolicPacket& packet,
-                                int /*in_port*/) override {
-    SymbolicPacket out = packet;
-    out.SetConst(HeaderField::kPaint, color_);
-    return {{0, std::move(out)}};
+  void Apply(ModelContext* /*ctx*/, const SymbolicPacket& packet, int /*in_port*/,
+             Transitions* out) override {
+    SymbolicPacket next = packet;
+    next.SetConst(HeaderField::kPaint, color_);
+    out->push_back({0, std::move(next)});
   }
 
  private:
@@ -410,16 +390,14 @@ class PaintModel : public SymbolicModel {
 class PaintSwitchModel : public SymbolicModel {
  public:
   explicit PaintSwitchModel(int n) : n_(n) {}
-  std::vector<Transition> Apply(ModelContext* /*ctx*/, const SymbolicPacket& packet,
-                                int /*in_port*/) override {
-    std::vector<Transition> out;
+  void Apply(ModelContext* /*ctx*/, const SymbolicPacket& packet, int /*in_port*/,
+             Transitions* out) override {
     for (int i = 0; i < n_; ++i) {
       SymbolicPacket branch = packet;
       if (branch.Constrain(HeaderField::kPaint, ValueSet::Single(static_cast<uint64_t>(i)))) {
-        out.push_back({i, std::move(branch)});
+        out->push_back({i, std::move(branch)});
       }
     }
-    return out;
   }
 
  private:
@@ -432,13 +410,11 @@ class PaintSwitchModel : public SymbolicModel {
 class AnyOutputModel : public SymbolicModel {
  public:
   explicit AnyOutputModel(int n) : n_(n) {}
-  std::vector<Transition> Apply(ModelContext* /*ctx*/, const SymbolicPacket& packet,
-                                int /*in_port*/) override {
-    std::vector<Transition> out;
+  void Apply(ModelContext* /*ctx*/, const SymbolicPacket& packet, int /*in_port*/,
+             Transitions* out) override {
     for (int i = 0; i < n_; ++i) {
-      out.push_back({i, packet});
+      out->push_back({i, packet});
     }
-    return out;
   }
 
  private:
@@ -447,32 +423,32 @@ class AnyOutputModel : public SymbolicModel {
 
 class IcmpResponderModel : public SymbolicModel {
  public:
-  std::vector<Transition> Apply(ModelContext* /*ctx*/, const SymbolicPacket& packet,
-                                int /*in_port*/) override {
-    SymbolicPacket out = packet;
-    if (!out.Constrain(HeaderField::kProto, ValueSet::Single(kProtoIcmp))) {
-      return {};
+  void Apply(ModelContext* /*ctx*/, const SymbolicPacket& packet, int /*in_port*/,
+             Transitions* out) override {
+    SymbolicPacket next = packet;
+    if (!next.Constrain(HeaderField::kProto, ValueSet::Single(kProtoIcmp))) {
+      return;
     }
-    SymbolicValue old_src = out.value(HeaderField::kIpSrc);
-    SymbolicValue old_dst = out.value(HeaderField::kIpDst);
-    out.SetValue(HeaderField::kIpSrc, old_dst);
-    out.SetValue(HeaderField::kIpDst, old_src);
-    return {{0, std::move(out)}};
+    SymbolicValue old_src = next.value(HeaderField::kIpSrc);
+    SymbolicValue old_dst = next.value(HeaderField::kIpDst);
+    next.SetValue(HeaderField::kIpSrc, old_dst);
+    next.SetValue(HeaderField::kIpDst, old_src);
+    out->push_back({0, std::move(next)});
   }
 };
 
 class ExplicitProxyModel : public SymbolicModel {
  public:
   explicit ExplicitProxyModel(uint32_t self) : self_(self) {}
-  std::vector<Transition> Apply(ModelContext* ctx, const SymbolicPacket& packet,
-                                int /*in_port*/) override {
+  void Apply(ModelContext* ctx, const SymbolicPacket& packet, int /*in_port*/,
+             Transitions* out) override {
     // The proxy fetches as itself; the target comes from the request payload
     // — a fresh unknown, decided at runtime.
-    SymbolicPacket out = packet;
-    out.SetConst(HeaderField::kIpSrc, self_);
-    out.SetFresh(HeaderField::kIpDst, ctx->vars);
-    out.SetFresh(HeaderField::kDstPort, ctx->vars);
-    return {{0, std::move(out)}};
+    SymbolicPacket next = packet;
+    next.SetConst(HeaderField::kIpSrc, self_);
+    next.SetFresh(HeaderField::kIpDst, ctx->vars);
+    next.SetFresh(HeaderField::kDstPort, ctx->vars);
+    out->push_back({0, std::move(next)});
   }
 
  private:
@@ -481,22 +457,20 @@ class ExplicitProxyModel : public SymbolicModel {
 
 class TransparentProxyModel : public SymbolicModel {
  public:
-  std::vector<Transition> Apply(ModelContext* ctx, const SymbolicPacket& packet,
-                                int /*in_port*/) override {
+  void Apply(ModelContext* ctx, const SymbolicPacket& packet, int /*in_port*/,
+             Transitions* out) override {
     // Transit traffic passes with original addressing; the proxy may rewrite
     // the application payload.
-    SymbolicPacket out = packet;
-    out.SetFresh(HeaderField::kPayload, ctx->vars);
-    return {{0, std::move(out)}};
+    SymbolicPacket next = packet;
+    next.SetFresh(HeaderField::kPayload, ctx->vars);
+    out->push_back({0, std::move(next)});
   }
 };
 
 class DropModel : public SymbolicModel {
  public:
-  std::vector<Transition> Apply(ModelContext* /*ctx*/, const SymbolicPacket& /*packet*/,
-                                int /*in_port*/) override {
-    return {};
-  }
+  void Apply(ModelContext* /*ctx*/, const SymbolicPacket& /*packet*/, int /*in_port*/,
+             Transitions* /*out*/) override {}
 };
 
 }  // namespace
@@ -558,7 +532,7 @@ std::shared_ptr<SymbolicModel> MakeElementModel(const std::string& class_name,
   if (class_name == "ChangeEnforcer") {
     auto* enforcer = static_cast<click::ChangeEnforcer*>(element.get());
     std::vector<uint32_t> whitelist(enforcer->whitelist().begin(), enforcer->whitelist().end());
-    return std::make_shared<ChangeEnforcerModel>(std::move(whitelist));
+    return std::make_shared<ChangeEnforcerModel>(whitelist);
   }
   if (class_name == "ContentMatch") {
     return std::make_shared<ContentMatchModel>();
@@ -610,10 +584,10 @@ std::shared_ptr<SymbolicModel> MakeElementModel(const std::string& class_name,
   if (class_name == "SetTTL") {
     uint8_t ttl = static_cast<click::SetTTL*>(element.get())->ttl();
     return std::make_shared<LambdaModel>(
-        [ttl](ModelContext*, const SymbolicPacket& packet, int) -> std::vector<Transition> {
-          SymbolicPacket out = packet;
-          out.SetConst(HeaderField::kTtl, ttl);
-          return {{0, std::move(out)}};
+        [ttl](ModelContext*, const SymbolicPacket& packet, int, Transitions* out) {
+          SymbolicPacket next = packet;
+          next.SetConst(HeaderField::kTtl, ttl);
+          out->push_back({0, std::move(next)});
         });
   }
   if (class_name == "ICMPPingResponder") {

@@ -1,21 +1,35 @@
 #include "src/symexec/engine.h"
 
-#include <deque>
+#include <algorithm>
 
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
 namespace innet::symexec {
 
+SymGraph::SymGraph() : names_(std::make_shared<NameTable>()) {}
+
+NameTable& SymGraph::MutableNames() {
+  if (names_.use_count() > 1) {
+    names_ = std::make_shared<NameTable>(*names_);
+  }
+  return *names_;
+}
+
 int SymGraph::AddNode(const std::string& name, std::shared_ptr<SymbolicModel> model) {
   int id = static_cast<int>(nodes_.size());
-  nodes_.push_back(Node{name, std::move(model), {}});
+  nodes_.push_back(Node{std::move(model), {}});
+  MutableNames().push_back(name);
   by_name_[name] = id;
   return id;
 }
 
 void SymGraph::Connect(int from, int out_port, int to, int in_port) {
-  nodes_[static_cast<size_t>(from)].edges[out_port] = {to, in_port};
+  std::vector<Edge>& edges = nodes_[static_cast<size_t>(from)].edges;
+  if (static_cast<size_t>(out_port) >= edges.size()) {
+    edges.resize(static_cast<size_t>(out_port) + 1);
+  }
+  edges[static_cast<size_t>(out_port)] = {to, in_port};
 }
 
 bool SymGraph::ConnectByName(const std::string& from, int out_port, const std::string& to,
@@ -36,36 +50,88 @@ int SymGraph::FindNode(const std::string& name) const {
 
 int SymGraph::Merge(const SymGraph& other, const std::string& prefix) {
   int offset = static_cast<int>(nodes_.size());
-  for (const Node& node : other.nodes_) {
-    AddNode(prefix + "/" + node.name, node.model);
-  }
+  nodes_.reserve(nodes_.size() + other.nodes_.size());
+  NameTable& names = MutableNames();
+  names.reserve(names.size() + other.nodes_.size());
   for (size_t i = 0; i < other.nodes_.size(); ++i) {
-    for (const auto& [out_port, target] : other.nodes_[i].edges) {
-      Connect(offset + static_cast<int>(i), out_port, offset + target.first, target.second);
+    const Node& node = other.nodes_[i];
+    std::vector<Edge> edges = node.edges;
+    for (Edge& edge : edges) {
+      if (edge.to >= 0) {
+        edge.to += offset;
+      }
     }
+    nodes_.push_back(Node{node.model, std::move(edges)});
+    std::string name;
+    name.reserve(prefix.size() + 1 + other.NodeName(static_cast<int>(i)).size());
+    name.append(prefix).append("/").append(other.NodeName(static_cast<int>(i)));
+    by_name_[name] = offset + static_cast<int>(i);
+    names.push_back(std::move(name));
   }
   return offset;
 }
+
+namespace {
+
+// Resolved once: a lookup by name per run would cost a string-keyed map walk
+// and a bucket vector each time. The registry never destroys instruments.
+struct EngineInstruments {
+  obs::Counter* runs;
+  obs::Counter* steps;
+  obs::Histogram* paths_explored;
+};
+
+const EngineInstruments& Instruments() {
+  static const EngineInstruments instruments = [] {
+    auto& registry = obs::Registry();
+    return EngineInstruments{
+        registry.GetCounter("innet_symexec_runs_total"),
+        registry.GetCounter("innet_symexec_steps_total"),
+        registry.GetHistogram("innet_symexec_paths_explored", {},
+                              obs::ExponentialBuckets(1.0, 4.0, 10))};
+  }();
+  return instruments;
+}
+
+}  // namespace
 
 EngineResult Engine::Run(const SymGraph& graph, int start, int in_port, SymbolicPacket seed) {
   EngineResult result;
   if (start < 0 || static_cast<size_t>(start) >= graph.nodes_.size()) {
     return result;
   }
+  if (seed.hop_count() == 0) {
+    if (arena_ != nullptr && arena_.use_count() == 1) {
+      arena_->Reset(graph.names());
+    } else {
+      arena_ = std::make_shared<HopArena>(graph.names());
+    }
+    seed.StartPath(arena_);
+  }
 
-  struct WorkItem {
-    int node;
-    int in_port;
-    SymbolicPacket packet;
+  // FIFO over a ring, so paths are explored breadth-first.
+  size_t head = 0;
+  size_t queued = 0;
+  auto push = [this, &head, &queued](int node, int port, SymbolicPacket&& packet) {
+    if (queued == queue_.size()) {
+      std::rotate(queue_.begin(), queue_.begin() + static_cast<ptrdiff_t>(head), queue_.end());
+      head = 0;
+      queue_.resize(std::max<size_t>(16, queue_.size() * 2));
+    }
+    WorkItem& slot = queue_[(head + queued) % queue_.size()];
+    slot.node = node;
+    slot.in_port = port;
+    slot.packet = std::move(packet);
+    ++queued;
   };
-  std::deque<WorkItem> work;
-  work.push_back({start, in_port, std::move(seed)});
-  ModelContext ctx{&vars_};
+  push(start, in_port, std::move(seed));
+  ModelContext ctx{&vars_, &branches_};
 
   size_t paths = 0;
-  while (!work.empty()) {
-    WorkItem item = std::move(work.front());
-    work.pop_front();
+  while (queued > 0) {
+    WorkItem item = std::move(queue_[head]);
+    head = (head + 1) % queue_.size();
+    --queued;
     if (item.packet.hop_count() >= options_.max_hops) {
       result.truncated = true;
       continue;
@@ -76,43 +142,53 @@ EngineResult Engine::Run(const SymGraph& graph, int start, int in_port, Symbolic
     }
 
     const SymGraph::Node& node = graph.nodes_[static_cast<size_t>(item.node)];
-    std::vector<Transition> transitions = node.model->Apply(&ctx, item.packet, item.in_port);
+    transitions_.clear();
+    node.model->Apply(&ctx, item.packet, item.in_port, &transitions_);
     ++result.steps;
 
-    if (transitions.empty()) {
-      item.packet.RecordHop(node.name, 0);
+    if (transitions_.empty()) {
+      item.packet.RecordHop(item.node, 0);
       result.dropped.push_back(std::move(item.packet));
       continue;
     }
-    for (Transition& t : transitions) {
+    for (Transition& t : transitions_) {
       if (!t.packet.feasible()) {
         continue;
       }
-      t.packet.RecordHop(node.name, t.out_port);
+      t.packet.RecordHop(item.node, t.out_port);
       if (t.out_port == kPortDeliver) {
-        t.packet.set_delivered_at(node.name);
+        t.packet.set_delivered_at(item.node);
         result.delivered.push_back(std::move(t.packet));
         continue;
       }
-      auto edge = node.edges.find(t.out_port);
-      if (edge == node.edges.end()) {
+      const SymGraph::Edge* edge =
+          t.out_port >= 0 && static_cast<size_t>(t.out_port) < node.edges.size()
+              ? &node.edges[static_cast<size_t>(t.out_port)]
+              : nullptr;
+      if (edge == nullptr || edge->to < 0) {
         result.dropped.push_back(std::move(t.packet));
         continue;
       }
-      work.push_back({edge->second.first, edge->second.second, std::move(t.packet)});
+      push(edge->to, edge->in_port, std::move(t.packet));
     }
   }
+  // Release what a truncated run left queued, so the arena can be reused.
+  for (; queued > 0; --queued) {
+    queue_[head].packet = SymbolicPacket();
+    head = (head + 1) % queue_.size();
+  }
+  transitions_.clear();
 
-  auto& registry = obs::Registry();
-  registry.GetCounter("innet_symexec_runs_total")->Increment();
-  registry.GetCounter("innet_symexec_steps_total")->Increment(result.steps);
+  const EngineInstruments& instruments = Instruments();
+  instruments.runs->Increment();
+  instruments.steps->Increment(result.steps);
   if (result.truncated) {
-    registry.GetCounter("innet_symexec_truncated_total")->Increment();
+    static obs::Counter* const truncated =
+        obs::Registry().GetCounter("innet_symexec_truncated_total");
+    truncated->Increment();
   }
   size_t explored = result.delivered.size() + result.dropped.size();
-  registry
-      .GetHistogram("innet_symexec_paths_explored", {}, obs::ExponentialBuckets(1.0, 4.0, 10))
-      ->Observe(static_cast<double>(explored));
+  instruments.paths_explored->Observe(static_cast<double>(explored));
   if (obs::Tracer().enabled()) {
     obs::Tracer().RecordNow(obs::EventKind::kSymexecRun,
                             "node:" + graph.NodeName(start),

@@ -11,32 +11,47 @@
 
 namespace innet::symexec {
 
-// A directed graph of symbolic nodes. Node out-ports connect to (node,
-// in-port) pairs; unconnected out-ports drop.
+// A directed graph of symbolic nodes. Nodes have dense ids (their insertion
+// order) and one shared name table; each node keeps its out-edges in a flat
+// vector indexed by out-port. Unconnected out-ports drop.
 class SymGraph {
  public:
+  SymGraph();
+
   int AddNode(const std::string& name, std::shared_ptr<SymbolicModel> model);
   void Connect(int from, int out_port, int to, int in_port);
   bool ConnectByName(const std::string& from, int out_port, const std::string& to, int in_port);
 
-  int FindNode(const std::string& name) const;  // -1 if absent
-  const std::string& NodeName(int id) const { return nodes_[static_cast<size_t>(id)].name; }
+  // Id of the node called `name`, -1 if absent. Used while a graph is built
+  // and to resolve the names a query starts from; exploration works on ids.
+  int FindNode(const std::string& name) const;
+  const std::string& NodeName(int id) const { return (*names_)[static_cast<size_t>(id)]; }
   size_t node_count() const { return nodes_.size(); }
+  // The name table, shared with every packet explored over this graph so
+  // they can render their hops after the graph is gone. Adding a node to a
+  // graph whose table is shared copies the table first.
+  std::shared_ptr<const NameTable> names() const { return names_; }
 
   // Merges `other` into this graph, prefixing its node names with
-  // `prefix` + "/". Returns the id offset of the merged nodes. Used by the
-  // controller to graft a client module onto the operator topology.
+  // `prefix` + "/". Returns the id offset of the merged nodes: node i of
+  // `other` becomes node offset + i. Used by the controller to graft a client
+  // module onto the operator topology.
   int Merge(const SymGraph& other, const std::string& prefix);
 
  private:
   friend class Engine;
-  struct Node {
-    std::string name;
-    std::shared_ptr<SymbolicModel> model;
-    // out_port -> (node id, in_port)
-    std::unordered_map<int, std::pair<int, int>> edges;
+  struct Edge {
+    int to = -1;  // -1: unconnected
+    int in_port = 0;
   };
+  struct Node {
+    std::shared_ptr<SymbolicModel> model;
+    std::vector<Edge> edges;  // indexed by out-port
+  };
+  NameTable& MutableNames();
+
   std::vector<Node> nodes_;
+  std::shared_ptr<NameTable> names_;
   std::unordered_map<std::string, int> by_name_;
 };
 
@@ -60,16 +75,32 @@ struct EngineResult {
 class Engine {
  public:
   explicit Engine(const EngineOptions& options = {}) : options_(options) {}
+  Engine(const Engine&) = delete;
+  Engine& operator=(const Engine&) = delete;
 
   // Injects `seed` at node `start` (arriving on `in_port`) and explores all
-  // paths. The seed's constraints (from a flow spec) carry through.
+  // paths. The seed's constraints (from a flow spec) carry through. A seed
+  // without hops starts its path in this run's hop arena.
   EngineResult Run(const SymGraph& graph, int start, int in_port, SymbolicPacket seed);
 
   VarAllocator* vars() { return &vars_; }
 
  private:
+  struct WorkItem {
+    int node = 0;
+    int in_port = 0;
+    SymbolicPacket packet;
+  };
+
   EngineOptions options_;
   VarAllocator vars_;
+  // Kept from run to run, so that a step allocates nothing once they have
+  // grown: the hop arena (reused once no packet of the last run is alive),
+  // the FIFO work queue (a ring), and the models' output buffers.
+  std::shared_ptr<HopArena> arena_;
+  std::vector<WorkItem> queue_;
+  Transitions transitions_;
+  std::vector<SymbolicPacket> branches_;
 };
 
 }  // namespace innet::symexec

@@ -1,7 +1,7 @@
 #include "src/symexec/path_digest.h"
 
-#include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "src/symexec/click_models.h"
@@ -18,30 +18,33 @@ bool IsEndpointClass(const std::string& class_name) {
          class_name == "FromDevice" || class_name == "ToDevice" || class_name == "Discard";
 }
 
-// A symbolic history records a hop when the packet *leaves* a node, so sinks
-// never appear; sources do and are filtered here, like at runtime.
-std::vector<std::string> Canonicalize(const SymbolicPacket& packet,
-                                      const std::map<std::string, std::string>& classes) {
-  std::vector<std::string> chain;
-  for (const Hop* hop : packet.history()) {
-    auto it = classes.find(hop->node);
-    if (it != classes.end() && IsEndpointClass(it->second)) {
+// Hashes every prefix of `packet`'s canonical element chain into
+// `prefixes`, including the empty one (a packet dropped before reaching any
+// tenant element is always conformant), and returns the hash of the whole
+// chain. A symbolic history records a hop when the packet *leaves* a node,
+// so sinks never appear; sources do and are skipped, like at runtime. The
+// chain is hashed as its ';'-joined text, which is what obs::HashChain
+// hashes, so names are joined only here.
+uint64_t AddPrefixes(const SymbolicPacket& packet, const std::vector<bool>& endpoint,
+                     std::set<uint64_t>* prefixes) {
+  std::string joined;
+  uint64_t hash = obs::HashChainText(joined);
+  prefixes->insert(hash);
+  bool first = true;
+  for (int hop = 0; hop < packet.hop_count(); ++hop) {
+    int node = packet.HopNode(hop);
+    if (endpoint[static_cast<size_t>(node)]) {
       continue;
     }
-    chain.push_back(hop->node);
+    if (!first) {
+      joined.push_back(';');
+    }
+    first = false;
+    joined += packet.HopName(hop);
+    hash = obs::HashChainText(joined);
+    prefixes->insert(hash);
   }
-  return chain;
-}
-
-// Every prefix, including the empty one: a packet dropped before reaching
-// any tenant element is always conformant.
-void AddPrefixes(const std::vector<std::string>& chain, std::set<uint64_t>* prefixes) {
-  std::vector<std::string> prefix;
-  prefixes->insert(obs::HashChain(prefix));
-  for (const std::string& element : chain) {
-    prefix.push_back(element);
-    prefixes->insert(obs::HashChain(prefix));
-  }
+  return hash;
 }
 
 }  // namespace
@@ -56,9 +59,12 @@ obs::IntPathDigest ComputePathDigest(const click::ConfigGraph& config) {
   if (!model) {
     return digest;  // unbuildable configs never deploy; nothing to attest
   }
-  std::map<std::string, std::string> classes;
+  std::vector<bool> endpoint(model->node_count(), false);
   for (const click::ElementDecl& decl : config.elements) {
-    classes[decl.name] = decl.class_name;
+    int node = model->FindNode(decl.name);
+    if (node >= 0) {
+      endpoint[static_cast<size_t>(node)] = IsEndpointClass(decl.class_name);
+    }
   }
 
   std::set<uint64_t> full;
@@ -75,12 +81,10 @@ obs::IntPathDigest ComputePathDigest(const click::ConfigGraph& config) {
       digest.truncated = true;
     }
     for (const SymbolicPacket& packet : result.delivered) {
-      std::vector<std::string> chain = Canonicalize(packet, classes);
-      full.insert(obs::HashChain(chain));
-      AddPrefixes(chain, &prefixes);
+      full.insert(AddPrefixes(packet, endpoint, &prefixes));
     }
     for (const SymbolicPacket& packet : result.dropped) {
-      AddPrefixes(Canonicalize(packet, classes), &prefixes);
+      AddPrefixes(packet, endpoint, &prefixes);
     }
   }
   digest.full_paths.assign(full.begin(), full.end());

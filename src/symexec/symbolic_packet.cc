@@ -29,6 +29,17 @@ void SymbolicPacket::SetValue(HeaderField f, const SymbolicValue& v) {
   fields_[Index(f)].last_def_hop = NextDefHop();
 }
 
+const ValueSet* SymbolicPacket::FindConstraint(VarId var) const {
+  if (constraints_) {
+    for (const Constraint& c : *constraints_) {
+      if (c.var == var) {
+        return &c.values;
+      }
+    }
+  }
+  return nullptr;
+}
+
 bool SymbolicPacket::Constrain(HeaderField f, const ValueSet& allowed) {
   const SymbolicValue& value = fields_[Index(f)].value;
   if (value.is_const) {
@@ -37,11 +48,7 @@ bool SymbolicPacket::Constrain(HeaderField f, const ValueSet& allowed) {
     }
     return feasible_;
   }
-  const ValueSet* current = nullptr;
-  if (constraints_) {
-    auto it = constraints_->find(value.var);
-    current = it == constraints_->end() ? nullptr : &it->second;
-  }
+  const ValueSet* current = FindConstraint(value.var);
   ValueSet narrowed = current ? current->Intersect(allowed) : allowed;
   if (narrowed.IsEmpty()) {
     feasible_ = false;
@@ -51,12 +58,28 @@ bool SymbolicPacket::Constrain(HeaderField f, const ValueSet& allowed) {
   if (narrowed == (current ? *current : kFull)) {
     return true;  // nothing narrowed: keep sharing the store
   }
-  if (!constraints_) {
-    constraints_ = std::make_shared<ConstraintMap>();
-  } else if (constraints_.use_count() > 1) {
-    constraints_ = std::make_shared<ConstraintMap>(*constraints_);
+  if (constraints_ && constraints_.use_count() == 1) {
+    for (Constraint& c : *constraints_) {
+      if (c.var == value.var) {
+        c.values = std::move(narrowed);
+        return true;
+      }
+    }
+    constraints_->push_back({value.var, std::move(narrowed)});
+    return true;
   }
-  (*constraints_)[value.var] = std::move(narrowed);
+  // Shared (or absent): copy it once, with room for the new entry.
+  auto store = std::make_shared<ConstraintStore>();
+  store->reserve((constraints_ ? constraints_->size() : 0) + 1);
+  if (constraints_) {
+    for (const Constraint& c : *constraints_) {
+      store->push_back(c.var == value.var ? Constraint{c.var, narrowed} : c);
+    }
+  }
+  if (current == nullptr) {
+    store->push_back({value.var, std::move(narrowed)});
+  }
+  constraints_ = std::move(store);
   return true;
 }
 
@@ -64,11 +87,8 @@ ValueSet SymbolicPacket::PossibleValuesOf(const SymbolicValue& v) const {
   if (v.is_const) {
     return ValueSet::Single(v.const_value);
   }
-  if (!constraints_) {
-    return ValueSet::Full();
-  }
-  auto it = constraints_->find(v.var);
-  return it == constraints_->end() ? ValueSet::Full() : it->second;
+  const ValueSet* constraint = FindConstraint(v.var);
+  return constraint == nullptr ? ValueSet::Full() : *constraint;
 }
 
 ValueSet SymbolicPacket::PossibleValues(HeaderField f) const {
@@ -83,32 +103,37 @@ ValueSet PortPredSet(const PortPredicate& pred) {
 
 }  // namespace
 
-std::vector<SymbolicPacket> SymbolicPacket::ConstrainToFlowSpec(const FlowSpec& spec,
-                                                                VarAllocator* /*vars*/) const {
-  // Start with one branch; direction-ambiguous predicates fork it.
-  std::vector<SymbolicPacket> branches{*this};
-  auto constrain_all = [&branches](HeaderField f, const ValueSet& set) {
-    std::vector<SymbolicPacket> next;
-    for (SymbolicPacket& b : branches) {
-      if (b.Constrain(f, set)) {
-        next.push_back(std::move(b));
+void SymbolicPacket::ConstrainToFlowSpec(const FlowSpec& spec,
+                                         std::vector<SymbolicPacket>* out) const {
+  // Start with one branch at the end of `out`; direction-ambiguous predicates
+  // fork it. Branches are narrowed in place, in a fixed order.
+  const size_t first = out->size();
+  out->push_back(*this);
+  auto constrain_all = [out, first](HeaderField f, const ValueSet& set) {
+    size_t kept = first;
+    for (size_t i = first; i < out->size(); ++i) {
+      if ((*out)[i].Constrain(f, set)) {
+        if (kept != i) {
+          (*out)[kept] = std::move((*out)[i]);
+        }
+        ++kept;
       }
     }
-    branches = std::move(next);
+    out->erase(out->begin() + static_cast<ptrdiff_t>(kept), out->end());
   };
-  auto fork_either = [&branches](HeaderField a, HeaderField b, const ValueSet& set) {
-    std::vector<SymbolicPacket> next;
-    for (SymbolicPacket& branch : branches) {
-      SymbolicPacket left = branch;
-      if (left.Constrain(a, set)) {
-        next.push_back(std::move(left));
+  auto fork_either = [out, first](HeaderField a, HeaderField b, const ValueSet& set) {
+    for (size_t i = first; i < out->size();) {
+      SymbolicPacket right = (*out)[i];
+      if ((*out)[i].Constrain(a, set)) {
+        ++i;
+      } else {
+        out->erase(out->begin() + static_cast<ptrdiff_t>(i));
       }
-      SymbolicPacket right = std::move(branch);
       if (right.Constrain(b, set)) {
-        next.push_back(std::move(right));
+        out->insert(out->begin() + static_cast<ptrdiff_t>(i), std::move(right));
+        ++i;
       }
     }
-    branches = std::move(next);
   };
 
   if (spec.proto()) {
@@ -137,6 +162,12 @@ std::vector<SymbolicPacket> SymbolicPacket::ConstrainToFlowSpec(const FlowSpec& 
       fork_either(HeaderField::kSrcPort, HeaderField::kDstPort, set);
     }
   }
+}
+
+std::vector<SymbolicPacket> SymbolicPacket::ConstrainToFlowSpec(const FlowSpec& spec,
+                                                                VarAllocator* /*vars*/) const {
+  std::vector<SymbolicPacket> branches;
+  ConstrainToFlowSpec(spec, &branches);
   return branches;
 }
 
@@ -148,7 +179,12 @@ bool SymbolicPacket::CanMatchFlowSpec(const FlowSpec& spec, int hop_index) const
     return FieldAtHop(f, hop_index);
   };
   auto maybe = [this, &field_at](HeaderField f, const ValueSet& set) {
-    return !PossibleValuesOf(field_at(f).value).Intersect(set).IsEmpty();
+    const SymbolicValue& v = field_at(f).value;
+    if (v.is_const) {
+      return set.Contains(v.const_value);
+    }
+    const ValueSet* constraint = FindConstraint(v.var);
+    return constraint == nullptr ? !set.IsEmpty() : constraint->Overlaps(set);
   };
 
   if (spec.proto() && !maybe(HeaderField::kProto, ValueSet::Single(*spec.proto()))) {
@@ -182,45 +218,76 @@ bool SymbolicPacket::CanMatchFlowSpec(const FlowSpec& spec, int hop_index) const
   return true;
 }
 
-SymbolicPacket::HopRecord::~HopRecord() {
-  // Unlink each ancestor this record solely owns before it is destroyed, so
-  // releasing a chain takes a loop instead of one stack frame per hop.
-  std::shared_ptr<HopRecord> next = std::move(parent);
-  while (next && next.use_count() == 1) {
-    next = std::move(next->parent);
+void HopArena::Reset(std::shared_ptr<const NameTable> names) {
+  records_.clear();
+  defs_.clear();
+  names_ = std::move(names);
+}
+
+const std::string& HopArena::NodeName(int id) const {
+  static const std::string kUnnamed;
+  if (names_ == nullptr || id < 0 || static_cast<size_t>(id) >= names_->size()) {
+    return kUnnamed;
+  }
+  return (*names_)[static_cast<size_t>(id)];
+}
+
+void SymbolicPacket::StartPath(std::shared_ptr<HopArena> arena) {
+  if (hop_count_ == 0) {
+    arena_ = std::move(arena);
+    hop_index_.reset();
   }
 }
 
-void SymbolicPacket::RecordHop(const std::string& node, int out_port) {
-  auto hop = std::make_shared<HopRecord>();
-  hop->node = node;
-  hop->out_port = out_port;
-  hop->fields = fields_;
-  hop->parent = std::move(last_hop_);
-  last_hop_ = std::move(hop);
+void SymbolicPacket::RecordHop(int node, int out_port) {
+  if (!arena_) {
+    arena_ = std::make_shared<HopArena>();
+  }
+  HopArena& arena = *arena_;
+  HopArena::Record record;
+  record.parent = last_hop_;
+  record.node = node;
+  record.out_port = out_port;
+  const HopArena::Record* parent =
+      last_hop_ < 0 ? nullptr : &arena.records_[static_cast<size_t>(last_hop_)];
+  for (size_t i = 0; i < fields_.size(); ++i) {
+    // A field this hop did not write keeps the definition its parent held.
+    if (parent != nullptr && fields_[i].last_def_hop != hop_count_) {
+      record.defs[i] = parent->defs[i];
+    } else {
+      record.defs[i] = static_cast<int32_t>(arena.defs_.size());
+      arena.defs_.push_back(fields_[i]);
+    }
+  }
+  last_hop_ = static_cast<int32_t>(arena.records_.size());
+  arena.records_.push_back(record);
   ++hop_count_;
 }
 
-const std::vector<const Hop*>& SymbolicPacket::history() const {
+int32_t SymbolicPacket::HopRecordIndex(int index) const {
   if (!hop_index_ || hop_index_->size() != static_cast<size_t>(hop_count_)) {
-    auto index = std::make_shared<std::vector<const Hop*>>(static_cast<size_t>(hop_count_));
-    size_t i = index->size();
-    for (const HopRecord* hop = last_hop_.get(); hop != nullptr; hop = hop->parent.get()) {
-      (*index)[--i] = hop;
+    auto hops = std::make_shared<std::vector<int32_t>>(static_cast<size_t>(hop_count_));
+    size_t i = hops->size();
+    for (int32_t r = last_hop_; r >= 0; r = arena_->records_[static_cast<size_t>(r)].parent) {
+      (*hops)[--i] = r;
     }
-    hop_index_ = std::move(index);
+    hop_index_ = std::move(hops);
   }
-  return *hop_index_;
+  return (*hop_index_)[static_cast<size_t>(index)];
 }
 
-int SymbolicPacket::FindHop(const std::string& name, int from) const {
-  const std::vector<const Hop*>& hops = history();
-  for (size_t i = static_cast<size_t>(from); i < hops.size(); ++i) {
-    if (hops[i]->node == name) {
-      return static_cast<int>(i);
+int SymbolicPacket::FindHop(std::string_view name, int from) const {
+  for (int i = from; i < hop_count_; ++i) {
+    if (HopName(i) == name) {
+      return i;
     }
   }
   return -1;
+}
+
+const std::string& SymbolicPacket::delivered_at() const {
+  static const std::string kNotDelivered;
+  return arena_ == nullptr ? kNotDelivered : arena_->NodeName(delivered_at_);
 }
 
 bool SymbolicPacket::FieldInvariantBetween(HeaderField f, int from_hop, int to_hop) const {

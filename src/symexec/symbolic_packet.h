@@ -16,7 +16,7 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "src/netcore/fields.h"
@@ -39,12 +39,12 @@ class VarAllocator {
 };
 
 struct SymbolicValue {
-  bool is_const = false;
   uint64_t const_value = 0;
   VarId var = kNoVar;
+  bool is_const = false;
 
-  static SymbolicValue Const(uint64_t v) { return {true, v, kNoVar}; }
-  static SymbolicValue Var(VarId id) { return {false, 0, id}; }
+  static SymbolicValue Const(uint64_t v) { return {v, kNoVar, true}; }
+  static SymbolicValue Var(VarId id) { return {0, id, false}; }
 
   friend bool operator==(const SymbolicValue& a, const SymbolicValue& b) {
     return a.is_const == b.is_const &&
@@ -59,13 +59,43 @@ struct FieldState {
   int last_def_hop = -1;
 };
 
-// One step of the packet's journey; `fields` snapshots the state when the
-// packet *left* the node. A hop is immutable once recorded and shared by
-// every branch that descends from it.
-struct Hop {
-  std::string node;
-  int out_port = 0;
-  std::array<FieldState, kNumHeaderFields> fields;
+// Node names of one symbolic graph, indexed by node id. Hops and delivery
+// points refer to nodes by id; names are looked up here only when a trace,
+// an explanation or a digest is rendered.
+using NameTable = std::vector<std::string>;
+
+// Storage for the hops of every packet explored in one engine run. A hop is
+// a fixed-size record: the node id, the out-port, the parent hop and, per
+// header field, where that field's current definition is kept. A hop stores
+// a field's state only when the hop defined it (SymNet's last definitions);
+// every other field points at the definition the hop before it held. Records
+// are immutable once written and shared by every branch that descends from
+// them. The arena grows by doubling and is released whole, so recording a hop
+// allocates nothing in the steady state and releasing a path never recurses.
+class HopArena {
+ public:
+  explicit HopArena(std::shared_ptr<const NameTable> names = nullptr)
+      : names_(std::move(names)) {}
+
+  // Empties the arena for a new run over the graph named by `names`, keeping
+  // its capacity. Only valid when no packet refers to it any more.
+  void Reset(std::shared_ptr<const NameTable> names);
+
+  // Name of node `id`; empty when the arena has no table or the id is out of
+  // range.
+  const std::string& NodeName(int id) const;
+
+ private:
+  friend class SymbolicPacket;
+  struct Record {
+    int32_t parent;
+    int32_t node;
+    int32_t out_port;
+    std::array<int32_t, kNumHeaderFields> defs;  // indexes into defs_
+  };
+  std::vector<Record> records_;
+  std::vector<FieldState> defs_;
+  std::shared_ptr<const NameTable> names_;
 };
 
 class SymbolicPacket {
@@ -105,41 +135,53 @@ class SymbolicPacket {
   void MarkInfeasible() { feasible_ = false; }
 
   // --- FlowSpec integration -------------------------------------------------------
-  // Constrains this packet to match `spec`. Direction-ambiguous predicates
-  // ("host X" without src/dst) produce several branches; the result lists
-  // every feasible branch (possibly empty).
+  // Appends to `out` every feasible branch of this packet constrained to
+  // match `spec`. Direction-ambiguous predicates ("host X" without src/dst)
+  // fork a branch in two, the source side first.
+  void ConstrainToFlowSpec(const FlowSpec& spec, std::vector<SymbolicPacket>* out) const;
+  // As above, returning the branches (possibly none).
   std::vector<SymbolicPacket> ConstrainToFlowSpec(const FlowSpec& spec,
                                                   VarAllocator* vars) const;
 
   // True when some concrete packet satisfying this symbolic packet's
   // constraints *at hop `hop_index`* (or the current state if -1) matches
-  // `spec`. Over-approximate for correlated multi-field constraints.
+  // `spec`. Over-approximate for correlated multi-field constraints. When it
+  // is false, ConstrainToFlowSpec yields no branch.
   bool CanMatchFlowSpec(const FlowSpec& spec, int hop_index = -1) const;
 
   // --- History ----------------------------------------------------------------------
-  // Records departure from `node` via `out_port`, snapshotting field state.
-  // O(1): the new hop links to the previous one, which stays shared.
-  void RecordHop(const std::string& node, int out_port);
+  // Starts this packet's path in `arena`, whose names the hop readers below
+  // use. The engine does this for every seed; a packet that records a hop
+  // without it gets an unnamed arena of its own.
+  void StartPath(std::shared_ptr<HopArena> arena);
+  // Records departure from node `node` via `out_port`. O(1): writes one
+  // record, plus one field state per field this hop defined.
+  void RecordHop(int node, int out_port);
   int hop_count() const { return hop_count_; }
-  // Every hop, oldest first. Walks the chain once (O(hops)) on the first call
-  // after a RecordHop; later calls and the indexed readers below are O(1).
-  // That first call writes the index, so it must not race another reader.
-  const std::vector<const Hop*>& history() const;
-  // First hop index at or after `from` whose node equals `name`; -1 if none.
-  int FindHop(const std::string& name, int from = 0) const;
+  // Node id, out-port and node name of hop `index` (must be < hop_count()).
+  // The first indexed read after a RecordHop walks the path once (O(hops));
+  // later reads are O(1). That first read writes the index, so it must not
+  // race another reader.
+  int HopNode(int index) const { return Hop(index).node; }
+  int HopOutPort(int index) const { return Hop(index).out_port; }
+  const std::string& HopName(int index) const { return arena_->NodeName(HopNode(index)); }
+  // First hop index at or after `from` whose node is named `name`; -1 if none.
+  int FindHop(std::string_view name, int from = 0) const;
 
   // Field state as of hop `index` (must be < hop_count()).
   const FieldState& FieldAtHop(HeaderField f, int index) const {
-    return history()[static_cast<size_t>(index)]->fields[Index(f)];
+    return arena_->defs_[static_cast<size_t>(Hop(index).defs[Index(f)])];
   }
 
   // True when `f` kept a single definition between hops `from_hop` and
   // `to_hop` (inclusive of intermediate rewrites) — the invariant check.
   bool FieldInvariantBetween(HeaderField f, int from_hop, int to_hop) const;
 
-  // Terminal marker set by sink models ("client", "internet", module egress).
-  const std::string& delivered_at() const { return delivered_at_; }
-  void set_delivered_at(std::string node) { delivered_at_ = std::move(node); }
+  // Terminal marker set by sink models ("client", "internet", module egress):
+  // the node id, and its name (empty when the packet was not delivered).
+  int delivered_node() const { return delivered_at_; }
+  const std::string& delivered_at() const;
+  void set_delivered_at(int node) { delivered_at_ = node; }
 
   std::string Describe() const;
 
@@ -153,24 +195,32 @@ class SymbolicPacket {
     return vars;
   }
 
-  // A hop plus the link to the hop before it; releases its ancestors
-  // iteratively so a long chain cannot overflow the stack.
-  struct HopRecord : Hop {
-    ~HopRecord();
-    std::shared_ptr<HopRecord> parent;
+  const HopArena::Record& Hop(int index) const {
+    return arena_->records_[static_cast<size_t>(HopRecordIndex(index))];
+  }
+  int32_t HopRecordIndex(int index) const;
+  // The constraint on `var`, or nullptr when it is unconstrained.
+  const ValueSet* FindConstraint(VarId var) const;
+
+  struct Constraint {
+    VarId var;
+    ValueSet values;
   };
-  using ConstraintMap = std::unordered_map<VarId, ValueSet>;  // absent var => Full()
+  using ConstraintStore = std::vector<Constraint>;  // absent var => Full()
 
   std::array<FieldState, kNumHeaderFields> fields_{};
   std::array<VarId, kNumHeaderFields> ingress_vars_ = NoVars();
-  // Copy-on-write: copies share the map until one of them narrows a variable.
-  std::shared_ptr<ConstraintMap> constraints_;
-  // Newest hop; copies share the whole chain behind it.
-  std::shared_ptr<HopRecord> last_hop_;
+  // Copy-on-write: copies share the store until one of them narrows a variable.
+  std::shared_ptr<ConstraintStore> constraints_;
+  // Hop records of this packet's run; copies share it.
+  std::shared_ptr<HopArena> arena_;
+  // Arena index of the newest hop's record; -1 before the first hop.
+  int32_t last_hop_ = -1;
   int hop_count_ = 0;
-  // Lazily built index over the chain, shared by copies like the chain.
-  mutable std::shared_ptr<const std::vector<const Hop*>> hop_index_;
-  std::string delivered_at_;
+  // Lazily built hop index -> record index map, shared by copies like the
+  // arena.
+  mutable std::shared_ptr<const std::vector<int32_t>> hop_index_;
+  int32_t delivered_at_ = -1;
   bool feasible_ = true;
 };
 

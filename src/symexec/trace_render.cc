@@ -89,14 +89,13 @@ std::string RenderTrace(const SymbolicPacket& packet) {
   }
   out << "\n";
 
-  const auto& history = packet.history();
-  for (size_t hop = 0; hop < history.size(); ++hop) {
-    out << PadTo(history[hop]->node, kNodeWidth);
+  for (int hop = 0; hop < packet.hop_count(); ++hop) {
+    out << PadTo(packet.HopName(hop), kNodeWidth);
     for (HeaderField field : kColumns) {
-      const FieldState& state = packet.FieldAtHop(field, static_cast<int>(hop));
+      const FieldState& state = packet.FieldAtHop(field, hop);
       std::string cell = RenderValue(packet, state.value, field);
       // '*' marks a redefinition at this hop (Figure 2 shades these cells).
-      if (state.last_def_hop == static_cast<int>(hop)) {
+      if (state.last_def_hop == hop) {
         cell += "*";
       }
       out << PadTo(std::move(cell), kCellWidth);

@@ -5,8 +5,20 @@
 
 namespace innet::symexec {
 
+void ValueSet::Append(Interval iv) {
+  if (size_ < kInline) {
+    inline_[size_++] = iv;
+    return;
+  }
+  if (size_ == kInline) {
+    spill_.assign(inline_, inline_ + kInline);
+  }
+  spill_.push_back(iv);
+  ++size_;
+}
+
 bool ValueSet::Contains(uint64_t v) const {
-  for (const Interval& iv : intervals_) {
+  for (const Interval& iv : intervals()) {
     if (v >= iv.lo && v <= iv.hi) {
       return true;
     }
@@ -18,40 +30,78 @@ bool ValueSet::Contains(uint64_t v) const {
 }
 
 ValueSet ValueSet::Intersect(const ValueSet& other) const {
-  std::vector<Interval> result;
+  ValueSet result;
+  std::span<const Interval> a = intervals();
+  std::span<const Interval> b = other.intervals();
   size_t i = 0;
   size_t j = 0;
-  while (i < intervals_.size() && j < other.intervals_.size()) {
-    const Interval& a = intervals_[i];
-    const Interval& b = other.intervals_[j];
-    uint64_t lo = std::max(a.lo, b.lo);
-    uint64_t hi = std::min(a.hi, b.hi);
+  while (i < a.size() && j < b.size()) {
+    uint64_t lo = std::max(a[i].lo, b[j].lo);
+    uint64_t hi = std::min(a[i].hi, b[j].hi);
     if (lo <= hi) {
-      result.push_back({lo, hi});
+      result.Append({lo, hi});
     }
-    if (a.hi < b.hi) {
+    if (a[i].hi < b[j].hi) {
       ++i;
     } else {
       ++j;
     }
   }
-  return ValueSet(std::move(result));
+  return result;
+}
+
+bool ValueSet::Overlaps(const ValueSet& other) const {
+  std::span<const Interval> a = intervals();
+  std::span<const Interval> b = other.intervals();
+  size_t i = 0;
+  size_t j = 0;
+  while (i < a.size() && j < b.size()) {
+    if (std::max(a[i].lo, b[j].lo) <= std::min(a[i].hi, b[j].hi)) {
+      return true;
+    }
+    if (a[i].hi < b[j].hi) {
+      ++i;
+    } else {
+      ++j;
+    }
+  }
+  return false;
 }
 
 ValueSet ValueSet::Union(const ValueSet& other) const {
-  std::vector<Interval> merged = intervals_;
-  merged.insert(merged.end(), other.intervals_.begin(), other.intervals_.end());
-  ValueSet result(std::move(merged));
-  result.Normalize();
+  // Merge the two sorted lists by lower bound, joining intervals that overlap
+  // or touch (careful with hi == UINT64_MAX).
+  ValueSet result;
+  std::span<const Interval> a = intervals();
+  std::span<const Interval> b = other.intervals();
+  size_t i = 0;
+  size_t j = 0;
+  Interval last{};
+  bool open = false;
+  while (i < a.size() || j < b.size()) {
+    const Interval& cur = j == b.size() || (i < a.size() && a[i].lo <= b[j].lo) ? a[i++] : b[j++];
+    if (open && (cur.lo <= last.hi || (last.hi != UINT64_MAX && cur.lo == last.hi + 1))) {
+      last.hi = std::max(last.hi, cur.hi);
+      continue;
+    }
+    if (open) {
+      result.Append(last);
+    }
+    last = cur;
+    open = true;
+  }
+  if (open) {
+    result.Append(last);
+  }
   return result;
 }
 
 ValueSet ValueSet::Subtract(const ValueSet& other) const {
-  std::vector<Interval> result;
-  for (const Interval& a : intervals_) {
+  ValueSet result;
+  for (const Interval& a : intervals()) {
     uint64_t cursor = a.lo;
     bool open = true;
-    for (const Interval& b : other.intervals_) {
+    for (const Interval& b : other.intervals()) {
       if (b.hi < cursor || !open) {
         continue;
       }
@@ -59,7 +109,7 @@ ValueSet ValueSet::Subtract(const ValueSet& other) const {
         break;
       }
       if (b.lo > cursor) {
-        result.push_back({cursor, b.lo - 1});
+        result.Append({cursor, b.lo - 1});
       }
       if (b.hi >= a.hi) {
         open = false;
@@ -68,55 +118,35 @@ ValueSet ValueSet::Subtract(const ValueSet& other) const {
       }
     }
     if (open && cursor <= a.hi) {
-      result.push_back({cursor, a.hi});
+      result.Append({cursor, a.hi});
     }
   }
-  return ValueSet(std::move(result));
+  return result;
 }
 
 uint64_t ValueSet::Count() const {
   uint64_t count = 0;
-  for (const Interval& iv : intervals_) {
+  for (const Interval& iv : intervals()) {
     count += iv.hi - iv.lo + 1;  // saturates only at Full(), which we tolerate
   }
   return count;
 }
 
-void ValueSet::Normalize() {
-  if (intervals_.empty()) {
-    return;
-  }
-  std::sort(intervals_.begin(), intervals_.end(),
-            [](const Interval& a, const Interval& b) { return a.lo < b.lo; });
-  std::vector<Interval> merged;
-  merged.push_back(intervals_[0]);
-  for (size_t i = 1; i < intervals_.size(); ++i) {
-    Interval& last = merged.back();
-    const Interval& cur = intervals_[i];
-    // Merge adjacent or overlapping intervals (careful with hi == UINT64_MAX).
-    if (cur.lo <= last.hi || (last.hi != UINT64_MAX && cur.lo == last.hi + 1)) {
-      last.hi = std::max(last.hi, cur.hi);
-    } else {
-      merged.push_back(cur);
-    }
-  }
-  intervals_ = std::move(merged);
-}
-
 std::string ValueSet::ToString() const {
-  if (intervals_.empty()) {
+  std::span<const Interval> ivs = intervals();
+  if (ivs.empty()) {
     return "{}";
   }
   std::ostringstream out;
   out << "{";
-  for (size_t i = 0; i < intervals_.size(); ++i) {
+  for (size_t i = 0; i < ivs.size(); ++i) {
     if (i > 0) {
       out << ", ";
     }
-    if (intervals_[i].lo == intervals_[i].hi) {
-      out << intervals_[i].lo;
+    if (ivs[i].lo == ivs[i].hi) {
+      out << ivs[i].lo;
     } else {
-      out << "[" << intervals_[i].lo << ", " << intervals_[i].hi << "]";
+      out << "[" << ivs[i].lo << ", " << ivs[i].hi << "]";
     }
   }
   out << "}";

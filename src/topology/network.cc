@@ -12,7 +12,7 @@ using symexec::kPortInject;
 using symexec::ModelContext;
 using symexec::SymbolicModel;
 using symexec::SymbolicPacket;
-using symexec::Transition;
+using symexec::Transitions;
 using symexec::ValueSet;
 
 namespace {
@@ -22,15 +22,16 @@ namespace {
 // Internet edge: sources and sinks arbitrary outside traffic.
 class InternetModel : public SymbolicModel {
  public:
-  std::vector<Transition> Apply(ModelContext* /*ctx*/, const SymbolicPacket& packet,
-                                int in_port) override {
+  void Apply(ModelContext* /*ctx*/, const SymbolicPacket& packet, int in_port,
+             Transitions* out) override {
     if (in_port == kPortInject) {
-      SymbolicPacket out = packet;
+      SymbolicPacket next = packet;
       // Outside traffic has not traversed the operator firewall yet.
-      out.Constrain(HeaderField::kFirewallTag, ValueSet::Single(0));
-      return {{0, std::move(out)}};
+      next.Constrain(HeaderField::kFirewallTag, ValueSet::Single(0));
+      out->push_back({0, std::move(next)});
+      return;
     }
-    return {{kPortDeliver, packet}};
+    out->push_back({kPortDeliver, packet});
   }
 };
 
@@ -39,21 +40,22 @@ class ClientSubnetModel : public SymbolicModel {
  public:
   explicit ClientSubnetModel(Ipv4Prefix subnet) : subnet_(subnet) {}
 
-  std::vector<Transition> Apply(ModelContext* /*ctx*/, const SymbolicPacket& packet,
-                                int in_port) override {
-    SymbolicPacket out = packet;
+  void Apply(ModelContext* /*ctx*/, const SymbolicPacket& packet, int in_port,
+             Transitions* out) override {
+    SymbolicPacket next = packet;
     if (in_port == kPortInject) {
-      if (!out.Constrain(HeaderField::kIpSrc, ValueSet::FromPrefix(subnet_))) {
-        return {};
+      if (!next.Constrain(HeaderField::kIpSrc, ValueSet::FromPrefix(subnet_))) {
+        return;
       }
-      out.Constrain(HeaderField::kFirewallTag, ValueSet::Single(0));
-      return {{0, std::move(out)}};
+      next.Constrain(HeaderField::kFirewallTag, ValueSet::Single(0));
+      out->push_back({0, std::move(next)});
+      return;
     }
     // Deliver only traffic addressed into the subnet.
-    if (!out.Constrain(HeaderField::kIpDst, ValueSet::FromPrefix(subnet_))) {
-      return {};
+    if (!next.Constrain(HeaderField::kIpDst, ValueSet::FromPrefix(subnet_))) {
+      return;
     }
-    return {{kPortDeliver, std::move(out)}};
+    out->push_back({kPortDeliver, std::move(next)});
   }
 
  private:
@@ -62,12 +64,9 @@ class ClientSubnetModel : public SymbolicModel {
 
 class ServerModel : public SymbolicModel {
  public:
-  std::vector<Transition> Apply(ModelContext* /*ctx*/, const SymbolicPacket& packet,
-                                int in_port) override {
-    if (in_port == kPortInject) {
-      return {{0, packet}};
-    }
-    return {{kPortDeliver, packet}};
+  void Apply(ModelContext* /*ctx*/, const SymbolicPacket& packet, int in_port,
+             Transitions* out) override {
+    out->push_back({in_port == kPortInject ? 0 : kPortDeliver, packet});
   }
 };
 
@@ -86,9 +85,8 @@ class RouterModel : public SymbolicModel {
   RouterModel(std::vector<PortRoute> routes, int default_port)
       : routes_(std::move(routes)), default_port_(default_port) {}
 
-  std::vector<Transition> Apply(ModelContext* ctx, const SymbolicPacket& packet,
-                                int in_port) override {
-    std::vector<Transition> out;
+  void Apply(ModelContext* ctx, const SymbolicPacket& packet, int in_port,
+             Transitions* out) override {
     ValueSet remaining = packet.PossibleValues(HeaderField::kIpDst);
     for (const PortRoute& route : routes_) {
       if (route.port == in_port) {
@@ -100,11 +98,9 @@ class RouterModel : public SymbolicModel {
         SymbolicPacket branch = packet;
         if (branch.Constrain(HeaderField::kIpDst, matched)) {
           if (route.match.IsWildcard()) {
-            out.push_back({route.port, std::move(branch)});
+            out->push_back({route.port, std::move(branch)});
           } else {
-            for (SymbolicPacket& b : branch.ConstrainToFlowSpec(route.match, ctx->vars)) {
-              out.push_back({route.port, std::move(b)});
-            }
+            symexec::EmitFlowSpecBranches(ctx, branch, route.match, route.port, out);
           }
         }
       }
@@ -118,10 +114,9 @@ class RouterModel : public SymbolicModel {
     if (!remaining.IsEmpty() && default_port_ >= 0 && default_port_ != in_port) {
       SymbolicPacket branch = packet;
       if (branch.Constrain(HeaderField::kIpDst, remaining)) {
-        out.push_back({default_port_, std::move(branch)});
+        out->push_back({default_port_, std::move(branch)});
       }
     }
-    return out;
   }
 
  private:
@@ -134,44 +129,44 @@ class RouterModel : public SymbolicModel {
 // state folded into the packet so the engine stays oblivious to flow order).
 class StatefulFirewallModel : public SymbolicModel {
  public:
-  StatefulFirewallModel(std::vector<uint8_t> protos, std::vector<FlowSpec> pinholes)
-      : protos_(std::move(protos)), pinholes_(std::move(pinholes)) {}
+  StatefulFirewallModel(const std::vector<uint8_t>& protos, std::vector<FlowSpec> pinholes)
+      : pinholes_(std::move(pinholes)) {
+    for (uint8_t proto : protos) {
+      allowed_protos_ = allowed_protos_.Union(ValueSet::Single(proto));
+    }
+  }
 
-  std::vector<Transition> Apply(ModelContext* ctx, const SymbolicPacket& packet,
-                                int in_port) override {
+  void Apply(ModelContext* ctx, const SymbolicPacket& packet, int in_port,
+             Transitions* out) override {
     if (in_port == 0) {
       // Outbound (inside -> outside).
-      SymbolicPacket out = packet;
-      ValueSet allowed;
-      for (uint8_t proto : protos_) {
-        allowed = allowed.Union(ValueSet::Single(proto));
+      SymbolicPacket next = packet;
+      if (!next.Constrain(HeaderField::kProto, allowed_protos_)) {
+        return;
       }
-      if (!out.Constrain(HeaderField::kProto, allowed)) {
-        return {};
-      }
-      out.SetConst(HeaderField::kFirewallTag, 1);
-      return {{1, std::move(out)}};
+      next.SetConst(HeaderField::kFirewallTag, 1);
+      out->push_back({1, std::move(next)});
+      return;
     }
-    std::vector<Transition> result;
     // Inbound: traffic related to an authorized outbound flow...
     {
       SymbolicPacket related = packet;
       if (related.Constrain(HeaderField::kFirewallTag, ValueSet::Single(1))) {
-        result.push_back({0, std::move(related)});
+        out->push_back({0, std::move(related)});
       }
     }
     // ...or matching a controller-installed pinhole (explicit authorization).
+    // A pinhole the packet cannot match yields no branch, so it is skipped
+    // before anything is copied.
     for (const FlowSpec& pinhole : pinholes_) {
-      SymbolicPacket branch = packet;
-      for (SymbolicPacket& b : branch.ConstrainToFlowSpec(pinhole, ctx->vars)) {
-        result.push_back({0, std::move(b)});
+      if (packet.CanMatchFlowSpec(pinhole)) {
+        symexec::EmitFlowSpecBranches(ctx, packet, pinhole, 0, out);
       }
     }
-    return result;
   }
 
  private:
-  std::vector<uint8_t> protos_;
+  ValueSet allowed_protos_;
   std::vector<FlowSpec> pinholes_;
 };
 
@@ -179,10 +174,9 @@ class StatefulFirewallModel : public SymbolicModel {
 // direction; everything else passes untouched.
 class HttpOptimizerModel : public SymbolicModel {
  public:
-  std::vector<Transition> Apply(ModelContext* ctx, const SymbolicPacket& packet,
-                                int in_port) override {
+  void Apply(ModelContext* ctx, const SymbolicPacket& packet, int in_port,
+             Transitions* out) override {
     int out_port = in_port == 0 ? 1 : 0;
-    std::vector<Transition> out;
     // HTTP branch: the optimizer may rewrite the payload.
     {
       SymbolicPacket http = packet;
@@ -190,12 +184,12 @@ class HttpOptimizerModel : public SymbolicModel {
         SymbolicPacket by_dst = http;
         if (by_dst.Constrain(HeaderField::kDstPort, ValueSet::Single(80))) {
           by_dst.SetFresh(HeaderField::kPayload, ctx->vars);
-          out.push_back({out_port, std::move(by_dst)});
+          out->push_back({out_port, std::move(by_dst)});
         }
         SymbolicPacket by_src = std::move(http);
         if (by_src.Constrain(HeaderField::kSrcPort, ValueSet::Single(80))) {
           by_src.SetFresh(HeaderField::kPayload, ctx->vars);
-          out.push_back({out_port, std::move(by_src)});
+          out->push_back({out_port, std::move(by_src)});
         }
       }
     }
@@ -205,18 +199,17 @@ class HttpOptimizerModel : public SymbolicModel {
       ValueSet not80 = ValueSet::Full().Subtract(ValueSet::Single(80));
       if (rest.Constrain(HeaderField::kSrcPort, not80) &&
           rest.Constrain(HeaderField::kDstPort, not80)) {
-        out.push_back({out_port, std::move(rest)});
+        out->push_back({out_port, std::move(rest)});
       }
     }
-    return out;
   }
 };
 
 class PassthroughMiddleboxModel : public SymbolicModel {
  public:
-  std::vector<Transition> Apply(ModelContext* /*ctx*/, const SymbolicPacket& packet,
-                                int in_port) override {
-    return {{in_port == 0 ? 1 : 0, packet}};
+  void Apply(ModelContext* /*ctx*/, const SymbolicPacket& packet, int in_port,
+             Transitions* out) override {
+    out->push_back({in_port == 0 ? 1 : 0, packet});
   }
 };
 
@@ -231,21 +224,20 @@ class PlatformModel : public SymbolicModel {
   PlatformModel(std::vector<ModulePort> modules, int n_links)
       : modules_(std::move(modules)), n_links_(n_links) {}
 
-  std::vector<Transition> Apply(ModelContext* /*ctx*/, const SymbolicPacket& packet,
-                                int in_port) override {
+  void Apply(ModelContext* /*ctx*/, const SymbolicPacket& packet, int in_port,
+             Transitions* out) override {
     if (in_port >= n_links_ || in_port == kPortInject) {
       // From a module (or an injection inside the platform): out the first
       // network link.
-      return {{0, packet}};
+      out->push_back({0, packet});
+      return;
     }
-    std::vector<Transition> out;
     for (const ModulePort& module : modules_) {
       SymbolicPacket branch = packet;
       if (branch.Constrain(HeaderField::kIpDst, ValueSet::Single(module.addr))) {
-        out.push_back({module.port, std::move(branch)});
+        out->push_back({module.port, std::move(branch)});
       }
     }
-    return out;
   }
 
  private:

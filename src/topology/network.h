@@ -101,14 +101,13 @@ class Network {
   symexec::SymGraph BuildSymGraph() const;
 
   // Declares that a module with address `addr` is (hypothetically) deployed
-  // on `platform`; the platform's switch model will forward dst==addr to the
-  // symbolic node `entry_node` and accept returns from the module. The
-  // controller uses this to test placements before committing (§4.3).
+  // on `platform`; the platform's switch model forwards dst==addr out of a
+  // module port (one per attachment, after the platform's links, in
+  // attachment order) and accepts returns on it. The controller wires those
+  // ports to the module's nodes to test placements before committing (§4.3).
   struct ModuleAttachment {
     std::string platform;
     Ipv4Address addr;
-    std::string entry_node;  // module's FromNetfront node name in the merged graph
-    std::string exit_node;   // module's ToNetfront node name
   };
   void AttachModule(ModuleAttachment attachment) {
     attachments_.push_back(std::move(attachment));

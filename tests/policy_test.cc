@@ -185,17 +185,16 @@ class HandGraphCheck : public ::testing::Test {
     using symexec::LambdaModel;
     using symexec::ModelContext;
     using symexec::SymbolicPacket;
-    using symexec::Transition;
+    using symexec::Transitions;
     int a = graph_.AddNode("a", std::make_shared<symexec::PassthroughModel>());
     int b = graph_.AddNode(
         "b", std::make_shared<LambdaModel>(
-                 [](ModelContext*, const SymbolicPacket& p, int in_port)
-                     -> std::vector<Transition> {
-                   SymbolicPacket out = p;
+                 [](ModelContext*, const SymbolicPacket& p, int in_port, Transitions* out) {
+                   SymbolicPacket next = p;
                    if (in_port == 1) {  // second visit: rewrite
-                     out.SetConst(HeaderField::kDstPort, 80);
+                     next.SetConst(HeaderField::kDstPort, 80);
                    }
-                   return {{in_port, std::move(out)}};
+                   out->push_back({in_port, std::move(next)});
                  }));
     int c = graph_.AddNode("c", std::make_shared<symexec::PassthroughModel>());
     int d = graph_.AddNode("d", std::make_shared<symexec::SinkModel>());

@@ -132,13 +132,23 @@ TEST(SymbolicPacket, ConstOverridesVar) {
   EXPECT_FALSE(p.Constrain(HeaderField::kProto, ValueSet::Single(kProtoTcp)));
 }
 
+// Starts `packet`'s path in an arena that names node i `names[i]`.
+void StartNamedPath(SymbolicPacket* packet, NameTable names) {
+  packet->StartPath(
+      std::make_shared<HopArena>(std::make_shared<const NameTable>(std::move(names))));
+}
+
+// Node ids of the hand-written paths below.
+enum : int { kA, kB, kC, kD };
+
 TEST(SymbolicPacket, HistoryAndLastDef) {
   VarAllocator vars;
   SymbolicPacket p = SymbolicPacket::MakeUnconstrained(&vars);
-  p.RecordHop("a", 0);                       // hop 0
+  StartNamedPath(&p, {"a", "b", "c"});
+  p.RecordHop(kA, 0);                        // hop 0
   p.SetConst(HeaderField::kDstPort, 1500);   // defined at hop index 1 (next)
-  p.RecordHop("b", 0);                       // hop 1
-  p.RecordHop("c", 0);                       // hop 2
+  p.RecordHop(kB, 0);                        // hop 1
+  p.RecordHop(kC, 0);                        // hop 2
   EXPECT_EQ(p.FindHop("b"), 1);
   EXPECT_EQ(p.FindHop("missing"), -1);
   // dst port redefined at hop 1: invariant holds from hop 1 to 2 but not 0 to 2.
@@ -151,21 +161,22 @@ TEST(SymbolicPacket, HistoryAndLastDef) {
 TEST(SymbolicPacket, CopiesAreIndependent) {
   VarAllocator vars;
   SymbolicPacket original = SymbolicPacket::MakeUnconstrained(&vars);
+  StartNamedPath(&original, {"a", "b", "c", "d"});
   original.Constrain(HeaderField::kDstPort, ValueSet::Range(1000, 2000));
-  original.RecordHop("a", 0);  // hop 0
+  original.RecordHop(kA, 0);  // hop 0
   original.SetConst(HeaderField::kProto, kProtoUdp);
-  original.RecordHop("b", 1);  // hop 1
-  ASSERT_EQ(original.history().size(), 2u);
+  original.RecordHop(kB, 1);  // hop 1
+  ASSERT_EQ(original.hop_count(), 2);
 
   SymbolicPacket copy = original;
   copy.Constrain(HeaderField::kDstPort, ValueSet::Range(1500, 3000));
   copy.SetFresh(HeaderField::kIpDst, &vars);
-  copy.RecordHop("c", 0);  // hop 2
-  copy.RecordHop("a", 0);  // hop 3
+  copy.RecordHop(kC, 0);  // hop 2
+  copy.RecordHop(kA, 0);  // hop 3
 
   // The original sees none of the copy's narrowing, rewrites or hops.
-  EXPECT_EQ(original.history().size(), 2u);
-  EXPECT_EQ(original.history()[1]->node, "b");
+  EXPECT_EQ(original.hop_count(), 2);
+  EXPECT_EQ(original.HopName(1), "b");
   EXPECT_EQ(original.PossibleValues(HeaderField::kDstPort), ValueSet::Range(1000, 2000));
   EXPECT_EQ(original.value(HeaderField::kIpDst).var, original.ingress_var(HeaderField::kIpDst));
   EXPECT_EQ(original.FieldAtHop(HeaderField::kProto, 1).value,
@@ -176,8 +187,8 @@ TEST(SymbolicPacket, CopiesAreIndependent) {
   EXPECT_EQ(original.FindHop("c"), -1);
 
   // The copy sees the shared prefix plus its own changes.
-  ASSERT_EQ(copy.history().size(), 4u);
-  EXPECT_EQ(copy.history()[1]->node, "b");
+  ASSERT_EQ(copy.hop_count(), 4);
+  EXPECT_EQ(copy.HopName(1), "b");
   EXPECT_EQ(copy.PossibleValues(HeaderField::kDstPort), ValueSet::Range(1500, 2000));
   EXPECT_EQ(copy.FieldAtHop(HeaderField::kProto, 1).value, SymbolicValue::Const(kProtoUdp));
   EXPECT_TRUE(copy.FieldInvariantBetween(HeaderField::kIpDst, 0, 1));
@@ -188,11 +199,11 @@ TEST(SymbolicPacket, CopiesAreIndependent) {
   // And the other way round: changing the original leaves the copy alone.
   original.Constrain(HeaderField::kDstPort, ValueSet::Single(1000));
   original.SetConst(HeaderField::kPayload, 7);
-  original.RecordHop("d", 0);
+  original.RecordHop(kD, 0);
   EXPECT_EQ(copy.PossibleValues(HeaderField::kDstPort), ValueSet::Range(1500, 2000));
   EXPECT_FALSE(copy.value(HeaderField::kPayload).is_const);
   EXPECT_EQ(copy.FindHop("d"), -1);
-  EXPECT_EQ(copy.history().size(), 4u);
+  EXPECT_EQ(copy.hop_count(), 4);
   EXPECT_EQ(original.FindHop("d"), 2);
 }
 
@@ -218,16 +229,17 @@ TEST(SymbolicPacket, LongHistoryReleasesIteratively) {
   constexpr int kHops = 100000;
   VarAllocator vars;
   SymbolicPacket packet = SymbolicPacket::MakeUnconstrained(&vars);
+  StartNamedPath(&packet, {"n", "tail"});
   for (int i = 0; i < kHops; ++i) {
-    packet.RecordHop("n", i % 2);
+    packet.RecordHop(0, i % 2);
   }
   SymbolicPacket branch = packet;
-  branch.RecordHop("tail", 0);
+  branch.RecordHop(1, 0);
   EXPECT_EQ(branch.hop_count(), kHops + 1);
   ReleaseOnSmallStack(std::move(branch));  // releases only the branch's own hop
   EXPECT_EQ(packet.hop_count(), kHops);
   EXPECT_EQ(packet.FindHop("n", kHops - 1), kHops - 1);
-  EXPECT_EQ(packet.history()[kHops - 1]->out_port, 1);
+  EXPECT_EQ(packet.HopOutPort(kHops - 1), 1);
   ReleaseOnSmallStack(std::move(packet));  // releases the whole chain
 }
 
@@ -253,9 +265,9 @@ TEST(SymbolicPacket, CanMatchFlowSpecAtHop) {
   VarAllocator vars;
   SymbolicPacket p = SymbolicPacket::MakeUnconstrained(&vars);
   p.SetConst(HeaderField::kDstPort, 80);
-  p.RecordHop("before", 0);  // hop 0: dst port 80
+  p.RecordHop(0, 0);  // hop 0: dst port 80
   p.SetConst(HeaderField::kDstPort, 8080);
-  p.RecordHop("after", 0);  // hop 1: dst port 8080
+  p.RecordHop(1, 0);  // hop 1: dst port 8080
   EXPECT_TRUE(p.CanMatchFlowSpec(FlowSpec::MustParse("dst port 80"), 0));
   EXPECT_FALSE(p.CanMatchFlowSpec(FlowSpec::MustParse("dst port 80"), 1));
   EXPECT_TRUE(p.CanMatchFlowSpec(FlowSpec::MustParse("dst port 8080"), 1));
@@ -474,7 +486,7 @@ TEST(TraceRender, FigureTwoStyleTable) {
   EXPECT_NE(trace.find("payload0"), std::string::npos);        // untouched ingress var
   // One row per hop plus the header.
   size_t rows = static_cast<size_t>(std::count(trace.begin(), trace.end(), '\n'));
-  EXPECT_EQ(rows, delivered[0].history().size() + 1);
+  EXPECT_EQ(rows, static_cast<size_t>(delivered[0].hop_count()) + 1);
 }
 
 TEST(TraceRender, InfeasibleMarked) {
@@ -482,7 +494,8 @@ TEST(TraceRender, InfeasibleMarked) {
   SymbolicPacket p = SymbolicPacket::MakeUnconstrained(&vars);
   p.Constrain(HeaderField::kProto, ValueSet::Single(kProtoUdp));
   p.Constrain(HeaderField::kProto, ValueSet::Single(kProtoTcp));
-  p.RecordHop("x", 0);
+  StartNamedPath(&p, {"x"});
+  p.RecordHop(0, 0);
   EXPECT_NE(RenderTrace(p).find("infeasible"), std::string::npos);
 }
 

@@ -145,8 +145,6 @@ TEST(NetworkModels, AttachmentsAffectPlatformModel) {
   Network::ModuleAttachment att;
   att.platform = "platform0";
   att.addr = Ipv4Address::MustParse("172.16.10.10");
-  att.entry_node = "m/in";
-  att.exit_node = "m/out";
   net.AttachModule(att);
   symexec::SymGraph graph = net.BuildSymGraph();
 
