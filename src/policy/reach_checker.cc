@@ -21,6 +21,7 @@ ReachCheckResult ReachChecker::Check(const ReachSpec& spec) const {
   // Waypoints are matched against hop node ids; a resolved name the graph
   // does not hold never matches.
   std::vector<std::vector<int>> waypoint_nodes;
+  waypoint_nodes.reserve(spec.waypoints.size());
   for (const ReachNode& node : spec.waypoints) {
     std::vector<std::string> names = resolver_(node.spec);
     if (names.empty()) {
@@ -28,6 +29,7 @@ ReachCheckResult ReachChecker::Check(const ReachSpec& spec) const {
       return result;
     }
     std::vector<int>& ids = waypoint_nodes.emplace_back();
+    ids.reserve(names.size());
     for (const std::string& name : names) {
       int id = graph_->FindNode(name);
       if (id >= 0) {

@@ -45,14 +45,23 @@ bool SymGraph::ConnectByName(const std::string& from, int out_port, const std::s
 
 int SymGraph::FindNode(const std::string& name) const {
   auto it = by_name_.find(name);
-  return it == by_name_.end() ? -1 : it->second;
+  if (it != by_name_.end()) {
+    return it->second;
+  }
+  // Merged nodes are not indexed: they are looked up only to resolve the
+  // handful of names a query starts from or passes through.
+  const NameTable& names = *names_;
+  for (size_t id = 0; id < names.size(); ++id) {
+    if (names[id] == name) {
+      return static_cast<int>(id);
+    }
+  }
+  return -1;
 }
 
 int SymGraph::Merge(const SymGraph& other, const std::string& prefix) {
   int offset = static_cast<int>(nodes_.size());
-  nodes_.reserve(nodes_.size() + other.nodes_.size());
   NameTable& names = MutableNames();
-  names.reserve(names.size() + other.nodes_.size());
   for (size_t i = 0; i < other.nodes_.size(); ++i) {
     const Node& node = other.nodes_[i];
     std::vector<Edge> edges = node.edges;
@@ -62,11 +71,10 @@ int SymGraph::Merge(const SymGraph& other, const std::string& prefix) {
       }
     }
     nodes_.push_back(Node{node.model, std::move(edges)});
-    std::string name;
-    name.reserve(prefix.size() + 1 + other.NodeName(static_cast<int>(i)).size());
-    name.append(prefix).append("/").append(other.NodeName(static_cast<int>(i)));
-    by_name_[name] = offset + static_cast<int>(i);
-    names.push_back(std::move(name));
+    const std::string& local = other.NodeName(static_cast<int>(i));
+    std::string& name = names.emplace_back();
+    name.reserve(prefix.size() + 1 + local.size());
+    name.append(prefix).append("/").append(local);
   }
   return offset;
 }

@@ -24,6 +24,7 @@ class SymGraph {
 
   // Id of the node called `name`, -1 if absent. Used while a graph is built
   // and to resolve the names a query starts from; exploration works on ids.
+  // Nodes added by AddNode are found through an index, merged ones by a scan.
   int FindNode(const std::string& name) const;
   const std::string& NodeName(int id) const { return (*names_)[static_cast<size_t>(id)]; }
   size_t node_count() const { return nodes_.size(); }
@@ -52,7 +53,7 @@ class SymGraph {
 
   std::vector<Node> nodes_;
   std::shared_ptr<NameTable> names_;
-  std::unordered_map<std::string, int> by_name_;
+  std::unordered_map<std::string, int> by_name_;  // nodes added by AddNode
 };
 
 struct EngineOptions {
