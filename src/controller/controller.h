@@ -160,8 +160,8 @@ class Controller {
 
   // Resolves reach-language node specs against the current graph; `trial`
   // names the module whose elements "module:element" refs resolve into. The
-  // resolver refers to this controller and to `trial` rather than copying
-  // them: it is valid while neither changes.
+  // resolver reads this controller's deployments when it is called and refers
+  // to `trial` without copying it, so `trial` must outlive it.
   policy::NodeResolver MakeResolver(const Deployment* trial) const;
 
  private:

@@ -7,10 +7,10 @@
 
 namespace innet::symexec {
 
-SymGraph::SymGraph() : names_(std::make_shared<NameTable>()) {}
-
 NameTable& SymGraph::MutableNames() {
-  if (names_.use_count() > 1) {
+  if (names_ == nullptr) {
+    names_ = std::make_shared<NameTable>();
+  } else if (names_.use_count() > 1) {
     names_ = std::make_shared<NameTable>(*names_);
   }
   return *names_;
@@ -50,10 +50,11 @@ int SymGraph::FindNode(const std::string& name) const {
   }
   // Merged nodes are not indexed: they are looked up only to resolve the
   // handful of names a query starts from or passes through.
-  const NameTable& names = *names_;
-  for (size_t id = 0; id < names.size(); ++id) {
-    if (names[id] == name) {
-      return static_cast<int>(id);
+  if (names_ != nullptr) {
+    for (size_t id = 0; id < names_->size(); ++id) {
+      if ((*names_)[id] == name) {
+        return static_cast<int>(id);
+      }
     }
   }
   return -1;

@@ -16,8 +16,6 @@ namespace innet::symexec {
 // vector indexed by out-port. Unconnected out-ports drop.
 class SymGraph {
  public:
-  SymGraph();
-
   int AddNode(const std::string& name, std::shared_ptr<SymbolicModel> model);
   void Connect(int from, int out_port, int to, int in_port);
   bool ConnectByName(const std::string& from, int out_port, const std::string& to, int in_port);
@@ -28,9 +26,10 @@ class SymGraph {
   int FindNode(const std::string& name) const;
   const std::string& NodeName(int id) const { return (*names_)[static_cast<size_t>(id)]; }
   size_t node_count() const { return nodes_.size(); }
-  // The name table, shared with every packet explored over this graph so
-  // they can render their hops after the graph is gone. Adding a node to a
-  // graph whose table is shared copies the table first.
+  // The name table (null while the graph is empty), shared with every packet
+  // explored over this graph so they can render their hops after the graph
+  // is gone. Adding a node to a graph whose table is shared copies the table
+  // first.
   std::shared_ptr<const NameTable> names() const { return names_; }
 
   // Merges `other` into this graph, prefixing its node names with

@@ -22,9 +22,8 @@ bool IsEndpointClass(const std::string& class_name) {
 // `prefixes`, including the empty one (a packet dropped before reaching any
 // tenant element is always conformant), and returns the hash of the whole
 // chain. A symbolic history records a hop when the packet *leaves* a node,
-// so sinks never appear; sources do and are skipped, like at runtime. The
-// chain is hashed as its ';'-joined text, which is what obs::HashChain
-// hashes, so names are joined only here.
+// so sinks never appear; sources do and are skipped, like at runtime. Each
+// prefix is hashed as its ';'-joined text, the form obs::HashChain hashes.
 uint64_t AddPrefixes(const SymbolicPacket& packet, const std::vector<bool>& endpoint,
                      std::set<uint64_t>* prefixes) {
   std::string joined;

@@ -67,8 +67,9 @@ using NameTable = std::vector<std::string>;
 // Storage for the hops of every packet explored in one engine run. A hop is
 // a fixed-size record: the node id, the out-port, the parent hop and, per
 // header field, where that field's current definition is kept. A hop stores
-// a field's state only when the hop defined it (SymNet's last definitions);
-// every other field points at the definition the hop before it held. Records
+// a field's state only when the hop defined it (SymNet's last definitions),
+// and the first hop of a path stores them all; every other field points at
+// the definition the hop before it held. Records
 // are immutable once written and shared by every branch that descends from
 // them. The arena grows by doubling and is released whole, so recording a hop
 // allocates nothing in the steady state and releasing a path never recurses.
@@ -88,10 +89,10 @@ class HopArena {
  private:
   friend class SymbolicPacket;
   struct Record {
-    int32_t parent;
-    int32_t node;
-    int32_t out_port;
-    std::array<int32_t, kNumHeaderFields> defs;  // indexes into defs_
+    int32_t parent = -1;  // the previous hop's record; -1 for the first hop
+    int32_t node = -1;
+    int32_t out_port = 0;
+    std::array<int32_t, kNumHeaderFields> defs{};  // indexes into defs_
   };
   std::vector<Record> records_;
   std::vector<FieldState> defs_;

@@ -24,18 +24,28 @@ std::atomic<uint64_t> g_allocations{0};
 
 }  // namespace
 
-// The array and nothrow forms of operator new call this one by default, and
-// the unaligned forms of operator delete end in the one below (kept out of
-// line so GCC does not pair the inlined free() with operator new).
-void* operator new(std::size_t size) {
+// The array forms of operator new call this one by default, and the
+// unaligned forms of operator delete end in the one below (both kept out of
+// line so GCC does not pair an inlined malloc() or free() with the other). The nothrow
+// form, which std::stable_sort uses, is replaced too: a sanitizer runtime
+// would otherwise serve it from its own heap and report our free().
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) {
     return p;
   }
   throw std::bad_alloc();
 }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return ::operator new(size);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
 [[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { ::operator delete(p); }
 
 namespace innet::controller {
 namespace {
