@@ -58,28 +58,22 @@ bool SymbolicPacket::Constrain(HeaderField f, const ValueSet& allowed) {
   if (narrowed == (current ? *current : kFull)) {
     return true;  // nothing narrowed: keep sharing the store
   }
-  if (constraints_ && constraints_.use_count() == 1) {
-    for (Constraint& c : *constraints_) {
-      if (c.var == value.var) {
-        c.values = std::move(narrowed);
-        return true;
-      }
+  if (!constraints_ || constraints_.use_count() > 1) {
+    // Shared (or absent): copy it once, with room for a new entry.
+    auto store = std::make_shared<ConstraintStore>();
+    if (constraints_) {
+      store->reserve(constraints_->size() + 1);
+      store->assign(constraints_->begin(), constraints_->end());
     }
-    constraints_->push_back({value.var, std::move(narrowed)});
-    return true;
+    constraints_ = std::move(store);
   }
-  // Shared (or absent): copy it once, with room for the new entry.
-  auto store = std::make_shared<ConstraintStore>();
-  store->reserve((constraints_ ? constraints_->size() : 0) + 1);
-  if (constraints_) {
-    for (const Constraint& c : *constraints_) {
-      store->push_back(c.var == value.var ? Constraint{c.var, narrowed} : c);
+  for (Constraint& c : *constraints_) {
+    if (c.var == value.var) {
+      c.values = std::move(narrowed);
+      return true;
     }
   }
-  if (current == nullptr) {
-    store->push_back({value.var, std::move(narrowed)});
-  }
-  constraints_ = std::move(store);
+  constraints_->push_back({value.var, std::move(narrowed)});
   return true;
 }
 

@@ -178,9 +178,9 @@ class SymbolicPacket {
   // `to_hop` (inclusive of intermediate rewrites) — the invariant check.
   bool FieldInvariantBetween(HeaderField f, int from_hop, int to_hop) const;
 
-  // Terminal marker set by sink models ("client", "internet", module egress):
-  // the node id, and its name (empty when the packet was not delivered).
-  int delivered_node() const { return delivered_at_; }
+  // Terminal marker the engine sets when a model delivers the packet
+  // ("client", "internet", module egress): the name of the node, empty when
+  // the packet was not delivered.
   const std::string& delivered_at() const;
   void set_delivered_at(int node) { delivered_at_ = node; }
 
