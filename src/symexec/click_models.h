@@ -24,7 +24,7 @@ std::shared_ptr<SymbolicModel> MakeElementModel(const std::string& class_name,
                                                 const std::string& args, std::string* error);
 
 // Builds the symbolic graph for a full Click configuration. Node names equal
-// element instance names. With `embedded` set, ToNetfront elements become
+// element instance names, and node i is config.elements[i]. With `embedded` set, ToNetfront elements become
 // pass-throughs (their output 0 is wired back into the hosting platform by
 // the controller) instead of delivery sinks.
 std::optional<SymGraph> BuildClickModel(const click::ConfigGraph& config, std::string* error,

@@ -18,18 +18,33 @@ NameTable& SymGraph::MutableNames() {
 
 int SymGraph::AddNode(const std::string& name, std::shared_ptr<SymbolicModel> model) {
   int id = static_cast<int>(nodes_.size());
-  nodes_.push_back(Node{std::move(model), {}});
+  nodes_.push_back(Node{std::move(model), {}, {}});
   MutableNames().push_back(name);
-  by_name_[name] = id;
   return id;
 }
 
 void SymGraph::Connect(int from, int out_port, int to, int in_port) {
-  std::vector<Edge>& edges = nodes_[static_cast<size_t>(from)].edges;
-  if (static_cast<size_t>(out_port) >= edges.size()) {
-    edges.resize(static_cast<size_t>(out_port) + 1);
+  Node& node = nodes_[static_cast<size_t>(from)];
+  size_t port = static_cast<size_t>(out_port);
+  if (port < kInlineEdges) {
+    node.edges[port] = {to, in_port};
+    return;
   }
-  edges[static_cast<size_t>(out_port)] = {to, in_port};
+  if (port - kInlineEdges >= node.more_edges.size()) {
+    node.more_edges.resize(port - kInlineEdges + 1);
+  }
+  node.more_edges[port - kInlineEdges] = {to, in_port};
+}
+
+const SymGraph::Edge* SymGraph::Node::EdgeAt(int out_port) const {
+  if (out_port < 0) {
+    return nullptr;
+  }
+  size_t port = static_cast<size_t>(out_port);
+  const Edge* edge = port < kInlineEdges                          ? &edges[port]
+                     : port - kInlineEdges < more_edges.size() ? &more_edges[port - kInlineEdges]
+                                                                 : nullptr;
+  return edge != nullptr && edge->to >= 0 ? edge : nullptr;
 }
 
 bool SymGraph::ConnectByName(const std::string& from, int out_port, const std::string& to,
@@ -44,12 +59,6 @@ bool SymGraph::ConnectByName(const std::string& from, int out_port, const std::s
 }
 
 int SymGraph::FindNode(const std::string& name) const {
-  auto it = by_name_.find(name);
-  if (it != by_name_.end()) {
-    return it->second;
-  }
-  // Merged nodes are not indexed: they are looked up only to resolve the
-  // handful of names a query starts from or passes through.
   if (names_ != nullptr) {
     for (size_t id = 0; id < names_->size(); ++id) {
       if ((*names_)[id] == name) {
@@ -64,14 +73,14 @@ int SymGraph::Merge(const SymGraph& other, const std::string& prefix) {
   int offset = static_cast<int>(nodes_.size());
   NameTable& names = MutableNames();
   for (size_t i = 0; i < other.nodes_.size(); ++i) {
-    const Node& node = other.nodes_[i];
-    std::vector<Edge> edges = node.edges;
-    for (Edge& edge : edges) {
-      if (edge.to >= 0) {
-        edge.to += offset;
-      }
+    Node node = other.nodes_[i];
+    for (Edge& edge : node.edges) {
+      edge.to += edge.to >= 0 ? offset : 0;
     }
-    nodes_.push_back(Node{node.model, std::move(edges)});
+    for (Edge& edge : node.more_edges) {
+      edge.to += edge.to >= 0 ? offset : 0;
+    }
+    nodes_.push_back(std::move(node));
     const std::string& local = other.NodeName(static_cast<int>(i));
     std::string& name = names.emplace_back();
     name.reserve(prefix.size() + 1 + local.size());
@@ -170,11 +179,8 @@ EngineResult Engine::Run(const SymGraph& graph, int start, int in_port, Symbolic
         result.delivered.push_back(std::move(t.packet));
         continue;
       }
-      const SymGraph::Edge* edge =
-          t.out_port >= 0 && static_cast<size_t>(t.out_port) < node.edges.size()
-              ? &node.edges[static_cast<size_t>(t.out_port)]
-              : nullptr;
-      if (edge == nullptr || edge->to < 0) {
+      const SymGraph::Edge* edge = node.EdgeAt(t.out_port);
+      if (edge == nullptr) {
         result.dropped.push_back(std::move(t.packet));
         continue;
       }

@@ -2,9 +2,9 @@
 #ifndef SRC_SYMEXEC_ENGINE_H_
 #define SRC_SYMEXEC_ENGINE_H_
 
+#include <array>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/symexec/model.h"
@@ -12,17 +12,17 @@
 namespace innet::symexec {
 
 // A directed graph of symbolic nodes. Nodes have dense ids (their insertion
-// order) and one shared name table; each node keeps its out-edges in a flat
-// vector indexed by out-port. Unconnected out-ports drop.
+// order) and one shared name table; each node keeps its out-edges indexed by
+// out-port, the first two inline. Unconnected out-ports drop.
 class SymGraph {
  public:
   int AddNode(const std::string& name, std::shared_ptr<SymbolicModel> model);
   void Connect(int from, int out_port, int to, int in_port);
   bool ConnectByName(const std::string& from, int out_port, const std::string& to, int in_port);
 
-  // Id of the node called `name`, -1 if absent. Used while a graph is built
-  // and to resolve the names a query starts from; exploration works on ids.
-  // Nodes added by AddNode are found through an index, merged ones by a scan.
+  // Id of the first node called `name`, -1 if absent. A scan of the name
+  // table: it serves the few names a build wires by or a query starts from;
+  // exploration works on ids.
   int FindNode(const std::string& name) const;
   const std::string& NodeName(int id) const { return (*names_)[static_cast<size_t>(id)]; }
   size_t node_count() const { return nodes_.size(); }
@@ -44,15 +44,21 @@ class SymGraph {
     int to = -1;  // -1: unconnected
     int in_port = 0;
   };
+  // Most nodes have one or two out-ports, so those edges live in the node and
+  // a graph build allocates no edge storage for them.
+  static constexpr size_t kInlineEdges = 2;
   struct Node {
     std::shared_ptr<SymbolicModel> model;
-    std::vector<Edge> edges;  // indexed by out-port
+    std::array<Edge, kInlineEdges> edges{};
+    std::vector<Edge> more_edges;  // out-port kInlineEdges + i at index i
+
+    // The edge leaving `out_port`, or nullptr when the port is unconnected.
+    const Edge* EdgeAt(int out_port) const;
   };
   NameTable& MutableNames();
 
   std::vector<Node> nodes_;
   std::shared_ptr<NameTable> names_;
-  std::unordered_map<std::string, int> by_name_;  // nodes added by AddNode
 };
 
 struct EngineOptions {

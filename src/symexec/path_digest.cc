@@ -58,12 +58,11 @@ obs::IntPathDigest ComputePathDigest(const click::ConfigGraph& config) {
   if (!model) {
     return digest;  // unbuildable configs never deploy; nothing to attest
   }
-  std::vector<bool> endpoint(model->node_count(), false);
+  // Node i of the model is element i of the config.
+  std::vector<bool> endpoint;
+  endpoint.reserve(config.elements.size());
   for (const click::ElementDecl& decl : config.elements) {
-    int node = model->FindNode(decl.name);
-    if (node >= 0) {
-      endpoint[static_cast<size_t>(node)] = IsEndpointClass(decl.class_name);
-    }
+    endpoint.push_back(IsEndpointClass(decl.class_name));
   }
 
   std::set<uint64_t> full;

@@ -245,6 +245,13 @@ class PlatformModel : public SymbolicModel {
   int n_links_;
 };
 
+// A model without configuration, shared by every graph that uses it.
+template <typename Model>
+std::shared_ptr<SymbolicModel> SharedModel() {
+  static const std::shared_ptr<SymbolicModel> model = std::make_shared<Model>();
+  return model;
+}
+
 }  // namespace
 
 bool Network::AddNode(Node node) {
@@ -373,13 +380,13 @@ symexec::SymGraph Network::BuildSymGraph() const {
     std::shared_ptr<SymbolicModel> model;
     switch (node.kind) {
       case NodeKind::kInternet:
-        model = std::make_shared<InternetModel>();
+        model = SharedModel<InternetModel>();
         break;
       case NodeKind::kClientSubnet:
         model = std::make_shared<ClientSubnetModel>(node.subnet);
         break;
       case NodeKind::kServer:
-        model = std::make_shared<ServerModel>();
+        model = SharedModel<ServerModel>();
         break;
       case NodeKind::kRouter: {
         std::vector<RouterModel::PortRoute> routes;
@@ -401,11 +408,11 @@ symexec::SymGraph Network::BuildSymGraph() const {
                                                             node.firewall_pinholes);
             break;
           case MiddleboxKind::kHttpOptimizer:
-            model = std::make_shared<HttpOptimizerModel>();
+            model = SharedModel<HttpOptimizerModel>();
             break;
           case MiddleboxKind::kWebCache:
           case MiddleboxKind::kPassthrough:
-            model = std::make_shared<PassthroughMiddleboxModel>();
+            model = SharedModel<PassthroughMiddleboxModel>();
             break;
         }
         break;
@@ -427,13 +434,14 @@ symexec::SymGraph Network::BuildSymGraph() const {
   }
 
   // Wire links: port i on a node leads to the i-th neighbor; the reverse edge
-  // enters the neighbor on the port that points back.
-  for (const Node& node : nodes_) {
-    int from = graph.FindNode(node.name);
+  // enters the neighbor on the port that points back. Graph ids follow the
+  // order of nodes_.
+  for (size_t from = 0; from < nodes_.size(); ++from) {
+    const Node& node = nodes_[from];
     for (size_t i = 0; i < node.neighbors.size(); ++i) {
-      int to = graph.FindNode(node.neighbors[i]);
+      int to = static_cast<int>(by_name_.at(node.neighbors[i]));
       int back_port = PortOf(node.neighbors[i], node.name);
-      graph.Connect(from, static_cast<int>(i), to, back_port);
+      graph.Connect(static_cast<int>(from), static_cast<int>(i), to, back_port);
     }
   }
   return graph;
