@@ -43,8 +43,8 @@ std::vector<std::string> ModuleNodeNames(const std::string& module_id,
   return names;
 }
 
-}  // namespace
-
+// Builds the fragment of `config`; nullptr and *error when it cannot be
+// modeled.
 std::shared_ptr<const ModuleFragment> BuildModuleFragment(const click::ConfigGraph& config,
                                                           std::string* error) {
   auto graph = symexec::BuildClickModel(config, error, /*embedded=*/true);
@@ -65,6 +65,8 @@ std::shared_ptr<const ModuleFragment> BuildModuleFragment(const click::ConfigGra
   }
   return fragment;
 }
+
+}  // namespace
 
 Controller::Controller(topology::Network network) : network_(std::move(network)) {}
 

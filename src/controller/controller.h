@@ -46,11 +46,6 @@ struct ModuleFragment {
   std::vector<int> exits;  // every ToNetfront
 };
 
-// Builds the fragment of `config`; nullptr and *error when it cannot be
-// modeled.
-std::shared_ptr<const ModuleFragment> BuildModuleFragment(const click::ConfigGraph& config,
-                                                          std::string* error);
-
 struct Deployment {
   std::string module_id;
   std::string client_id;

@@ -41,9 +41,12 @@ const SymGraph::Edge* SymGraph::Node::EdgeAt(int out_port) const {
     return nullptr;
   }
   size_t port = static_cast<size_t>(out_port);
-  const Edge* edge = port < kInlineEdges                          ? &edges[port]
-                     : port - kInlineEdges < more_edges.size() ? &more_edges[port - kInlineEdges]
-                                                                 : nullptr;
+  const Edge* edge = nullptr;
+  if (port < kInlineEdges) {
+    edge = &edges[port];
+  } else if (port - kInlineEdges < more_edges.size()) {
+    edge = &more_edges[port - kInlineEdges];
+  }
   return edge != nullptr && edge->to >= 0 ? edge : nullptr;
 }
 
