@@ -16,6 +16,10 @@
 //                    by the reach check.
 //   branching        An IPClassifier/Tee module on the 255-box scaling
 //                    topology.
+//   no_ingress       A module without a FromNetfront, requested by a third
+//                    party (rejected) and by the operator.
+//   restore          Journal replay: RestoreDeployment with and without
+//                    re-verification, next to a fresh deploy.
 //
 // A mismatch writes the rendering to <name>.actual.txt in the test's working
 // directory; copy it over tests/golden/verify/<name>.txt only when the change
@@ -72,8 +76,11 @@ void RenderOutcome(const DeployOutcome& outcome, std::ostringstream* out) {
 void RenderDeployments(const Controller& controller, std::ostringstream* out) {
   for (const Deployment& dep : controller.deployments()) {
     *out << "deployment " << dep.module_id << " on " << dep.platform << " at "
-         << dep.addr.ToString() << " pinholes=" << dep.pinholes.size() << "\n"
-         << "  digest: " << dep.path_digest << "\n";
+         << dep.addr.ToString() << " pinholes=" << dep.pinholes.size() << "\n";
+    for (const FlowSpec& pinhole : dep.pinholes) {
+      *out << "  pinhole: " << pinhole.ToString() << "\n";
+    }
+    *out << "  digest: " << dep.path_digest << "\n";
   }
 }
 
@@ -294,6 +301,64 @@ TEST(VerifyGolden, BranchingOnScalingTopology) {
                &out);
   RenderModule(tee, RequesterClass::kThirdParty, Ipv4Address::MustParse("172.16.3.11"), &out);
   ExpectGolden("branching", out.str());
+}
+
+TEST(VerifyGolden, ModuleWithoutIngress) {
+  std::ostringstream out;
+  const char* config =
+      "Counter() -> IPRewriter(pattern - - 10.10.0.5 - 0 0) -> ToNetfront();";
+  Controller controller(topology::Network::MakeFigure3());
+  RenderOutcome(controller.Deploy(Request("tp", RequesterClass::kThirdParty, config, "")), &out);
+  RenderOutcome(controller.Deploy(Request("op", RequesterClass::kOperator, config, "")), &out);
+  RenderDeployments(controller, &out);
+  RenderModule(config, RequesterClass::kThirdParty, Ipv4Address::MustParse("172.16.3.10"), &out);
+  RenderModule(config, RequesterClass::kOperator, Ipv4Address::MustParse("172.16.3.10"), &out);
+  ExpectGolden("no_ingress", out.str());
+}
+
+TEST(VerifyGolden, RestoreWithAndWithoutReverify) {
+  std::ostringstream out;
+  Controller controller(topology::Network::MakeFigure3());
+  ASSERT_TRUE(controller.AddOperatorPolicy(kOperatorPolicy));
+  auto restore = [&](const ClientRequest& request, const std::string& module_id,
+                     const std::string& addr, bool reverify) {
+    std::string error;
+    bool ok = controller.RestoreDeployment(request, module_id, "platform3",
+                                           Ipv4Address::MustParse(addr), reverify, &error);
+    out << "restore " << module_id << " reverify=" << reverify << ": ok=" << ok
+        << " error: " << error << "\n";
+  };
+  restore(Request("batcher", RequesterClass::kClient, kBatcher,
+                  "reach from internet udp -> batcher:batcher:0 const payload && dst port -> "
+                  "client dst port 1500 const payload && proto && dst port"),
+          "batcher-m4", "172.16.3.13", /*reverify=*/true);
+  restore(Request("plain", RequesterClass::kThirdParty,
+                  "FromNetfront() -> IPFilter(allow udp dst port 2000) ->"
+                  " IPRewriter(pattern - - 10.10.0.6 - 0 0) -> ToNetfront();",
+                  "reach from internet udp -> client dst port 2000"),
+          "plain-m2", "172.16.3.11", /*reverify=*/false);
+  // Replaying an applied entry again is a no-op success.
+  restore(Request("plain", RequesterClass::kThirdParty, "garbage", ""), "plain-m2",
+          "172.16.3.11", /*reverify=*/true);
+  restore(Request("lost", RequesterClass::kClient,
+                  "FromNetfront() -> IPFilter(allow udp dst port 2001) ->"
+                  " IPRewriter(pattern - - 10.10.0.5 - 0 0) -> ToNetfront();",
+                  "reach from internet udp -> client dst port 9000"),
+          "lost-m5", "172.16.3.14", /*reverify=*/true);
+  restore(Request("spoofer", RequesterClass::kThirdParty,
+                  "FromNetfront() -> IPRewriter(pattern 6.6.6.6 - 10.10.0.5 - 0 0) ->"
+                  " ToNetfront();",
+                  ""),
+          "spoofer-m6", "172.16.3.15", /*reverify=*/false);
+  RenderDeployments(controller, &out);
+  // The next fresh module id skips the sequence numbers restored ids embed.
+  RenderOutcome(controller.Deploy(Request(
+                    "fresh", RequesterClass::kClient,
+                    "FromNetfront() -> IPFilter(allow udp dst port 2002) ->"
+                    " IPRewriter(pattern - - 10.10.0.5 - 0 0) -> ToNetfront();",
+                    "reach from internet udp -> client dst port 2002")),
+                &out);
+  ExpectGolden("restore", out.str());
 }
 
 }  // namespace
