@@ -122,9 +122,10 @@ class Controller {
   // verified and placed, keeping its original module id and address so the
   // controller's belief matches what is actually running on the fleet.
   // Idempotent — if the module id is already committed this is a no-op
-  // success. Security checks (and pinhole derivation) always rerun, since
-  // they are cheap and decide sandboxing; the full symbolic re-verification
-  // only runs with `reverify` (used when the journal state is ambiguous).
+  // success. The module is always explored again, since that is cheap and
+  // decides sandboxing, pinholes and the path digest; the operator-policy and
+  // requirement checks only run with `reverify` (used when the journal state
+  // is ambiguous).
   bool RestoreDeployment(const ClientRequest& request, const std::string& module_id,
                          const std::string& platform, Ipv4Address addr, bool reverify,
                          std::string* error);
@@ -161,12 +162,28 @@ class Controller {
 
  private:
   std::optional<Ipv4Address> NextAddress(const topology::Node& platform) const;
-  // A trial deployment of `request` at `addr` on `platform`: the parsed
-  // config, the pinholes the request's whitelist authorizes, and the module's
-  // fragment. nullopt and *error when the config does not parse.
-  std::optional<Deployment> MakeTrial(const ClientRequest& request, const std::string& module_id,
-                                      const std::string& platform, Ipv4Address addr,
-                                      std::string* error) const;
+  // A placement under verification and its security report.
+  struct Trial {
+    Deployment deployment;
+    SecurityReport security;
+  };
+  // The trial deployment of `request` as `module_id` at `addr` on
+  // `platform`. Its config is modeled and explored once; the security
+  // report, the pinholes the request's whitelist authorizes, the path digest
+  // and the fragment are all read from that exploration. nullopt and *error
+  // ("bad configuration: ...") when the config does not parse or cannot be
+  // modeled.
+  std::optional<Trial> MakeTrial(const ClientRequest& request, const std::string& module_id,
+                                 const std::string& platform, Ipv4Address addr,
+                                 std::string* error) const;
+  // The checks Deploy and RestoreDeployment share: builds the verification
+  // graph with the trial, then checks the security verdict, the operator
+  // policy and `client_specs`. Without `client_specs` only the verdict is
+  // checked and no graph is built. Adds the work done to *outcome (timings,
+  // engine steps, the security report) and *graph_nodes; false and *failure
+  // when a check fails.
+  bool CheckTrial(const Trial& trial, const std::vector<policy::ReachSpec>* client_specs,
+                  DeployOutcome* outcome, uint64_t* graph_nodes, std::string* failure);
   void Commit(Deployment deployment);
   // Rebuilds the module-id and address indexes from deployments_.
   void Reindex();

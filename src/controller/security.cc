@@ -2,15 +2,9 @@
 
 #include <sstream>
 
-#include "src/symexec/click_models.h"
-#include "src/symexec/engine.h"
-
 namespace innet::controller {
 
-using symexec::Engine;
-using symexec::EngineResult;
 using innet::HeaderField;
-using symexec::kPortInject;
 using symexec::SymbolicPacket;
 using symexec::SymbolicValue;
 using symexec::ValueSet;
@@ -165,8 +159,8 @@ std::string SecurityReport::Summary() const {
   return out.str();
 }
 
-SecurityReport CheckModuleSecurity(const click::ConfigGraph& config,
-                                   const SecurityOptions& options, std::string* error) {
+SecurityReport ClassifyModuleFlows(const symexec::ModuleExploration& exploration,
+                                   const SecurityOptions& options) {
   SecurityReport report;
   if (options.requester == RequesterClass::kOperator) {
     // The operator trusts its own modules; static analysis is only used for
@@ -174,46 +168,29 @@ SecurityReport CheckModuleSecurity(const click::ConfigGraph& config,
     report.verdict = Verdict::kSafe;
     return report;
   }
-
-  auto graph = symexec::BuildClickModel(config, error);
-  if (!graph) {
-    report.verdict = Verdict::kRejected;
-    report.findings.push_back("cannot model configuration: " + *error);
-    return report;
-  }
-
-  std::vector<std::string> sources = symexec::ModuleSources(config);
-  if (sources.empty()) {
+  if (exploration.sources.empty()) {
     report.verdict = Verdict::kRejected;
     report.findings.push_back("configuration has no FromNetfront ingress");
     return report;
   }
 
-  for (const std::string& source : sources) {
-    int start = graph->FindNode(source);
-    Engine engine;
-    SymbolicPacket seed = SymbolicPacket::MakeUnconstrained(engine.vars());
-    EngineResult result = engine.Run(*graph, start, kPortInject, std::move(seed));
-    for (const SymbolicPacket& packet : result.delivered) {
-      Classification src = ClassifySource(packet, options);
-      Classification dst = ClassifyDestination(packet, options);
-      Severity severity = src.severity > dst.severity ? src.severity : dst.severity;
-      const std::string& reason = src.severity >= dst.severity ? src.reason : dst.reason;
-      switch (severity) {
-        case kOk:
-          ++report.compliant_paths;
-          break;
-        case kConditional:
-          ++report.conditional_paths;
-          report.findings.push_back("conditional flow at " + packet.delivered_at() + ": " +
-                                    reason);
-          break;
-        case kViolation:
-          ++report.violating_paths;
-          report.findings.push_back("violating flow at " + packet.delivered_at() + ": " +
-                                    reason);
-          break;
-      }
+  for (const SymbolicPacket& packet : exploration.delivered) {
+    Classification src = ClassifySource(packet, options);
+    Classification dst = ClassifyDestination(packet, options);
+    Severity severity = src.severity > dst.severity ? src.severity : dst.severity;
+    const std::string& reason = src.severity >= dst.severity ? src.reason : dst.reason;
+    switch (severity) {
+      case kOk:
+        ++report.compliant_paths;
+        break;
+      case kConditional:
+        ++report.conditional_paths;
+        report.findings.push_back("conditional flow at " + packet.delivered_at() + ": " + reason);
+        break;
+      case kViolation:
+        ++report.violating_paths;
+        report.findings.push_back("violating flow at " + packet.delivered_at() + ": " + reason);
+        break;
     }
   }
 
@@ -227,45 +204,15 @@ SecurityReport CheckModuleSecurity(const click::ConfigGraph& config,
   return report;
 }
 
-std::vector<FlowSpec> DeriveEgressPinholes(const click::ConfigGraph& config,
-                                           std::string* error) {
-  std::vector<FlowSpec> pinholes;
-  auto graph = symexec::BuildClickModel(config, error);
-  if (!graph) {
-    return pinholes;
+SecurityReport CheckModuleSecurity(const click::ConfigGraph& config,
+                                   const SecurityOptions& options, std::string* error) {
+  std::optional<symexec::ModuleExploration> exploration = symexec::ExploreModule(config, error);
+  if (!exploration) {
+    SecurityReport report;
+    report.findings.push_back("cannot model configuration: " + *error);
+    return report;
   }
-  for (const std::string& source : symexec::ModuleSources(config)) {
-    Engine engine;
-    SymbolicPacket seed = SymbolicPacket::MakeUnconstrained(engine.vars());
-    EngineResult result = engine.Run(*graph, graph->FindNode(source), kPortInject, seed);
-    for (const SymbolicPacket& packet : result.delivered) {
-      ValueSet dst = packet.PossibleValues(HeaderField::kIpDst);
-      if (!dst.IsSingle()) {
-        continue;  // runtime-decided destination: nothing precise to open
-      }
-      std::string text =
-          "dst host " + Ipv4Address(static_cast<uint32_t>(dst.SingleValue())).ToString();
-      ValueSet proto = packet.PossibleValues(HeaderField::kProto);
-      if (proto.IsSingle()) {
-        uint64_t p = proto.SingleValue();
-        if (p == kProtoTcp) {
-          text = "tcp " + text;
-        } else if (p == kProtoUdp) {
-          text = "udp " + text;
-        } else if (p == kProtoIcmp) {
-          text = "icmp " + text;
-        }
-      }
-      ValueSet port = packet.PossibleValues(HeaderField::kDstPort);
-      if (port.IsSingle()) {
-        text += " dst port " + std::to_string(port.SingleValue());
-      }
-      if (auto spec = FlowSpec::Parse(text)) {
-        pinholes.push_back(std::move(*spec));
-      }
-    }
-  }
-  return pinholes;
+  return ClassifyModuleFlows(*exploration, options);
 }
 
 }  // namespace innet::controller

@@ -4,8 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "src/symexec/click_models.h"
-#include "src/symexec/engine.h"
 #include "src/symexec/symbolic_packet.h"
 
 namespace innet::symexec {
@@ -48,46 +46,39 @@ uint64_t AddPrefixes(const SymbolicPacket& packet, const std::vector<bool>& endp
 
 }  // namespace
 
-obs::IntPathDigest ComputePathDigest(const click::ConfigGraph& config) {
-  obs::IntPathDigest digest;
-  std::string error;
-  // embedded=false: ToNetfront stays a delivery sink, so "delivered" below
-  // means "left the module through a declared egress" — the exact event the
-  // runtime completes an egress postcard on.
-  auto model = BuildClickModel(config, &error, /*embedded=*/false);
-  if (!model) {
-    return digest;  // unbuildable configs never deploy; nothing to attest
-  }
+obs::IntPathDigest ComputePathDigest(const click::ConfigGraph& config,
+                                     const ModuleExploration& exploration) {
   // Node i of the model is element i of the config.
   std::vector<bool> endpoint;
   endpoint.reserve(config.elements.size());
   for (const click::ElementDecl& decl : config.elements) {
     endpoint.push_back(IsEndpointClass(decl.class_name));
   }
-
+  // ToNetfront is a delivery sink in the explored model, so "delivered"
+  // means "left the module through a declared egress" — the exact event the
+  // runtime completes an egress postcard on.
   std::set<uint64_t> full;
   std::set<uint64_t> prefixes;
-  for (const std::string& source : ModuleSources(config)) {
-    int start = model->FindNode(source);
-    if (start < 0) {
-      continue;
-    }
-    Engine engine;
-    EngineResult result =
-        engine.Run(*model, start, 0, SymbolicPacket::MakeUnconstrained(engine.vars()));
-    if (result.truncated) {
-      digest.truncated = true;
-    }
-    for (const SymbolicPacket& packet : result.delivered) {
-      full.insert(AddPrefixes(packet, endpoint, &prefixes));
-    }
-    for (const SymbolicPacket& packet : result.dropped) {
-      AddPrefixes(packet, endpoint, &prefixes);
-    }
+  for (const SymbolicPacket& packet : exploration.delivered) {
+    full.insert(AddPrefixes(packet, endpoint, &prefixes));
   }
+  for (const SymbolicPacket& packet : exploration.dropped) {
+    AddPrefixes(packet, endpoint, &prefixes);
+  }
+  obs::IntPathDigest digest;
+  digest.truncated = exploration.truncated;
   digest.full_paths.assign(full.begin(), full.end());
   digest.prefixes.assign(prefixes.begin(), prefixes.end());
   return digest;
+}
+
+obs::IntPathDigest ComputePathDigest(const click::ConfigGraph& config) {
+  std::string error;
+  std::optional<ModuleExploration> exploration = ExploreModule(config, &error);
+  if (!exploration) {
+    return {};  // unbuildable configs never deploy; nothing to attest
+  }
+  return ComputePathDigest(config, *exploration);
 }
 
 obs::IntPathDigest ComputePathDigestFromText(const std::string& config_text) {

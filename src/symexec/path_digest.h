@@ -1,8 +1,8 @@
 // Verify-time path digests for runtime conformance attestation.
 //
 // At deploy time the controller symbolically executes the tenant's module
-// (SymNet-style, src/symexec/engine.h); this header turns that same
-// exploration into a compact IntPathDigest: the hash set of every complete
+// once (ExploreModule, src/symexec/click_models.h); this header turns that
+// same exploration into a compact IntPathDigest: the hash set of every complete
 // delivered element chain plus the hash set of every prefix of every path
 // (delivered or dropped). The runtime side (src/obs/int_telemetry.h) checks
 // sampled packets' in-band hop stacks against these sets — a delivered
@@ -20,14 +20,18 @@
 
 #include "src/click/config_parser.h"
 #include "src/obs/int_telemetry.h"
+#include "src/symexec/click_models.h"
 
 namespace innet::symexec {
 
-// Explores every module source with a fully unconstrained packet and folds
-// the resulting paths into a digest. `truncated` is set when the engine hit
-// its exploration budget (attestation is then skipped at runtime rather than
-// risking false violations). Returns an empty digest when the config has no
-// symbolic model or no sources.
+// Folds the paths of `exploration` (ExploreModule(config)) into a digest.
+// `truncated` is set when the engine hit its exploration budget (attestation
+// is then skipped at runtime rather than risking false violations).
+obs::IntPathDigest ComputePathDigest(const click::ConfigGraph& config,
+                                     const ModuleExploration& exploration);
+
+// Explores `config` and digests the result; an empty digest when the config
+// has no symbolic model.
 obs::IntPathDigest ComputePathDigest(const click::ConfigGraph& config);
 
 // Convenience overload from raw Click text; empty digest when unparseable.

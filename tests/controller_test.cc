@@ -4,6 +4,8 @@
 #include "src/controller/orchestrator.h"
 #include "src/controller/security.h"
 #include "src/controller/stock_modules.h"
+#include "src/obs/metrics.h"
+#include "src/symexec/path_digest.h"
 #include "src/topology/network.h"
 
 namespace innet::controller {
@@ -311,6 +313,72 @@ TEST_F(ControllerDeploy, BadRequirementSyntaxRejected) {
   request.requirements = "reach to the moon";
   DeployOutcome outcome = controller_.Deploy(request);
   EXPECT_FALSE(outcome.accepted);
+}
+
+// A config that parses but has no symbolic model is a bad configuration for
+// every requester class, the operator included: nothing of it was verified.
+TEST_F(ControllerDeploy, UnmodelableConfigRejectedForEveryRequester) {
+  for (const char* config : {"FromNetfront() -> IPFilter(bogus rule here) -> ToNetfront();",
+                             "FromNetfront() -> NoSuchElement() -> ToNetfront();"}) {
+    for (RequesterClass requester : {RequesterClass::kOperator, RequesterClass::kThirdParty}) {
+      SCOPED_TRACE(std::string(config) + " as " + std::string(RequesterClassName(requester)));
+      ClientRequest request;
+      request.client_id = "op";
+      request.requester = requester;
+      request.click_config = config;
+      DeployOutcome outcome = controller_.Deploy(request);
+      EXPECT_FALSE(outcome.accepted);
+      EXPECT_EQ(outcome.reason.rfind("bad configuration: ", 0), 0u) << outcome.reason;
+
+      std::string error;
+      EXPECT_FALSE(controller_.RestoreDeployment(request, "op-m7", "platform1",
+                                                 Ipv4Address::MustParse("192.168.1.10"),
+                                                 /*reverify=*/false, &error));
+      EXPECT_EQ(error.rfind("bad configuration: ", 0), 0u) << error;
+      EXPECT_TRUE(controller_.deployments().empty());
+    }
+  }
+}
+
+// Each candidate explores the module once, one engine run per source, and
+// the verdict, pinholes, path digest and fragment all read that run.
+TEST_F(ControllerDeploy, OneExplorationPerCandidate) {
+  ClientRequest request;
+  request.client_id = "two";
+  request.requester = RequesterClass::kClient;
+  request.click_config =
+      "a :: FromNetfront(); b :: FromNetfront(); out :: ToNetfront();"
+      "a -> IPFilter(allow udp dst port 1500) -> IPRewriter(pattern - - 10.10.0.5 - 0 0) -> out;"
+      "b -> IPFilter(allow tcp) -> IPRewriter(pattern - - 10.10.0.5 - 0 0) -> out;";
+  request.whitelist = {Ipv4Address::MustParse("10.10.0.5")};
+  request.pinned_platform = "platform3";
+  obs::Counter* runs = obs::Registry().GetCounter("innet_symexec_runs_total");
+  uint64_t before = runs->value();
+  DeployOutcome outcome = controller_.Deploy(request);
+  ASSERT_TRUE(outcome.accepted) << outcome.reason;
+  EXPECT_EQ(runs->value() - before, 2u);
+
+  const Deployment* dep = controller_.FindDeployment(outcome.module_id);
+  ASSERT_NE(dep, nullptr);
+  EXPECT_EQ(dep->pinholes.size(), 2u);
+  EXPECT_EQ(dep->path_digest, symexec::ComputePathDigest(dep->config).Encode());
+}
+
+// The committed fragment is the explored model with its exits forwarding:
+// run on its own, nothing is delivered and the packet falls off the exit.
+TEST_F(ControllerDeploy, FragmentExitsForward) {
+  DeployOutcome outcome = controller_.Deploy(BatcherRequest());
+  ASSERT_TRUE(outcome.accepted) << outcome.reason;
+  const ModuleFragment& fragment = *controller_.FindDeployment(outcome.module_id)->fragment;
+  ASSERT_EQ(fragment.exits.size(), 1u);
+  EXPECT_EQ(fragment.graph.NodeName(fragment.exits[0]), "dst");
+  symexec::Engine engine;
+  symexec::EngineResult result =
+      engine.Run(fragment.graph, fragment.entry, symexec::kPortInject,
+                 symexec::SymbolicPacket::MakeUnconstrained(engine.vars()));
+  EXPECT_TRUE(result.delivered.empty());
+  ASSERT_EQ(result.dropped.size(), 1u);
+  EXPECT_EQ(result.dropped[0].HopName(result.dropped[0].hop_count() - 1), "dst");
 }
 
 TEST_F(ControllerDeploy, TimingBreakdownPopulated) {

@@ -15,6 +15,7 @@
 //   --deploy               also run full placement on the topology
 //   --verbose              print per-flow findings
 //   --trace                print Figure-2-style symbolic traces per egress flow
+//                          (the flows the security verdict classified)
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -184,7 +185,12 @@ int main(int argc, char** argv) {
   options.module_addr = Ipv4Address::MustParse("172.16.3.10");
   options.whitelist = whitelist;
   options.owned_prefixes = owned;
-  SecurityReport report = CheckModuleSecurity(*parsed, options, &error);
+  auto exploration = symexec::ExploreModule(*parsed, &error);
+  if (!exploration) {
+    std::printf("verdict: REJECTED (cannot model configuration: %s)\n", error.c_str());
+    return 1;
+  }
+  SecurityReport report = ClassifyModuleFlows(*exploration, options);
   std::printf("security verdict (%s): %s\n",
               std::string(RequesterClassName(requester)).c_str(),
               report.Summary().c_str());
@@ -194,19 +200,12 @@ int main(int argc, char** argv) {
     }
   }
   if (trace) {
-    // Figure-2-style trace of every egress flow the checker explored.
-    auto model = symexec::BuildClickModel(*parsed, &error);
-    if (model) {
-      for (const std::string& source : symexec::ModuleSources(*parsed)) {
-        symexec::Engine engine;
-        auto result =
-            engine.Run(*model, model->FindNode(source), symexec::kPortInject,
-                       symexec::SymbolicPacket::MakeUnconstrained(engine.vars()));
-        for (size_t i = 0; i < result.delivered.size(); ++i) {
-          std::printf("\nsymbolic flow %zu (via %s):\n%s", i + 1, source.c_str(),
-                      symexec::RenderTrace(result.delivered[i]).c_str());
-        }
-      }
+    // Figure-2-style trace of every egress flow the verdict classified; a
+    // flow's first hop is the source it was injected at.
+    for (size_t i = 0; i < exploration->delivered.size(); ++i) {
+      const symexec::SymbolicPacket& flow = exploration->delivered[i];
+      std::printf("\nsymbolic flow %zu (via %s):\n%s", i + 1, flow.HopName(0).c_str(),
+                  symexec::RenderTrace(flow).c_str());
     }
   }
   if (report.verdict == Verdict::kRejected) {
