@@ -5,7 +5,10 @@
 # crash/restart races, so a clean run here is the "zero use-after-destroy"
 # acceptance check for the failure model; the chaos bench adds the
 # lossy-channel + controller-crash recovery paths, whose stale-continuation
-# teardown is exactly where a dangling quota guard would fire.
+# teardown is exactly where a dangling quota guard would fire. The suite's
+# fuzz_test feeds a few thousand seeded mutations of tenant input (Click
+# configs, flow specs, reach statements) through the parsers and the
+# security check, so the sanitizers see hostile input too.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"

@@ -1,6 +1,7 @@
 #include "src/click/config_parser.h"
 
 #include <cctype>
+#include <charconv>
 #include <sstream>
 #include <unordered_map>
 
@@ -209,6 +210,23 @@ class Parser {
     return true;
   }
 
+  // Parses the port number after a '['; false and *error when there is none
+  // or it does not fit an int.
+  bool ParsePort(int* port, std::string* error) {
+    const Token& token = Peek();
+    if (token.kind != TokenKind::kNumber) {
+      *error = "expected port number after '['";
+      return false;
+    }
+    const char* end = token.text.data() + token.text.size();
+    if (std::from_chars(token.text.data(), end, *port).ec != std::errc()) {
+      *error = "port number " + token.text + " out of range";
+      return false;
+    }
+    ++pos_;
+    return true;
+  }
+
   // Parses one endpoint of a connection chain. On success sets *name, and
   // *in_port / *out_port when the [n] syntax is present.
   bool ParseEndpoint(std::string* name, int* in_port, int* out_port, std::string* error) {
@@ -216,12 +234,9 @@ class Parser {
     *out_port = 0;
     if (Peek().kind == TokenKind::kLBracket) {
       ++pos_;
-      if (Peek().kind != TokenKind::kNumber) {
-        *error = "expected port number after '['";
+      if (!ParsePort(in_port, error)) {
         return false;
       }
-      *in_port = std::stoi(Peek().text);
-      ++pos_;
       if (!Expect(TokenKind::kRBracket, "']'", error)) {
         return false;
       }
@@ -275,12 +290,9 @@ class Parser {
 
     if (Peek().kind == TokenKind::kLBracket) {
       ++pos_;
-      if (Peek().kind != TokenKind::kNumber) {
-        *error = "expected port number after '['";
+      if (!ParsePort(out_port, error)) {
         return false;
       }
-      *out_port = std::stoi(Peek().text);
-      ++pos_;
       if (!Expect(TokenKind::kRBracket, "']'", error)) {
         return false;
       }
