@@ -50,17 +50,6 @@ const SymGraph::Edge* SymGraph::Node::EdgeAt(int out_port) const {
   return edge != nullptr && edge->to >= 0 ? edge : nullptr;
 }
 
-bool SymGraph::ConnectByName(const std::string& from, int out_port, const std::string& to,
-                             int in_port) {
-  int f = FindNode(from);
-  int t = FindNode(to);
-  if (f < 0 || t < 0) {
-    return false;
-  }
-  Connect(f, out_port, t, in_port);
-  return true;
-}
-
 int SymGraph::FindNode(const std::string& name) const {
   if (names_ != nullptr) {
     for (size_t id = 0; id < names_->size(); ++id) {
