@@ -37,21 +37,20 @@ std::vector<std::string> ModuleNodeNames(const std::string& module_id,
 }
 
 // The fragment the verification graph embeds: the explored model with each
-// exit's sink turned into a pass-through, whose output 0 the controller wires
+// exit's sink turned into a pass-through, whose output 0 the network wires
 // back into the hosting platform.
-std::shared_ptr<const ModuleFragment> MakeFragment(const click::ConfigGraph& config,
-                                                   symexec::ModuleExploration exploration) {
-  auto fragment = std::make_shared<ModuleFragment>();
+std::shared_ptr<const topology::ModuleFragment> MakeFragment(
+    symexec::ModuleExploration exploration) {
+  auto fragment = std::make_shared<topology::ModuleFragment>();
   fragment->graph = std::move(exploration.graph);
   if (!exploration.sources.empty()) {
     fragment->entry = exploration.sources[0];
   }
   auto passthrough = std::make_shared<symexec::PassthroughModel>();
-  for (const std::string& sink : symexec::ModuleSinks(config)) {
-    int exit = fragment->graph.FindNode(sink);
+  for (int exit : exploration.sinks) {
     fragment->graph.SetModel(exit, passthrough);
-    fragment->exits.push_back(exit);
   }
+  fragment->exits = std::move(exploration.sinks);
   return fragment;
 }
 
@@ -186,7 +185,7 @@ std::optional<Controller::Trial> Controller::MakeTrial(const ClientRequest& requ
   dep.sandboxed = trial.security.verdict == Verdict::kNeedsSandbox;
   dep.pinholes = AuthorizedPinholes(*exploration, request.whitelist);
   dep.path_digest = symexec::ComputePathDigest(*config, *exploration).Encode();
-  dep.fragment = MakeFragment(*config, std::move(*exploration));
+  dep.fragment = MakeFragment(std::move(*exploration));
   dep.config = std::move(*config);
   dep.config_text = std::move(config_text);
   return trial;
@@ -194,7 +193,7 @@ std::optional<Controller::Trial> Controller::MakeTrial(const ClientRequest& requ
 
 bool Controller::CheckTrial(const Trial& trial, const std::vector<ReachSpec>* client_specs,
                             DeployOutcome* outcome, uint64_t* graph_nodes,
-                            std::string* failure) {
+                            std::string* failure) const {
   // The graph is built before the verdict is read, so a candidate the
   // security rules reject still counts its graph as verification work.
   std::optional<SymGraph> graph;
@@ -228,63 +227,27 @@ bool Controller::CheckTrial(const Trial& trial, const std::vector<ReachSpec>* cl
 }
 
 symexec::SymGraph Controller::BuildVerificationGraph(const Deployment* trial,
-                                                     std::string* error) {
-  // Attach every committed module plus the trial one, then merge their
-  // fragments.
-  network_.ClearAttachments();
-  network_.ClearFirewallPinholes();
-  std::vector<const Deployment*> all;
-  all.reserve(deployments_.size() + 1);
+                                                     std::string* error) const {
+  // Every committed module, then the trial one: that order numbers their
+  // ports on each platform.
+  std::vector<topology::ModuleAttachment> modules;
+  std::vector<FlowSpec> pinholes;
+  modules.reserve(deployments_.size() + 1);
+  auto attach = [&](const Deployment& dep) {
+    if (dep.fragment == nullptr) {
+      // Only a Deployment made outside MakeTrial can lack one.
+      *error = "module " + dep.module_id + " has no symbolic model";
+    }
+    modules.push_back({dep.module_id, dep.platform, dep.addr, dep.fragment.get()});
+    pinholes.insert(pinholes.end(), dep.pinholes.begin(), dep.pinholes.end());
+  };
   for (const Deployment& dep : deployments_) {
-    all.push_back(&dep);
+    attach(dep);
   }
   if (trial != nullptr) {
-    all.push_back(trial);
+    attach(*trial);
   }
-  for (const Deployment* dep : all) {
-    for (const FlowSpec& pinhole : dep->pinholes) {
-      network_.AddFirewallPinhole(pinhole);
-    }
-  }
-  for (const Deployment* dep : all) {
-    network_.AttachModule({dep->platform, dep->addr});
-  }
-
-  SymGraph graph = network_.BuildSymGraph();
-  for (const Deployment* dep : all) {
-    if (dep->fragment == nullptr) {
-      *error = "module " + dep->module_id + " has no symbolic model";
-      continue;  // only a Deployment made outside MakeTrial can lack one
-    }
-    const ModuleFragment& fragment = *dep->fragment;
-    int offset = graph.Merge(fragment.graph, dep->module_id);
-
-    // Wire the platform switch to the module. The platform's module ports
-    // start after its physical links, in attachment order.
-    const topology::Node* platform = network_.Find(dep->platform);
-    int platform_id = graph.FindNode(dep->platform);
-    if (platform == nullptr || platform_id < 0) {
-      continue;
-    }
-    int module_port = static_cast<int>(platform->neighbors.size());
-    for (const auto& att : network_.attachments()) {
-      if (att.platform == dep->platform) {
-        if (att.addr == dep->addr) {
-          break;
-        }
-        ++module_port;
-      }
-    }
-    if (fragment.entry >= 0) {
-      graph.Connect(platform_id, module_port, offset + fragment.entry, 0);
-    }
-    // Every module egress returns to the platform on the module's port.
-    for (int exit : fragment.exits) {
-      graph.Connect(offset + exit, 0, platform_id, module_port);
-    }
-  }
-  network_.ClearAttachments();
-  return graph;
+  return network_.BuildSymGraph(modules, std::move(pinholes));
 }
 
 policy::NodeResolver Controller::MakeResolver(const Deployment* trial) const {

@@ -37,15 +37,6 @@ struct ClientRequest {
   std::string pinned_platform;
 };
 
-// A module's symbolic model in the form the verification graph embeds (its
-// ToNetfront elements forward back into the platform), with the ids of its
-// ingress and egress nodes.
-struct ModuleFragment {
-  symexec::SymGraph graph;
-  int entry = -1;          // the first FromNetfront; -1 when there is none
-  std::vector<int> exits;  // every ToNetfront
-};
-
 struct Deployment {
   std::string module_id;
   std::string client_id;
@@ -64,7 +55,7 @@ struct Deployment {
   std::string path_digest;
   // Built once, when the deployment is verified or restored; every later
   // verification graph merges it instead of modeling the config again.
-  std::shared_ptr<const ModuleFragment> fragment;
+  std::shared_ptr<const topology::ModuleFragment> fragment;
 };
 
 struct DeployOutcome {
@@ -150,9 +141,10 @@ class Controller {
   void set_verify_cost_model(VerifyCostModel model) { verify_cost_ = model; }
   const VerifyCostModel& verify_cost_model() const { return verify_cost_; }
 
-  // Builds the verification graph for the current network plus all committed
-  // deployments (and optionally one trial module). Exposed for tests.
-  symexec::SymGraph BuildVerificationGraph(const Deployment* trial, std::string* error);
+  // Builds the verification graph for the network plus all committed
+  // deployments (and optionally one trial module after them). Exposed for
+  // tests.
+  symexec::SymGraph BuildVerificationGraph(const Deployment* trial, std::string* error) const;
 
   // Resolves reach-language node specs against the current graph; `trial`
   // names the module whose elements "module:element" refs resolve into. The
@@ -183,7 +175,7 @@ class Controller {
   // engine steps, the security report) and *graph_nodes; false and *failure
   // when a check fails.
   bool CheckTrial(const Trial& trial, const std::vector<policy::ReachSpec>* client_specs,
-                  DeployOutcome* outcome, uint64_t* graph_nodes, std::string* failure);
+                  DeployOutcome* outcome, uint64_t* graph_nodes, std::string* failure) const;
   void Commit(Deployment deployment);
   // Rebuilds the module-id and address indexes from deployments_.
   void Reindex();
@@ -195,7 +187,7 @@ class Controller {
   // Deploy exit path.
   void RecordDeployMetrics(DeployOutcome* outcome, uint64_t graph_nodes) const;
 
-  topology::Network network_;
+  const topology::Network network_;
   std::vector<Deployment> deployments_;
   // Indexes into deployments_; on a shared address, the first in commit order.
   std::unordered_map<std::string, size_t> by_module_;

@@ -24,11 +24,9 @@ namespace innet::symexec {
 // malformed, or a connection uses a port the element does not have.
 std::optional<SymGraph> BuildClickModel(const click::ConfigGraph& config, std::string* error);
 
-// Names of the FromNetfront elements in `config` — the module's ingress
-// points where the controller injects symbolic packets.
+// Names of the FromNetfront and FromDevice elements in `config` — the
+// module's ingress points where the controller injects symbolic packets.
 std::vector<std::string> ModuleSources(const click::ConfigGraph& config);
-// Names of the ToNetfront elements — the module's egress points.
-std::vector<std::string> ModuleSinks(const click::ConfigGraph& config);
 
 // One symbolic exploration of a module on its own: its standalone model
 // and every path a fully unconstrained packet takes from each of its
@@ -37,6 +35,7 @@ std::vector<std::string> ModuleSinks(const click::ConfigGraph& config);
 struct ModuleExploration {
   SymGraph graph;            // BuildClickModel(config): node i is element i
   std::vector<int> sources;  // FromNetfront/FromDevice node ids, in config order
+  std::vector<int> sinks;    // ToNetfront/ToDevice node ids, in config order
   // Packets that left through a ToNetfront/ToDevice, and packets dropped
   // inside the module, each grouped by source in `sources` order.
   std::vector<SymbolicPacket> delivered;

@@ -129,7 +129,8 @@ class RouterModel : public SymbolicModel {
 // state folded into the packet so the engine stays oblivious to flow order).
 class StatefulFirewallModel : public SymbolicModel {
  public:
-  StatefulFirewallModel(const std::vector<uint8_t>& protos, std::vector<FlowSpec> pinholes)
+  StatefulFirewallModel(const std::vector<uint8_t>& protos,
+                        std::shared_ptr<const std::vector<FlowSpec>> pinholes)
       : pinholes_(std::move(pinholes)) {
     for (uint8_t proto : protos) {
       allowed_protos_ = allowed_protos_.Union(ValueSet::Single(proto));
@@ -158,7 +159,7 @@ class StatefulFirewallModel : public SymbolicModel {
     // ...or matching a controller-installed pinhole (explicit authorization).
     // A pinhole the packet cannot match yields no branch, so it is skipped
     // before anything is copied.
-    for (const FlowSpec& pinhole : pinholes_) {
+    for (const FlowSpec& pinhole : *pinholes_) {
       if (packet.CanMatchFlowSpec(pinhole)) {
         symexec::EmitFlowSpecBranches(ctx, packet, pinhole, 0, out);
       }
@@ -167,7 +168,8 @@ class StatefulFirewallModel : public SymbolicModel {
 
  private:
   ValueSet allowed_protos_;
-  std::vector<FlowSpec> pinholes_;
+  // Shared by every firewall of one graph.
+  std::shared_ptr<const std::vector<FlowSpec>> pinholes_;
 };
 
 // HTTP optimizer: may rewrite payloads of port-80 TCP traffic in either
@@ -317,21 +319,6 @@ std::vector<const Node*> Network::ClientSubnets() const {
   return result;
 }
 
-void Network::AddFirewallPinhole(const FlowSpec& pinhole) {
-  for (Node& node : nodes_) {
-    if (node.kind == NodeKind::kMiddlebox &&
-        node.middlebox == MiddleboxKind::kStatefulFirewall) {
-      node.firewall_pinholes.push_back(pinhole);
-    }
-  }
-}
-
-void Network::ClearFirewallPinholes() {
-  for (Node& node : nodes_) {
-    node.firewall_pinholes.clear();
-  }
-}
-
 const Node* Network::OwnerOf(Ipv4Address addr) const {
   for (const Node& node : nodes_) {
     if (node.kind == NodeKind::kClientSubnet && node.subnet.Contains(addr)) {
@@ -373,10 +360,33 @@ int Network::HopDistance(const std::string& from, const std::string& to) const {
   return -1;
 }
 
-symexec::SymGraph Network::BuildSymGraph() const {
+symexec::SymGraph Network::BuildSymGraph(const std::vector<ModuleAttachment>& modules,
+                                         std::vector<FlowSpec> pinholes) const {
+  // The node each module attaches to (-1 when unknown) and its port there:
+  // the node's links come first, then one port per module in `modules`
+  // order.
+  struct Slot {
+    int node = -1;
+    int port = -1;
+  };
+  std::vector<Slot> slots(modules.size());
+  std::vector<std::vector<PlatformModel::ModulePort>> attached(nodes_.size());
+  for (size_t m = 0; m < modules.size(); ++m) {
+    auto it = by_name_.find(modules[m].platform);
+    if (it == by_name_.end()) {
+      continue;
+    }
+    std::vector<PlatformModel::ModulePort>& ports = attached[it->second];
+    slots[m] = {static_cast<int>(it->second),
+                static_cast<int>(nodes_[it->second].neighbors.size() + ports.size())};
+    ports.push_back({modules[m].addr.value(), slots[m].port});
+  }
+  auto shared_pinholes = std::make_shared<const std::vector<FlowSpec>>(std::move(pinholes));
+
   symexec::SymGraph graph;
 
-  for (const Node& node : nodes_) {
+  for (size_t i = 0; i < nodes_.size(); ++i) {
+    const Node& node = nodes_[i];
     std::shared_ptr<SymbolicModel> model;
     switch (node.kind) {
       case NodeKind::kInternet:
@@ -405,7 +415,7 @@ symexec::SymGraph Network::BuildSymGraph() const {
         switch (node.middlebox) {
           case MiddleboxKind::kStatefulFirewall:
             model = std::make_shared<StatefulFirewallModel>(node.allowed_outbound_protos,
-                                                            node.firewall_pinholes);
+                                                            shared_pinholes);
             break;
           case MiddleboxKind::kHttpOptimizer:
             model = SharedModel<HttpOptimizerModel>();
@@ -416,19 +426,10 @@ symexec::SymGraph Network::BuildSymGraph() const {
             break;
         }
         break;
-      case NodeKind::kPlatform: {
-        std::vector<PlatformModel::ModulePort> modules;
-        int next_port = static_cast<int>(node.neighbors.size());
-        for (const ModuleAttachment& att : attachments_) {
-          if (att.platform == node.name) {
-            modules.push_back({att.addr.value(), next_port});
-            ++next_port;
-          }
-        }
-        model = std::make_shared<PlatformModel>(std::move(modules),
+      case NodeKind::kPlatform:
+        model = std::make_shared<PlatformModel>(std::move(attached[i]),
                                                 static_cast<int>(node.neighbors.size()));
         break;
-      }
     }
     graph.AddNode(node.name, std::move(model));
   }
@@ -442,6 +443,26 @@ symexec::SymGraph Network::BuildSymGraph() const {
       int to = static_cast<int>(by_name_.at(node.neighbors[i]));
       int back_port = PortOf(node.neighbors[i], node.name);
       graph.Connect(static_cast<int>(from), static_cast<int>(i), to, back_port);
+    }
+  }
+
+  // Merge each module and wire it to its port: traffic for the module enters
+  // its entry, and every module egress returns to the platform on that port.
+  for (size_t m = 0; m < modules.size(); ++m) {
+    const ModuleFragment* fragment = modules[m].fragment;
+    if (fragment == nullptr) {
+      continue;
+    }
+    int offset = graph.Merge(fragment->graph, modules[m].id);
+    const Slot& slot = slots[m];
+    if (slot.node < 0) {
+      continue;
+    }
+    if (fragment->entry >= 0) {
+      graph.Connect(slot.node, slot.port, offset + fragment->entry, 0);
+    }
+    for (int exit : fragment->exits) {
+      graph.Connect(offset + exit, 0, slot.node, slot.port);
     }
   }
   return graph;

@@ -52,10 +52,6 @@ struct Node {
   // kMiddlebox parameters.
   MiddleboxKind middlebox = MiddleboxKind::kPassthrough;
   std::vector<uint8_t> allowed_outbound_protos;  // stateful firewall
-  // Inbound flows admitted without prior outbound state — the pinholes the
-  // controller installs when a customer explicitly authorizes traffic to its
-  // registered addresses (§2.1 explicit authorization).
-  std::vector<FlowSpec> firewall_pinholes;
   // Two-port middleboxes: the first link is the *inside* (client-facing)
   // port, the second the *outside*.
 
@@ -69,6 +65,28 @@ struct Node {
   std::vector<std::string> neighbors;
 };
 
+// A module's symbolic model in the form the verification graph embeds (its
+// ToNetfront elements forward back into the platform), with the ids of its
+// ingress and egress nodes.
+struct ModuleFragment {
+  symexec::SymGraph graph;
+  int entry = -1;          // the first FromNetfront; -1 when there is none
+  std::vector<int> exits;  // every ToNetfront
+};
+
+// A module (hypothetically) deployed on `platform` at `addr`, as
+// Network::BuildSymGraph embeds it. Its nodes are named "<id>/<element>".
+struct ModuleAttachment {
+  std::string id;
+  std::string platform;
+  Ipv4Address addr;
+  // Null: the platform still gets the module's port, but nothing is wired
+  // to it.
+  const ModuleFragment* fragment = nullptr;
+};
+
+// The network is immutable once built: the modules and firewall pinholes a
+// verification graph includes are arguments of BuildSymGraph.
 class Network {
  public:
   // Adds a node; returns false if the name already exists.
@@ -77,7 +95,6 @@ class Network {
   bool AddLink(const std::string& a, const std::string& b);
 
   const Node* Find(const std::string& name) const;
-  Node* FindMutable(const std::string& name);
   const std::vector<Node>& nodes() const { return nodes_; }
 
   // Port index of `neighbor` on `node`, or -1.
@@ -95,30 +112,17 @@ class Network {
   // CDN/DNS use cases).
   int HopDistance(const std::string& from, const std::string& to) const;
 
-  // Builds the symbolic graph for the whole network. Node names carry over.
-  // Platform nodes get a switch model that knows the modules deployed on them
-  // (registered via RegisterModuleAddress before building).
-  symexec::SymGraph BuildSymGraph() const;
-
-  // Declares that a module with address `addr` is (hypothetically) deployed
-  // on `platform`; the platform's switch model forwards dst==addr out of a
-  // module port (one per attachment, after the platform's links, in
-  // attachment order) and accepts returns on it. The controller wires those
-  // ports to the module's nodes to test placements before committing (§4.3).
-  struct ModuleAttachment {
-    std::string platform;
-    Ipv4Address addr;
-  };
-  void AttachModule(ModuleAttachment attachment) {
-    attachments_.push_back(std::move(attachment));
-  }
-  void ClearAttachments() { attachments_.clear(); }
-  const std::vector<ModuleAttachment>& attachments() const { return attachments_; }
-
-  // Installs/removes a pinhole on every stateful firewall (the controller
-  // calls this when a client authorizes inbound traffic to its addresses).
-  void AddFirewallPinhole(const FlowSpec& pinhole);
-  void ClearFirewallPinholes();
+  // Builds the symbolic graph for the whole network; node i is nodes()[i]
+  // and keeps its name. Each platform's switch model forwards dst==addr of
+  // every module attached to it out of that module's port: the platform's
+  // links come first, then one port per module, in `modules` order. Each
+  // module's fragment is merged after the network's nodes and wired to its
+  // port, so the controller can test placements before committing (§4.3).
+  // Every stateful firewall admits inbound flows matching `pinholes`: the
+  // ones the controller opens when a customer explicitly authorizes traffic
+  // to its registered addresses (§2.1).
+  symexec::SymGraph BuildSymGraph(const std::vector<ModuleAttachment>& modules = {},
+                                  std::vector<FlowSpec> pinholes = {}) const;
 
   // --- Canned topologies -------------------------------------------------------
   // The paper's Figure 3: internet -- border router -- {path A: nat&fw;
@@ -135,9 +139,10 @@ class Network {
   static Network MakeMultiPop(int pops);
 
  private:
+  Node* FindMutable(const std::string& name);
+
   std::vector<Node> nodes_;
   std::unordered_map<std::string, size_t> by_name_;
-  std::vector<ModuleAttachment> attachments_;
 };
 
 }  // namespace innet::topology

@@ -583,7 +583,9 @@ TEST(ClickModels, SourceAndSinkDiscovery) {
       &error);
   ASSERT_TRUE(config.has_value());
   EXPECT_EQ(ModuleSources(*config).size(), 2u);
-  EXPECT_EQ(ModuleSinks(*config).size(), 1u);
+  auto exploration = ExploreModule(*config, &error);
+  ASSERT_TRUE(exploration.has_value()) << error;
+  EXPECT_EQ(exploration->sinks.size(), 1u);
 }
 
 }  // namespace

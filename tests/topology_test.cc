@@ -142,15 +142,14 @@ TEST(NetworkModels, ScalingTopologySizeMatchesRequest) {
 
 TEST(NetworkModels, AttachmentsAffectPlatformModel) {
   Network net = Network::MakeMultiPop(1);
-  Network::ModuleAttachment att;
+  ModuleAttachment att;
   att.platform = "platform0";
   att.addr = Ipv4Address::MustParse("172.16.10.10");
-  net.AttachModule(att);
-  symexec::SymGraph graph = net.BuildSymGraph();
+  symexec::SymGraph graph = net.BuildSymGraph({att});
 
   // Traffic to the module address enters the platform's module port (wired
-  // by the controller; here unconnected, so the packet parks as dropped
-  // rather than delivered elsewhere).
+  // to the module's fragment; here there is none, so the packet parks as
+  // dropped rather than delivered elsewhere).
   Engine engine;
   SymbolicPacket seed = SymbolicPacket::MakeUnconstrained(engine.vars());
   std::vector<SymbolicPacket> branches = seed.ConstrainToFlowSpec(
