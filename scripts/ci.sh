@@ -24,6 +24,51 @@ step() {
   echo "==== ci: $1 ===="
 }
 
+# Runs build/bench/<bench> twice, then checks that BENCH_<bench>.json and every
+# extra dump is byte-identical across the two runs and that BENCH_<bench>.json
+# matches the committed snapshot.
+# Usage: bench_snapshot <bench> <title> <run-failure text> <run-diff qualifier>
+#                       <ok text> ["<extra dump file> (<what it is>)" ...]
+bench_snapshot() {
+  local bench="$1" title="$2" run_failure="$3" qualifier="$4" ok_text="$5"
+  shift 5
+  local snapshot="BENCH_$bench.json"
+  local dumps=("$snapshot" "$@")
+  local dump file run_ok=1
+  step "$title (determinism: two runs must be byte-identical)"
+  if [ ! -x "build/bench/$bench" ]; then
+    echo "ERROR: build/bench/$bench missing — build step failed?" >&2
+    fail=1
+    return
+  fi
+  (cd build/bench && "./$bench" >/dev/null) || run_ok=0
+  for dump in "${dumps[@]}"; do
+    file="${dump%% *}"
+    cp "build/bench/$file" "build/bench/${file%.json}.run1.json" 2>/dev/null
+  done
+  (cd build/bench && "./$bench" >/dev/null) || run_ok=0
+  if [ "$run_ok" -ne 1 ]; then
+    echo "ERROR: $bench $run_failure" >&2
+    fail=1
+    return
+  fi
+  for dump in "${dumps[@]}"; do
+    file="${dump%% *}"
+    if ! cmp -s "build/bench/$file" "build/bench/${file%.json}.run1.json"; then
+      echo "ERROR: $dump differs between two runs$qualifier" >&2
+      fail=1
+      return
+    fi
+  done
+  if ! cmp -s "build/bench/$snapshot" "$snapshot"; then
+    echo "ERROR: regenerated $snapshot differs from the committed snapshot" >&2
+    echo "       (if the change is intentional: cp build/bench/$snapshot .)" >&2
+    fail=1
+  else
+    echo "ok: $ok_text"
+  fi
+}
+
 step "tier-1 build"
 cmake -B build -S . || fail=1
 cmake --build build -j "$(nproc)" || fail=1
@@ -118,129 +163,20 @@ else
   fail=1
 fi
 
-step "control-plane chaos bench (determinism: two runs must be byte-identical)"
-if [ ! -x build/bench/control_chaos ]; then
-  echo "ERROR: build/bench/control_chaos missing — build step failed?" >&2
-  fail=1
-else
-  chaos_ok=1
-  (cd build/bench && ./control_chaos >/dev/null) || chaos_ok=0
-  cp build/bench/BENCH_control_chaos.json build/bench/BENCH_control_chaos.run1.json 2>/dev/null
-  (cd build/bench && ./control_chaos >/dev/null) || chaos_ok=0
-  if [ "$chaos_ok" -ne 1 ]; then
-    echo "ERROR: control_chaos reported a convergence failure" >&2
-    fail=1
-  elif ! cmp -s build/bench/BENCH_control_chaos.json build/bench/BENCH_control_chaos.run1.json; then
-    echo "ERROR: BENCH_control_chaos.json differs between two runs at the same seed" >&2
-    fail=1
-  elif ! cmp -s build/bench/BENCH_control_chaos.json BENCH_control_chaos.json; then
-    echo "ERROR: regenerated BENCH_control_chaos.json differs from the committed snapshot" >&2
-    echo "       (if the change is intentional: cp build/bench/BENCH_control_chaos.json .)" >&2
-    fail=1
-  else
-    echo "ok: control_chaos converged, byte-identical across runs, snapshot current"
-  fi
-fi
-
-step "dataplane profile bench (determinism: two runs must be byte-identical)"
-if [ ! -x build/bench/dataplane_profile ]; then
-  echo "ERROR: build/bench/dataplane_profile missing — build step failed?" >&2
-  fail=1
-else
-  dp_ok=1
-  (cd build/bench && ./dataplane_profile >/dev/null) || dp_ok=0
-  cp build/bench/BENCH_dataplane_profile.json build/bench/BENCH_dataplane_profile.run1.json 2>/dev/null
-  (cd build/bench && ./dataplane_profile >/dev/null) || dp_ok=0
-  if [ "$dp_ok" -ne 1 ]; then
-    echo "ERROR: dataplane_profile failed" >&2
-    fail=1
-  elif ! cmp -s build/bench/BENCH_dataplane_profile.json build/bench/BENCH_dataplane_profile.run1.json; then
-    echo "ERROR: BENCH_dataplane_profile.json differs between two runs at the same seed" >&2
-    fail=1
-  elif ! cmp -s build/bench/BENCH_dataplane_profile.json BENCH_dataplane_profile.json; then
-    echo "ERROR: regenerated BENCH_dataplane_profile.json differs from the committed snapshot" >&2
-    echo "       (if the change is intentional: cp build/bench/BENCH_dataplane_profile.json .)" >&2
-    fail=1
-  else
-    echo "ok: dataplane_profile byte-identical across runs, snapshot current"
-  fi
-fi
-
-step "placement scaling bench (determinism: two runs must be byte-identical)"
-if [ ! -x build/bench/placement_scaling ]; then
-  echo "ERROR: build/bench/placement_scaling missing — build step failed?" >&2
-  fail=1
-else
-  ps_ok=1
-  (cd build/bench && ./placement_scaling >/dev/null) || ps_ok=0
-  cp build/bench/BENCH_placement_scaling.json build/bench/BENCH_placement_scaling.run1.json 2>/dev/null
-  (cd build/bench && ./placement_scaling >/dev/null) || ps_ok=0
-  if [ "$ps_ok" -ne 1 ]; then
-    echo "ERROR: placement_scaling failed" >&2
-    fail=1
-  elif ! cmp -s build/bench/BENCH_placement_scaling.json build/bench/BENCH_placement_scaling.run1.json; then
-    echo "ERROR: BENCH_placement_scaling.json differs between two runs" >&2
-    fail=1
-  elif ! cmp -s build/bench/BENCH_placement_scaling.json BENCH_placement_scaling.json; then
-    echo "ERROR: regenerated BENCH_placement_scaling.json differs from the committed snapshot" >&2
-    echo "       (if the change is intentional: cp build/bench/BENCH_placement_scaling.json .)" >&2
-    fail=1
-  else
-    echo "ok: placement_scaling byte-identical across runs, snapshot current"
-  fi
-fi
-
-step "INT conformance bench (determinism: two runs must be byte-identical)"
-if [ ! -x build/bench/int_conformance ]; then
-  echo "ERROR: build/bench/int_conformance missing — build step failed?" >&2
-  fail=1
-else
-  int_ok=1
-  (cd build/bench && ./int_conformance >/dev/null) || int_ok=0
-  cp build/bench/BENCH_int_conformance.json build/bench/BENCH_int_conformance.run1.json 2>/dev/null
-  (cd build/bench && ./int_conformance >/dev/null) || int_ok=0
-  if [ "$int_ok" -ne 1 ]; then
-    echo "ERROR: int_conformance reported an attestation failure" >&2
-    fail=1
-  elif ! cmp -s build/bench/BENCH_int_conformance.json build/bench/BENCH_int_conformance.run1.json; then
-    echo "ERROR: BENCH_int_conformance.json differs between two runs at the same seed" >&2
-    fail=1
-  elif ! cmp -s build/bench/BENCH_int_conformance.json BENCH_int_conformance.json; then
-    echo "ERROR: regenerated BENCH_int_conformance.json differs from the committed snapshot" >&2
-    echo "       (if the change is intentional: cp build/bench/BENCH_int_conformance.json .)" >&2
-    fail=1
-  else
-    echo "ok: int_conformance attested clean/violated phases, byte-identical across runs, snapshot current"
-  fi
-fi
-
-step "federation failover bench (determinism: two runs must be byte-identical)"
-if [ ! -x build/bench/federation_failover ]; then
-  echo "ERROR: build/bench/federation_failover missing — build step failed?" >&2
-  fail=1
-else
-  fed_ok=1
-  (cd build/bench && ./federation_failover >/dev/null) || fed_ok=0
-  cp build/bench/BENCH_federation_failover.json build/bench/BENCH_federation_failover.run1.json 2>/dev/null
-  cp build/bench/BENCH_federation_failover_fleet.json build/bench/BENCH_federation_failover_fleet.run1.json 2>/dev/null
-  (cd build/bench && ./federation_failover >/dev/null) || fed_ok=0
-  if [ "$fed_ok" -ne 1 ]; then
-    echo "ERROR: federation_failover reported a convergence failure" >&2
-    fail=1
-  elif ! cmp -s build/bench/BENCH_federation_failover.json build/bench/BENCH_federation_failover.run1.json; then
-    echo "ERROR: BENCH_federation_failover.json differs between two runs at the same seed" >&2
-    fail=1
-  elif ! cmp -s build/bench/BENCH_federation_failover_fleet.json build/bench/BENCH_federation_failover_fleet.run1.json; then
-    echo "ERROR: BENCH_federation_failover_fleet.json (fleet observability dump) differs between two runs at the same seed" >&2
-    fail=1
-  elif ! cmp -s build/bench/BENCH_federation_failover.json BENCH_federation_failover.json; then
-    echo "ERROR: regenerated BENCH_federation_failover.json differs from the committed snapshot" >&2
-    echo "       (if the change is intentional: cp build/bench/BENCH_federation_failover.json .)" >&2
-    fail=1
-  else
-    echo "ok: federation_failover converged, byte-identical across runs (snapshot + fleet dump), snapshot current"
-  fi
-fi
+bench_snapshot control_chaos "control-plane chaos bench" \
+  "reported a convergence failure" " at the same seed" \
+  "control_chaos converged, byte-identical across runs, snapshot current"
+bench_snapshot dataplane_profile "dataplane profile bench" "failed" " at the same seed" \
+  "dataplane_profile byte-identical across runs, snapshot current"
+bench_snapshot placement_scaling "placement scaling bench" "failed" "" \
+  "placement_scaling byte-identical across runs, snapshot current"
+bench_snapshot int_conformance "INT conformance bench" \
+  "reported an attestation failure" " at the same seed" \
+  "int_conformance attested clean/violated phases, byte-identical across runs, snapshot current"
+bench_snapshot federation_failover "federation failover bench" \
+  "reported a convergence failure" " at the same seed" \
+  "federation_failover converged, byte-identical across runs (snapshot + fleet dump), snapshot current" \
+  "BENCH_federation_failover_fleet.json (fleet observability dump)"
 
 echo
 if [ "$fail" -ne 0 ]; then
