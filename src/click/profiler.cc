@@ -17,6 +17,12 @@ GraphProfiler::GraphProfiler(GraphProfilerConfig config,
       walk_sampler_(config_.sample_n, config_.seed),
       int_sampler_(config_.int_sample_n, config_.seed),
       chains_(1) {
+  if (config_.sample_n != 0) {
+    element_texts_.reserve(names_->elements.size());
+    for (const obs::ElementNameTable::Entry& entry : names_->elements) {
+      element_texts_.emplace_back(entry.name);
+    }
+  }
   RefreshIntTenants();
 }
 
@@ -57,10 +63,13 @@ void GraphProfiler::BeginWalk(uint64_t time_ns, Packet& packet) {
   walk_sampled_ = true;
   ++sampled_walks_;
   cursor_ns_ = time_ns;
-  walk_target_ = config_.walk_prefix.empty()
-                     ? "packet:" + std::to_string(walks_)
-                     : config_.walk_prefix + "/packet:" + std::to_string(walks_);
-  walk_span_ = obs::Tracer().Record(time_ns, obs::EventKind::kPacketIngress, walk_target_, "",
+  std::string target = config_.walk_prefix;
+  if (!target.empty()) {
+    target.push_back('/');
+  }
+  target.append("packet:").append(std::to_string(walks_));
+  walk_target_ = std::move(target);
+  walk_span_ = obs::Tracer().Record(time_ns, obs::EventKind::kPacketIngress, walk_target_, {},
                                     static_cast<int64_t>(packet.length()));
   obs::Tracer().PushSpan(walk_span_);
 }
@@ -88,7 +97,7 @@ void GraphProfiler::AppendIntHop(const Element& element, Packet& packet, int in_
 
 void GraphProfiler::OpenElementSpan(const Element& element, uint64_t cost) {
   uint64_t span = obs::Tracer().Record(cursor_ns_, obs::EventKind::kElementProcess, walk_target_,
-                                       element.name(), static_cast<int64_t>(cost));
+                                       element_texts_[element.id()], static_cast<int64_t>(cost));
   obs::Tracer().PushSpan(span);
   spans_.push_back(span);
   cursor_ns_ += cost;
@@ -102,7 +111,7 @@ void GraphProfiler::CloseElementSpan() {
   uint64_t span = spans_.back();
   spans_.pop_back();
   obs::Tracer().PopSpan();
-  obs::Tracer().Record(cursor_ns_, obs::EventKind::kSpanEnd, walk_target_, "", 0, span);
+  obs::Tracer().Record(cursor_ns_, obs::EventKind::kSpanEnd, walk_target_, {}, 0, span);
 }
 
 void GraphProfiler::NoteEgress(Packet& packet, uint64_t now_ns) {
@@ -120,9 +129,10 @@ void GraphProfiler::EndWalk() {
   // the chain visually right where the last element slice ends.
   obs::Tracer().Record(cursor_ns_,
                        egress_ ? obs::EventKind::kPacketEgress : obs::EventKind::kPacketDrop,
-                       walk_target_, egress_ ? "" : names_->elements[last_element_].name, 0);
+                       walk_target_, egress_ ? obs::EventText() : element_texts_[last_element_],
+                       0);
   obs::Tracer().PopSpan();
-  obs::Tracer().Record(cursor_ns_, obs::EventKind::kSpanEnd, walk_target_, "", 0, walk_span_);
+  obs::Tracer().Record(cursor_ns_, obs::EventKind::kSpanEnd, walk_target_, {}, 0, walk_span_);
   walk_sampled_ = false;
 }
 

@@ -23,7 +23,9 @@
 // In-band telemetry rides on the same walk: INT-sampled packets carry POD
 // hop records (element id, ports, queue depth, cost), and EmitPostcard hands
 // the IntCollector a postcard that names elements through the graph's
-// ElementNameTable. Unsampled walks allocate nothing.
+// ElementNameTable. Unsampled walks allocate nothing, and a sampled walk
+// allocates only its target text: every event of the walk shares that one
+// text, and element spans share a name text built once per element id.
 //
 // Determinism contract: sampling depends only on (seed, sample_n, packet
 // ordinal); timestamps mix only sim time and the deterministic element cost
@@ -42,6 +44,7 @@
 #include "src/click/element.h"
 #include "src/obs/int_telemetry.h"
 #include "src/obs/metrics.h"
+#include "src/obs/trace.h"
 
 namespace innet::click {
 
@@ -190,6 +193,9 @@ class GraphProfiler {
 
   GraphProfilerConfig config_;
   std::shared_ptr<const obs::ElementNameTable> names_;
+  // names_->elements[i].name as shared event text, for the span details of
+  // sampled walks; empty when walk sampling is off.
+  std::vector<obs::EventText> element_texts_;
   // Resolved int_tenant answers: the owner (slot -1) and one per entry of
   // names_->tenant_slots.
   std::string owner_tenant_;
@@ -208,7 +214,7 @@ class GraphProfiler {
   bool egress_ = false;
   uint64_t walk_span_ = 0;
   uint64_t cursor_ns_ = 0;     // synthetic clock: ingress time + costs so far
-  std::string walk_target_;
+  obs::EventText walk_target_;  // "<prefix>/packet:<ordinal>", one per sampled walk
   uint32_t last_element_ = 0;  // drop attribution for sampled walks
 };
 

@@ -14,8 +14,8 @@ void FlightRecorder::set_depth(size_t depth) {
   head_ = 0;
 }
 
-void FlightRecorder::Record(uint64_t time_ns, EventKind kind, std::string target,
-                            std::string detail, int64_t value) {
+void FlightRecorder::Record(uint64_t time_ns, EventKind kind, EventText target,
+                            EventText detail, int64_t value) {
   ++recorded_;
   FlightEvent event{time_ns, kind, std::move(target), std::move(detail), value};
   if (ring_.size() < depth_) {
@@ -119,9 +119,9 @@ json::Value FlightRecorder::ToJson() const {
       json::Value item = json::Value::Object();
       item.Set("t_ns", event.time_ns);
       item.Set("kind", EventKindName(event.kind));
-      item.Set("target", event.target);
+      item.Set("target", event.target.str());
       if (!event.detail.empty()) {
-        item.Set("detail", event.detail);
+        item.Set("detail", event.detail.str());
       }
       item.Set("value", event.value);
       events.Push(std::move(item));

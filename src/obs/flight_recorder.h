@@ -35,8 +35,8 @@ class MetricsRegistry;
 struct FlightEvent {
   uint64_t time_ns = 0;
   EventKind kind = EventKind::kVmBootStart;
-  std::string target;
-  std::string detail;
+  EventText target;
+  EventText detail;
   int64_t value = 0;
 };
 
@@ -78,8 +78,10 @@ class FlightRecorder {
   void set_depth(size_t depth);
   size_t depth() const { return depth_; }
 
-  // O(1), no allocation beyond the strings themselves. Always on.
-  void Record(uint64_t time_ns, EventKind kind, std::string target, std::string detail = "",
+  // O(1), and no allocation once the ring is full: the texts are shared,
+  // so a hot caller records a text it built once (a VM's "vm:<id>").
+  // Always on.
+  void Record(uint64_t time_ns, EventKind kind, EventText target, EventText detail = {},
               int64_t value = 0);
 
   // Ring contents, oldest first.

@@ -60,8 +60,13 @@ const char* EventKindName(EventKind kind) {
   return "unknown";
 }
 
-uint64_t EventTracer::Record(uint64_t time_ns, EventKind kind, std::string target,
-                             std::string detail, int64_t value, uint64_t parent) {
+const std::string& EventText::Empty() {
+  static const std::string* empty = new std::string();
+  return *empty;
+}
+
+uint64_t EventTracer::Record(uint64_t time_ns, EventKind kind, EventText target, EventText detail,
+                             int64_t value, uint64_t parent) {
   if (!enabled_) {
     return 0;
   }
@@ -87,9 +92,9 @@ json::Value EventTracer::ToJson() const {
     json::Value entry = json::Value::Object();
     entry.Set("t_ns", event.time_ns);
     entry.Set("kind", EventKindName(event.kind));
-    entry.Set("target", event.target);
+    entry.Set("target", event.target.str());
     if (!event.detail.empty()) {
-      entry.Set("detail", event.detail);
+      entry.Set("detail", event.detail.str());
     }
     entry.Set("value", event.value);
     entry.Set("span", event.span);
@@ -163,7 +168,7 @@ json::Value EventTracer::ToPerfettoJson() const {
     entry.Set("name", EventKindName(event.kind));
     entry.Set("cat", "innet");
     entry.Set("pid", static_cast<uint64_t>(1));
-    entry.Set("tid", tid_for(event.target));
+    entry.Set("tid", tid_for(event.target.str()));
     entry.Set("ts", static_cast<double>(event.time_ns) / 1e3);  // microseconds
     auto end = span_end_ns.find(event.span);
     if (end != span_end_ns.end()) {
@@ -178,7 +183,7 @@ json::Value EventTracer::ToPerfettoJson() const {
     args.Set("span", event.span);
     args.Set("parent", event.parent);
     if (!event.detail.empty()) {
-      args.Set("detail", event.detail);
+      args.Set("detail", event.detail.str());
     }
     args.Set("value", event.value);
     entry.Set("args", std::move(args));

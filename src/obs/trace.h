@@ -21,7 +21,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/obs/json.h"
@@ -84,12 +87,40 @@ enum class EventKind {
 // Stable wire name ("vm_boot_start", ...), used in the JSON dump.
 const char* EventKindName(EventKind kind);
 
+// Immutable event text, shared instead of copied: copying an EventText
+// bumps a refcount on one const string, so a caller that stamps the same
+// target on many events (a sampled packet walk, a VM's flight records)
+// builds it once and never again. Empty text is a null pointer and owns
+// nothing.
+class EventText {
+ public:
+  EventText() = default;
+  EventText(std::string text)
+      : text_(text.empty() ? nullptr : std::make_shared<const std::string>(std::move(text))) {}
+  EventText(const char* text) : EventText(std::string(text)) {}
+
+  const std::string& str() const { return text_ != nullptr ? *text_ : Empty(); }
+  bool empty() const { return text_ == nullptr; }
+
+  friend bool operator==(const EventText& text, std::string_view other) {
+    return std::string_view(text.str()) == other;
+  }
+  friend std::ostream& operator<<(std::ostream& out, const EventText& text) {
+    return out << text.str();
+  }
+
+ private:
+  static const std::string& Empty();
+
+  std::shared_ptr<const std::string> text_;
+};
+
 struct TraceEvent {
   uint64_t time_ns = 0;
   EventKind kind = EventKind::kVmBootStart;
-  std::string target;  // what the event is about, e.g. "vm:3" or "client7"
-  std::string detail;  // free-form qualifier, e.g. "accepted" or "boot_failure"
-  int64_t value = 0;   // numeric payload: latency ns, packet count, steps, ...
+  EventText target;     // what the event is about, e.g. "vm:3" or "client7"
+  EventText detail;     // free-form qualifier, e.g. "accepted" or "boot_failure"
+  int64_t value = 0;    // numeric payload: latency ns, packet count, steps, ...
   uint64_t span = 0;    // this event's own span id (unique per Record call)
   uint64_t parent = 0;  // enclosing span id; 0 = root of a tree
 };
@@ -113,10 +144,10 @@ class EventTracer {
   // current scope" (the span stack's top, or root when the stack is empty).
   // Returns 0 when disabled. Ids are allocated before the capacity check, so
   // parent links stay stable even when the ring drops events.
-  uint64_t Record(uint64_t time_ns, EventKind kind, std::string target, std::string detail = "",
+  uint64_t Record(uint64_t time_ns, EventKind kind, EventText target, EventText detail = {},
                   int64_t value = 0, uint64_t parent = 0);
-  uint64_t RecordNow(EventKind kind, std::string target, std::string detail = "",
-                     int64_t value = 0, uint64_t parent = 0) {
+  uint64_t RecordNow(EventKind kind, EventText target, EventText detail = {}, int64_t value = 0,
+                     uint64_t parent = 0) {
     if (!enabled_) {
       return 0;
     }
@@ -207,8 +238,8 @@ inline EventTracer& Tracer() { return EventTracer::Global(); }
 // clock, and control-plane wall time never enters traces.
 class SpanScope {
  public:
-  SpanScope(EventTracer& tracer, uint64_t time_ns, EventKind kind, std::string target,
-            std::string detail = "", int64_t value = 0)
+  SpanScope(EventTracer& tracer, uint64_t time_ns, EventKind kind, EventText target,
+            EventText detail = {}, int64_t value = 0)
       : tracer_(&tracer), time_ns_(time_ns) {
     if (!tracer_->enabled()) {
       tracer_ = nullptr;
@@ -223,7 +254,7 @@ class SpanScope {
       return;
     }
     tracer_->PopSpan();
-    tracer_->Record(time_ns_, EventKind::kSpanEnd, std::move(target_), "", 0, id_);
+    tracer_->Record(time_ns_, EventKind::kSpanEnd, std::move(target_), {}, 0, id_);
   }
   SpanScope(const SpanScope&) = delete;
   SpanScope& operator=(const SpanScope&) = delete;
@@ -235,7 +266,7 @@ class SpanScope {
   EventTracer* tracer_;
   uint64_t time_ns_ = 0;
   uint64_t id_ = 0;
-  std::string target_;
+  EventText target_;
 };
 
 // RAII re-entry into an existing span from an asynchronous continuation:

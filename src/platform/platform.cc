@@ -389,9 +389,9 @@ size_t InNetPlatform::suspended_count() const {
 }
 
 void InNetPlatform::AttachEgress(Vm* vm) {
-  vm->SetEgressHandler([this, vm_id = vm->id()](Packet& packet) {
-    flight_.Record(clock_->now(), obs::EventKind::kPacketEgress, "vm:" + std::to_string(vm_id),
-                   "", static_cast<int64_t>(packet.length()));
+  vm->SetEgressHandler([this, target = vm->target()](Packet& packet) {
+    flight_.Record(clock_->now(), obs::EventKind::kPacketEgress, target, {},
+                   static_cast<int64_t>(packet.length()));
     if (egress_) {
       egress_(packet);
     }

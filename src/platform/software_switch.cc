@@ -16,8 +16,8 @@ void SoftwareSwitch::Deliver(Packet& packet) {
     if (fault_->ShouldDropPacket()) {
       ++fault_dropped_;
       if (flight_ != nullptr) {
-        flight_->Record(packet.timestamp_ns(), obs::EventKind::kPacketDrop, "switch", "fault",
-                        static_cast<int64_t>(packet.length()));
+        flight_->Record(packet.timestamp_ns(), obs::EventKind::kPacketDrop, switch_text_,
+                        fault_text_, static_cast<int64_t>(packet.length()));
       }
       return;
     }
@@ -36,9 +36,8 @@ void SoftwareSwitch::Deliver(Packet& packet) {
       if (vm->state() == VmState::kRunning) {
         ++delivered_;
         if (flight_ != nullptr) {
-          flight_->Record(packet.timestamp_ns(), obs::EventKind::kPacketIngress,
-                          "vm:" + std::to_string(vm->id()), "",
-                          static_cast<int64_t>(packet.length()));
+          flight_->Record(packet.timestamp_ns(), obs::EventKind::kPacketIngress, vm->target(),
+                          {}, static_cast<int64_t>(packet.length()));
         }
         vm->Inject(packet);
         return;
@@ -53,9 +52,8 @@ void SoftwareSwitch::Deliver(Packet& packet) {
       if (vm->state() == VmState::kRunning) {
         ++delivered_;
         if (flight_ != nullptr) {
-          flight_->Record(packet.timestamp_ns(), obs::EventKind::kPacketIngress,
-                          "vm:" + std::to_string(vm->id()), "",
-                          static_cast<int64_t>(packet.length()));
+          flight_->Record(packet.timestamp_ns(), obs::EventKind::kPacketIngress, vm->target(),
+                          {}, static_cast<int64_t>(packet.length()));
         }
         vm->Inject(packet);
         return;
@@ -76,8 +74,8 @@ void SoftwareSwitch::Deliver(Packet& packet) {
   }
   ++dropped_;
   if (flight_ != nullptr) {
-    flight_->Record(packet.timestamp_ns(), obs::EventKind::kPacketDrop, "switch", "no_rule",
-                    static_cast<int64_t>(packet.length()));
+    flight_->Record(packet.timestamp_ns(), obs::EventKind::kPacketDrop, switch_text_,
+                    no_rule_text_, static_cast<int64_t>(packet.length()));
   }
 }
 

@@ -70,6 +70,10 @@ class SoftwareSwitch {
   StalledHandler stalled_;
   sim::FaultInjector* fault_ = nullptr;
   obs::FlightRecorder* flight_ = nullptr;
+  // Texts of the switch's own drop records, built once rather than per drop.
+  obs::EventText switch_text_ = "switch";
+  obs::EventText fault_text_ = "fault";
+  obs::EventText no_rule_text_ = "no_rule";
   uint64_t delivered_ = 0;
   uint64_t missed_ = 0;
   uint64_t dropped_ = 0;

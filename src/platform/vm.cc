@@ -179,6 +179,7 @@ Vm* VmManager::Create(VmKind kind, const std::string& config_text, ReadyCallback
 
   auto vm = std::unique_ptr<Vm>(new Vm());
   vm->id_ = next_id_++;
+  vm->target_ = VmTarget(vm->id_);
   vm->kind_ = kind;
   vm->state_ = VmState::kBooting;
   vm->graph_ = std::move(graph);
@@ -390,6 +391,7 @@ Vm* VmManager::ImportSnapshot(VmSnapshot* snapshot, ReadyCallback on_ready, std:
   }
   auto vm = std::unique_ptr<Vm>(new Vm());
   vm->id_ = next_id_++;
+  vm->target_ = VmTarget(vm->id_);
   vm->kind_ = snapshot->kind;
   vm->state_ = VmState::kResuming;
   vm->graph_ = std::move(snapshot->graph);

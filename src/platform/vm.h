@@ -21,6 +21,7 @@
 
 #include "src/click/elements.h"
 #include "src/click/graph.h"
+#include "src/obs/trace.h"
 #include "src/platform/cost_model.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/fault_injector.h"
@@ -43,6 +44,9 @@ class Vm {
   using EgressHandler = std::function<void(Packet&)>;
 
   VmId id() const { return id_; }
+  // "vm:<id>", built once when the guest gets its id: the per-packet flight
+  // records at ingress and egress share it instead of formatting their own.
+  const obs::EventText& target() const { return target_; }
   VmKind kind() const { return kind_; }
   VmState state() const { return state_; }
   click::Graph* graph() const { return graph_.get(); }
@@ -82,6 +86,7 @@ class Vm {
   Vm() = default;
 
   VmId id_ = 0;
+  obs::EventText target_;
   VmKind kind_ = VmKind::kClickOs;
   VmState state_ = VmState::kBooting;
   std::unique_ptr<click::Graph> graph_;

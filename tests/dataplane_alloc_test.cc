@@ -4,10 +4,13 @@
 // heap once every chain, tenant and element has been seen. Folded
 // attribution, INT hop records and postcard folding work on ids, resolved
 // instruments and reused buffers; only a walk promoted to a trace (which
-// records named spans) may allocate. It counts allocations, never wall-clock
-// time, so it is deterministic.
+// records named spans) may allocate, and then only its target text: the
+// walk's events share it, and element spans share texts built once per
+// element. It counts allocations, never wall-clock time, so it is
+// deterministic.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -48,9 +51,13 @@ using platform::InNetPlatform;
 using platform::TenantConfig;
 using platform::Vm;
 
+// Element names as long as real configurations use: past the 15 characters
+// a std::string holds without allocating.
 constexpr const char* kChain =
-    "FromNetfront() -> CheckIPHeader() -> IPFilter(deny dst port 7, allow udp, allow tcp) -> "
-    "IPRewriter(pattern - - 10.0.9.1 - 0 0) -> DecIPTTL() -> ToNetfront();";
+    "FromNetfront() -> ingress_header_check :: CheckIPHeader() -> "
+    "tenant_port_filter :: IPFilter(deny dst port 7, allow udp, allow tcp) -> "
+    "tenant_dst_rewriter :: IPRewriter(pattern - - 10.0.9.1 - 0 0) -> "
+    "egress_ttl_decrement :: DecIPTTL() -> ToNetfront();";
 constexpr uint32_t kWalkSampleN = 64;
 constexpr uint32_t kIntSampleN = 16;
 constexpr int kTenants = 4;  // two dedicated guests, two tenants in one shared guest
@@ -169,14 +176,20 @@ TEST(DataplaneAllocations, ObservedHandlePacketAllocatesNothingInSteadyState) {
 TEST(DataplaneAllocations, OnlyTracedWalksAllocateWithTheTracerOn) {
   ObsGuard guard(/*tracer=*/true);
   ObservedPlatform platform;
-  platform.Pass([](uint64_t, bool) {});
+  // Walk ordinals past 1,000, so each walk's target ("vm:1/packet:1025")
+  // is as long as in any long run.
+  for (int pass = 0; pass < 16; ++pass) {
+    platform.Pass([](uint64_t, bool) {});
+  }
   obs::Tracer().Clear();
   uint64_t traced = 0;
+  uint64_t max_traced_allocs = 0;
   uint64_t untraced_allocs = 0;
   uint64_t delivered = platform.delivered();
   platform.Pass([&](uint64_t allocs, bool sampled) {
     if (sampled) {
       ++traced;
+      max_traced_allocs = std::max(max_traced_allocs, allocs);
     } else {
       untraced_allocs += allocs;
     }
@@ -184,6 +197,9 @@ TEST(DataplaneAllocations, OnlyTracedWalksAllocateWithTheTracerOn) {
   EXPECT_EQ(traced, static_cast<uint64_t>(kTenants * kPacketsPerTenant) / kWalkSampleN);
   EXPECT_GT(platform.delivered(), delivered);
   EXPECT_EQ(untraced_allocs, 0u);
+  // The walk's target text: its characters and the shared string holding
+  // them. Every event of the walk shares it.
+  EXPECT_LE(max_traced_allocs, 3u);
 }
 
 }  // namespace

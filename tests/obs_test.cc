@@ -238,6 +238,82 @@ TEST(Tracer, RecordNowUsesTimeSource) {
   EXPECT_EQ(tracer.events()[1].time_ns, 9u);
 }
 
+// A Record with std::string arguments renders exactly the text it did when
+// events owned std::string copies.
+TEST(Tracer, StringRecordsRenderUnchangedJsonAndPerfettoText) {
+  EventTracer tracer;
+  tracer.Enable();
+  std::string target = "client:a";
+  std::string detail = "admitted";
+  {
+    SpanScope deploy(tracer, 1000, EventKind::kDeployRequest, target);
+    tracer.Record(2000, EventKind::kAdmission, target, detail, 3);
+    tracer.Record(2500, EventKind::kVmBootStart, "vm:" + std::to_string(7));
+  }
+  EXPECT_EQ(tracer.ToJson().ToString(),
+            R"({"dropped":0,"events":[)"
+            R"({"t_ns":1000,"kind":"deploy_request","target":"client:a","value":0,"span":1,)"
+            R"("parent":0},)"
+            R"({"t_ns":2000,"kind":"admission_decision","target":"client:a","detail":"admitted",)"
+            R"("value":3,"span":2,"parent":1},)"
+            R"({"t_ns":2500,"kind":"vm_boot_start","target":"vm:7","value":0,"span":3,"parent":1},)"
+            R"({"t_ns":1000,"kind":"span_end","target":"client:a","value":0,"span":4,)"
+            R"("parent":1}]})");
+  EXPECT_EQ(tracer.ToPerfettoJson().ToString(),
+            R"({"displayTimeUnit":"ms","traceEvents":[)"
+            R"({"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"client:a"}},)"
+            R"({"name":"deploy_request","cat":"innet","pid":1,"tid":1,"ts":1,"ph":"X","dur":0,)"
+            R"("args":{"span":1,"parent":0,"value":0}},)"
+            R"({"name":"admission_decision","cat":"innet","pid":1,"tid":1,"ts":2,"ph":"i","s":"t",)"
+            R"("args":{"span":2,"parent":1,"detail":"admitted","value":3}},)"
+            R"({"name":"thread_name","ph":"M","pid":1,"tid":2,"args":{"name":"vm:7"}},)"
+            R"({"name":"vm_boot_start","cat":"innet","pid":1,"tid":2,"ts":2.5,"ph":"i","s":"t",)"
+            R"("args":{"span":3,"parent":1,"value":0}}]})");
+}
+
+TEST(EventText, EmptyTextIsNullAndEqualsTheEmptyString) {
+  const EventText texts[] = {EventText(), EventText(std::string()), EventText("")};
+  for (const EventText& text : texts) {
+    EXPECT_TRUE(text.empty());
+    EXPECT_EQ(text.str(), "");
+    EXPECT_TRUE(text == "");
+    EXPECT_FALSE(text == "vm:1");
+  }
+}
+
+TEST(EventText, ComparesWithStringLikesAndStreams) {
+  EventText text(std::string("vm:3"));
+  EXPECT_FALSE(text.empty());
+  EXPECT_TRUE(text == "vm:3");
+  EXPECT_TRUE(text == std::string("vm:3"));
+  EXPECT_TRUE(text == std::string_view("vm:3"));
+  EXPECT_TRUE(text != "vm:30");
+  EXPECT_TRUE(text != "vm:");
+  std::ostringstream out;
+  out << text << '|' << EventText();
+  EXPECT_EQ(out.str(), "vm:3|");
+}
+
+TEST(EventText, CopiesAndRecordsShareOneString) {
+  EventText text("vm:12/packet:123456");
+  EventText copy = text;
+  EXPECT_EQ(&copy.str(), &text.str());
+
+  EventTracer tracer;
+  tracer.Enable();
+  tracer.Record(1, EventKind::kPacketIngress, text);
+  tracer.Record(2, EventKind::kPacketEgress, text, copy);
+  ASSERT_EQ(tracer.events().size(), 2u);
+  EXPECT_EQ(&tracer.events()[0].target.str(), &text.str());
+  EXPECT_EQ(&tracer.events()[1].target.str(), &text.str());
+  EXPECT_EQ(&tracer.events()[1].detail.str(), &text.str());
+
+  FlightRecorder recorder;
+  recorder.Record(3, EventKind::kPacketIngress, text);
+  ASSERT_EQ(recorder.RecentEvents().size(), 1u);
+  EXPECT_EQ(&recorder.RecentEvents()[0].target.str(), &text.str());
+}
+
 // --- Scheduler instruments ------------------------------------------------------------
 // The registry is process-global, so these check deltas, never absolutes.
 
