@@ -1,5 +1,7 @@
 #include "src/controller/journal.h"
 
+#include <algorithm>
+
 #include "src/obs/trace.h"
 
 namespace innet::controller {
@@ -49,6 +51,8 @@ uint64_t DeployJournal::Begin(JournalEntryKind kind, const ClientRequest& reques
   entry.request = request;
   entry.module_id = "";
   entry.updated_ns = now_ns;
+  live_ids_.push_back(entry.id);
+  ++in_flight_;
   entries_.push_back(std::move(entry));
   ++transitions_;
   obs::Registry()
@@ -64,31 +68,25 @@ uint64_t DeployJournal::Begin(JournalEntryKind kind, const ClientRequest& reques
 }
 
 JournalEntry* DeployJournal::Find(uint64_t id) {
-  for (JournalEntry& entry : entries_) {
-    if (entry.id == id) {
-      return &entry;
-    }
+  if (entries_.empty() || id < entries_.front().id ||
+      id - entries_.front().id >= entries_.size()) {
+    return nullptr;
   }
-  return nullptr;
+  return &entries_[id - entries_.front().id];
 }
 
 const JournalEntry* DeployJournal::Find(uint64_t id) const {
-  for (const JournalEntry& entry : entries_) {
-    if (entry.id == id) {
-      return &entry;
-    }
-  }
-  return nullptr;
+  return const_cast<DeployJournal*>(this)->Find(id);
 }
 
 JournalEntry* DeployJournal::FindLiveByModule(const std::string& module_id) {
-  JournalEntry* found = nullptr;
-  for (JournalEntry& entry : entries_) {
-    if (entry.module_id == module_id && !IsTerminal(entry.state)) {
-      found = &entry;  // newest wins
+  for (auto it = live_ids_.rbegin(); it != live_ids_.rend(); ++it) {
+    JournalEntry* entry = Find(*it);
+    if (entry->module_id == module_id) {
+      return entry;  // newest wins
     }
   }
-  return found;
+  return nullptr;
 }
 
 void DeployJournal::Advance(uint64_t id, JournalState state, uint64_t now_ns,
@@ -96,6 +94,19 @@ void DeployJournal::Advance(uint64_t id, JournalState state, uint64_t now_ns,
   JournalEntry* entry = Find(id);
   if (entry == nullptr) {
     return;
+  }
+  if (IsInFlight(state) && !IsInFlight(entry->state)) {
+    ++in_flight_;
+  } else if (!IsInFlight(state) && IsInFlight(entry->state)) {
+    --in_flight_;
+  }
+  if (IsTerminal(entry->state) != IsTerminal(state)) {
+    auto at = std::lower_bound(live_ids_.begin(), live_ids_.end(), id);
+    if (IsTerminal(state)) {
+      live_ids_.erase(at);
+    } else {
+      live_ids_.insert(at, id);
+    }
   }
   entry->state = state;
   entry->updated_ns = now_ns;
@@ -132,16 +143,6 @@ void DeployJournal::MarkExported(uint64_t id, uint64_t now_ns) {
   }
   entry->exported = true;
   entry->updated_ns = now_ns;
-}
-
-size_t DeployJournal::InFlightCount() const {
-  size_t count = 0;
-  for (const JournalEntry& entry : entries_) {
-    if (IsInFlight(entry.state)) {
-      ++count;
-    }
-  }
-  return count;
 }
 
 void DeployJournal::RefreshGauge() {

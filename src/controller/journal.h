@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <deque>
 #include <string>
+#include <vector>
 
 #include "src/controller/controller.h"
 #include "src/obs/json.h"
@@ -82,10 +83,14 @@ class DeployJournal {
   // Appends an intent record and returns its id.
   uint64_t Begin(JournalEntryKind kind, const ClientRequest& request, uint64_t now_ns);
 
+  // O(1): ids are dense and appended in order, so an entry sits at its id's
+  // distance from the front entry's (which holds once a checkpoint
+  // truncates the front, too).
   JournalEntry* Find(uint64_t id);
   const JournalEntry* Find(uint64_t id) const;
-  // The newest non-terminal-or-live entry carrying `module_id` (nullptr when
-  // none). Used to link migrations to the deploy they supersede.
+  // The newest non-terminal entry carrying `module_id` (nullptr when none).
+  // Used to link migrations to the deploy they supersede. Scans only the
+  // non-terminal entries.
   JournalEntry* FindLiveByModule(const std::string& module_id);
 
   // State transition: updates the entry, the transition counters, the
@@ -111,7 +116,7 @@ class DeployJournal {
     return !IsTerminal(state) && state != JournalState::kCutover;
   }
 
-  size_t InFlightCount() const;
+  size_t InFlightCount() const { return in_flight_; }
   uint64_t transitions() const { return transitions_; }
 
   obs::json::Value ToJson() const;
@@ -120,6 +125,10 @@ class DeployJournal {
   void RefreshGauge();
 
   std::deque<JournalEntry> entries_;
+  // Ids of the non-terminal entries, ascending, kept by Begin and Advance
+  // (the only writers of an entry's state).
+  std::vector<uint64_t> live_ids_;
+  size_t in_flight_ = 0;  // entries whose state IsInFlight
   uint64_t next_id_ = 1;
   uint64_t epoch_seq_ = 0;
   uint64_t transitions_ = 0;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -692,6 +693,64 @@ TEST(Determinism, SameSeedSameJournalByteForByte) {
   std::string second = RunSeededChaosScenario(1234);
   EXPECT_EQ(first, second);
   EXPECT_NE(first, RunSeededChaosScenario(99));  // the seed actually matters
+}
+
+// The journal's indexed lookups (Find by offset from the front id, the
+// list of non-terminal ids, the in-flight counter behind the gauge) agree
+// with a scan of every entry after each of a few thousand random calls,
+// including transitions out of a terminal state.
+TEST(Journal, IndexedLookupsMatchAFullScanAfterEveryCall) {
+  const std::vector<std::string> modules = {"", "m0", "m1", "m2", "m3", "m4", "m5"};
+  const JournalState states[] = {
+      JournalState::kIntent,     JournalState::kVerified, JournalState::kPlaced,
+      JournalState::kBooted,     JournalState::kCutover,  JournalState::kRolledBack,
+      JournalState::kSuperseded, JournalState::kKilled};
+  const JournalState terminals[] = {JournalState::kRolledBack, JournalState::kSuperseded,
+                                    JournalState::kKilled};
+  DeployJournal journal;
+  obs::Gauge* gauge = obs::Registry().GetGauge("innet_journal_inflight");
+  std::mt19937 rng(20);
+  auto pick = [&rng](size_t n) { return static_cast<size_t>(rng() % n); };
+
+  for (int call = 0; call < 3000; ++call) {
+    uint64_t newest = journal.entries().empty() ? 0 : journal.entries().back().id;
+    switch (pick(4)) {
+      case 0: {
+        uint64_t id = journal.Begin(JournalEntryKind::kDeploy, ClientRequest{}, call);
+        journal.Find(id)->module_id = modules[pick(modules.size())];
+        break;
+      }
+      case 1:
+      case 2:
+        if (newest != 0) {
+          journal.Advance(1 + pick(newest), states[pick(std::size(states))], call);
+        }
+        break;
+      default:
+        journal.MarkModuleTerminal(modules[pick(modules.size())],
+                                   terminals[pick(std::size(terminals))], call, "scan");
+        break;
+    }
+
+    size_t in_flight = 0;
+    for (const JournalEntry& entry : journal.entries()) {
+      in_flight += DeployJournal::IsInFlight(entry.state) ? 1 : 0;
+      ASSERT_EQ(journal.Find(entry.id), &entry) << "call " << call;
+    }
+    ASSERT_EQ(journal.Find(0), nullptr);
+    ASSERT_EQ(journal.Find(journal.entries().size() + 1), nullptr);
+    ASSERT_EQ(journal.InFlightCount(), in_flight) << "call " << call;
+    ASSERT_EQ(gauge->value(), static_cast<double>(in_flight)) << "call " << call;
+    for (const std::string& module : modules) {
+      JournalEntry* live = nullptr;
+      for (const JournalEntry& entry : journal.entries()) {
+        if (entry.module_id == module && !DeployJournal::IsTerminal(entry.state)) {
+          live = const_cast<JournalEntry*>(&entry);
+        }
+      }
+      ASSERT_EQ(journal.FindLiveByModule(module), live) << "call " << call << " " << module;
+    }
+  }
 }
 
 }  // namespace
