@@ -233,6 +233,11 @@ symexec::SymGraph Controller::BuildVerificationGraph(const Deployment* trial,
   std::vector<topology::ModuleAttachment> modules;
   std::vector<FlowSpec> pinholes;
   modules.reserve(deployments_.size() + 1);
+  size_t n_pinholes = trial != nullptr ? trial->pinholes.size() : 0;
+  for (const Deployment& dep : deployments_) {
+    n_pinholes += dep.pinholes.size();
+  }
+  pinholes.reserve(n_pinholes);
   auto attach = [&](const Deployment& dep) {
     if (dep.fragment == nullptr) {
       // Only a Deployment made outside MakeTrial can lack one.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <iterator>
 #include <string_view>
-#include <unordered_map>
 
 #include "src/click/elements.h"
 #include "src/click/elements_switching.h"
@@ -633,9 +632,12 @@ std::optional<SymGraph> BuildClickModel(const click::ConfigGraph& config, std::s
   SymGraph graph;
   // Each element's input and output port counts, to check connections
   // against as the runtime graph does, and its id by name (the first one
-  // when names repeat), to resolve their endpoints.
+  // when names repeat), to resolve their endpoints: (name, id) pairs sorted
+  // by name, then id.
   std::vector<std::pair<int, int>> ports(config.elements.size());
-  std::unordered_map<std::string_view, int> ids(config.elements.size());
+  std::vector<std::pair<std::string_view, int>> ids;
+  ids.reserve(config.elements.size());
+  graph.Reserve(config.elements.size());
   for (size_t i = 0; i < config.elements.size(); ++i) {
     const click::ElementDecl& decl = config.elements[i];
     std::shared_ptr<SymbolicModel> model =
@@ -644,17 +646,20 @@ std::optional<SymGraph> BuildClickModel(const click::ConfigGraph& config, std::s
       *error = "element '" + decl.name + "': " + *error;
       return std::nullopt;
     }
-    ids.try_emplace(decl.name, graph.AddNode(decl.name, std::move(model)));
+    ids.emplace_back(decl.name, graph.AddNode(decl.name, std::move(model)));
   }
+  std::sort(ids.begin(), ids.end());
+  auto id_of = [&ids](std::string_view name) {
+    auto it = std::lower_bound(ids.begin(), ids.end(), std::pair<std::string_view, int>(name, -1));
+    return it != ids.end() && it->first == name ? it->second : -1;
+  };
   for (const click::Connection& conn : config.connections) {
-    auto from_it = ids.find(conn.from);
-    auto to_it = ids.find(conn.to);
-    if (from_it == ids.end() || to_it == ids.end()) {
+    int from = id_of(conn.from);
+    int to = id_of(conn.to);
+    if (from < 0 || to < 0) {
       *error = "connection references unknown element";
       return std::nullopt;
     }
-    int from = from_it->second;
-    int to = to_it->second;
     if (conn.from_port < 0 || conn.from_port >= ports[static_cast<size_t>(from)].second ||
         conn.to_port < 0 || conn.to_port >= ports[static_cast<size_t>(to)].first) {
       *error = "connection " + conn.from + "[" + std::to_string(conn.from_port) + "] -> [" +

@@ -23,6 +23,11 @@ int SymGraph::AddNode(const std::string& name, std::shared_ptr<SymbolicModel> mo
   return id;
 }
 
+void SymGraph::Reserve(size_t nodes) {
+  nodes_.reserve(nodes);
+  MutableNames().reserve(nodes);
+}
+
 void SymGraph::Connect(int from, int out_port, int to, int in_port) {
   Node& node = nodes_[static_cast<size_t>(from)];
   size_t port = static_cast<size_t>(out_port);

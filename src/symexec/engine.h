@@ -17,6 +17,9 @@ namespace innet::symexec {
 class SymGraph {
  public:
   int AddNode(const std::string& name, std::shared_ptr<SymbolicModel> model);
+  // Room for `nodes` nodes in all, so a build that knows its size grows the
+  // node and name tables once.
+  void Reserve(size_t nodes);
   void Connect(int from, int out_port, int to, int in_port);
   // Gives node `id` another model, keeping its name and edges.
   void SetModel(int id, std::shared_ptr<SymbolicModel> model) {

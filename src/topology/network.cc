@@ -370,7 +370,12 @@ symexec::SymGraph Network::BuildSymGraph(const std::vector<ModuleAttachment>& mo
     int port = -1;
   };
   std::vector<Slot> slots(modules.size());
-  std::vector<std::vector<PlatformModel::ModulePort>> attached(nodes_.size());
+  // Per-node module ports; left empty (no table at all) when no module is
+  // attached, the common case of checking the committed network alone.
+  std::vector<std::vector<PlatformModel::ModulePort>> attached;
+  if (!modules.empty()) {
+    attached.resize(nodes_.size());
+  }
   for (size_t m = 0; m < modules.size(); ++m) {
     auto it = by_name_.find(modules[m].platform);
     if (it == by_name_.end()) {
@@ -384,6 +389,11 @@ symexec::SymGraph Network::BuildSymGraph(const std::vector<ModuleAttachment>& mo
   auto shared_pinholes = std::make_shared<const std::vector<FlowSpec>>(std::move(pinholes));
 
   symexec::SymGraph graph;
+  size_t graph_nodes = nodes_.size();
+  for (const ModuleAttachment& module : modules) {
+    graph_nodes += module.fragment != nullptr ? module.fragment->graph.node_count() : 0;
+  }
+  graph.Reserve(graph_nodes);
 
   for (size_t i = 0; i < nodes_.size(); ++i) {
     const Node& node = nodes_[i];
@@ -427,8 +437,9 @@ symexec::SymGraph Network::BuildSymGraph(const std::vector<ModuleAttachment>& mo
         }
         break;
       case NodeKind::kPlatform:
-        model = std::make_shared<PlatformModel>(std::move(attached[i]),
-                                                static_cast<int>(node.neighbors.size()));
+        model = std::make_shared<PlatformModel>(
+            attached.empty() ? std::vector<PlatformModel::ModulePort>() : std::move(attached[i]),
+            static_cast<int>(node.neighbors.size()));
         break;
     }
     graph.AddNode(node.name, std::move(model));
