@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # One-stop CI gate: tier-1 build + tests, the sanitizer suite, the
 # metrics-documentation lint, the perf-regression gate (innet_benchdiff vs
-# the committed BENCH_*.json baselines), the timeseries determinism check,
-# and a JSON lint over every committed BENCH_*.json telemetry file. Any
-# failure fails the whole run.
+# the committed BENCH_*.json baselines), the timeseries and journey-dump
+# determinism checks, and a JSON lint over every committed BENCH_*.json
+# telemetry file. Any failure fails the whole run.
 #
 # Usage: scripts/ci.sh [--skip-asan]
 #   --skip-asan   skip the (slow) AddressSanitizer build + test pass
@@ -115,6 +115,29 @@ else
     fail=1
   else
     echo "ok: timeseries dump byte-identical across repeat runs"
+  fi
+  # The sampled-walk trace, its Perfetto export and the flight recorder
+  # share event text between records; each dump must still repeat exactly.
+  journey_ok=1
+  for run in 1 2; do
+    ./build/tools/innet_run --config examples/batcher.click \
+        --dataplane-sample-n 4 --int-sample-n 2 \
+        --trace-out "build/journey_trace_run$run.json" \
+        --perfetto-out "build/journey_perfetto_run$run.json" \
+        --flight-out "build/journey_flight_run$run.json" >/dev/null || journey_ok=0
+  done
+  if [ "$journey_ok" -ne 1 ]; then
+    echo "ERROR: innet_run with sampled walks and dumps failed" >&2
+    fail=1
+  else
+    for dump in trace perfetto flight; do
+      if ! cmp -s "build/journey_${dump}_run1.json" "build/journey_${dump}_run2.json"; then
+        echo "ERROR: $dump dumps differ between two runs of the same config" >&2
+        fail=1
+      else
+        echo "ok: $dump dump byte-identical across repeat runs"
+      fi
+    done
   fi
 fi
 
