@@ -23,13 +23,18 @@ int main() {
   std::printf("%-12s %-16s %-16s\n", "# of VMs", "suspend (ms)", "resume (ms)");
   bench::PrintRule();
 
+  std::string error;
+  auto config = platform::ParseGuestConfig(kConfig, &error);
+  if (config == nullptr) {
+    std::fprintf(stderr, "bad config: %s\n", error.c_str());
+    return 1;
+  }
   for (int existing : {0, 25, 50, 75, 100, 125, 150, 175, 200}) {
     sim::EventQueue clock;
     VmManager vms(&clock, platform::VmCostModel{}, 8ull << 30);
-    std::string error;
     Vm* victim = nullptr;
     for (int i = 0; i <= existing; ++i) {
-      Vm* vm = vms.Create(VmKind::kClickOs, kConfig, nullptr, &error);
+      Vm* vm = vms.Create(VmKind::kClickOs, config, nullptr, &error);
       if (vm == nullptr) {
         std::fprintf(stderr, "create failed: %s\n", error.c_str());
         return 1;

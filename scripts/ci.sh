@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # One-stop CI gate: tier-1 build + tests, the sanitizer suite, the
 # metrics-documentation lint, the perf-regression gate (innet_benchdiff vs
-# the committed BENCH_*.json baselines), the timeseries and journey-dump
-# determinism checks, and a JSON lint over every committed BENCH_*.json
-# telemetry file. Any failure fails the whole run.
+# the committed BENCH_*.json baselines), the wall-clock benchmark's own
+# correctness checks on its control workloads, the timeseries and
+# journey-dump determinism checks, and a JSON lint over every committed
+# BENCH_*.json telemetry file. Any failure fails the whole run.
 #
 # Usage: scripts/ci.sh [--skip-asan]
 #   --skip-asan   skip the (slow) AddressSanitizer build + test pass
@@ -96,6 +97,25 @@ fi
 
 step "perf-regression gate (check_bench_regression.sh vs committed baselines)"
 scripts/check_bench_regression.sh || fail=1
+
+step "wall-clock benchmark checks (perfbench deploy_churn + verify_deep, traced, 1 s each)"
+# The benchmark fails a run when a request's verdict or final placement is wrong
+# or its exact counts differ between passes. Its build tree lives under
+# build/; the counts file is removed first so a run never compares against
+# counts an older build recorded.
+perf_target=build/perfbench-ci
+for workload in deploy_churn verify_deep; do
+  rm -f "$perf_target/perfbench/exact_counts.json"
+  perf_log="build/perfbench_$workload.log"
+  if CARGO_TARGET_DIR="$perf_target" python3 perfbench/run.py --workload "$workload" \
+      --seed 1001 --seconds 1 --trace 1 >"$perf_log" 2>&1; then
+    echo "ok: perfbench $workload passed its verdict, placement and exact-count checks"
+  else
+    tail -n 20 "$perf_log" >&2
+    echo "ERROR: perfbench $workload failed its checks (log: $perf_log)" >&2
+    fail=1
+  fi
+done
 
 step "timeseries determinism (two seeded innet_run dumps must be byte-identical)"
 if [ ! -x build/tools/innet_run ]; then

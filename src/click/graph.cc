@@ -47,7 +47,6 @@ void ParseTenantPrefix(std::string_view name, obs::ElementNameTable::Entry* entr
 std::unique_ptr<Graph> Graph::Build(const ConfigGraph& config, std::string* error,
                                     const Registry& registry, sim::EventQueue* clock) {
   auto graph = std::unique_ptr<Graph>(new Graph());
-  graph->config_ = config;
   graph->context_.clock = clock;
 
   auto names = std::make_shared<obs::ElementNameTable>();

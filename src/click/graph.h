@@ -44,7 +44,6 @@ class Graph {
 
   // Indexed by Element::id().
   const std::vector<std::unique_ptr<Element>>& elements() const { return elements_; }
-  const ConfigGraph& config() const { return config_; }
   // Element names, tenant slots and endpoint flags by element id, resolved
   // once at build time; shared with the profiler and every INT postcard the
   // graph stamps.
@@ -73,7 +72,6 @@ class Graph {
   // push is one profiled walk.
   void InjectAt(Element& element, Packet& packet);
 
-  ConfigGraph config_;
   std::vector<std::unique_ptr<Element>> elements_;
   std::shared_ptr<const obs::ElementNameTable> names_;
   std::unordered_map<std::string, Element*> by_name_;

@@ -126,10 +126,6 @@ void ControlChannel::SetPartitioned(const std::string& platform, bool partitione
   gauge_partitioned_->Set(static_cast<double>(partitioned_.size()));
 }
 
-std::vector<std::string> ControlChannel::PartitionedPlatforms() const {
-  return std::vector<std::string>(partitioned_.begin(), partitioned_.end());
-}
-
 bool ControlChannel::HasLinkFaults() const {
   return scope_ == FaultScope::kRegion ? faults_->HasRegionFaults() : faults_->HasControlFaults();
 }

@@ -190,7 +190,6 @@ class ControlChannel {
   bool IsPartitioned(const std::string& platform) const {
     return partitioned_.count(platform) != 0;
   }
-  std::vector<std::string> PartitionedPlatforms() const;  // sorted
 
   // Sends `request` toward `platform`. Under an ideal channel the handler
   // runs inline and `on_response` fires before Send returns (unless the op

@@ -183,7 +183,8 @@ std::optional<Controller::Trial> Controller::MakeTrial(const ClientRequest& requ
   dep.platform = platform;
   dep.addr = addr;
   dep.sandboxed = trial.security.verdict == Verdict::kNeedsSandbox;
-  dep.pinholes = AuthorizedPinholes(*exploration, request.whitelist);
+  dep.pinholes = std::make_shared<const std::vector<FlowSpec>>(
+      AuthorizedPinholes(*exploration, request.whitelist));
   dep.path_digest = symexec::ComputePathDigest(*config, *exploration).Encode();
   dep.fragment = MakeFragment(std::move(*exploration));
   dep.config = std::move(*config);
@@ -231,20 +232,18 @@ symexec::SymGraph Controller::BuildVerificationGraph(const Deployment* trial,
   // Every committed module, then the trial one: that order numbers their
   // ports on each platform.
   std::vector<topology::ModuleAttachment> modules;
-  std::vector<FlowSpec> pinholes;
+  std::vector<topology::PinholeSet> pinholes;
   modules.reserve(deployments_.size() + 1);
-  size_t n_pinholes = trial != nullptr ? trial->pinholes.size() : 0;
-  for (const Deployment& dep : deployments_) {
-    n_pinholes += dep.pinholes.size();
-  }
-  pinholes.reserve(n_pinholes);
+  pinholes.reserve(deployments_.size() + 1);
   auto attach = [&](const Deployment& dep) {
     if (dep.fragment == nullptr) {
       // Only a Deployment made outside MakeTrial can lack one.
       *error = "module " + dep.module_id + " has no symbolic model";
     }
     modules.push_back({dep.module_id, dep.platform, dep.addr, dep.fragment.get()});
-    pinholes.insert(pinholes.end(), dep.pinholes.begin(), dep.pinholes.end());
+    if (dep.pinholes != nullptr && !dep.pinholes->empty()) {
+      pinholes.push_back(dep.pinholes);
+    }
   };
   for (const Deployment& dep : deployments_) {
     attach(dep);

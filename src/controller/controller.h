@@ -47,7 +47,9 @@ struct Deployment {
   std::string config_text;
   // Firewall pinholes installed with this deployment: inbound flows to the
   // client's registered addresses (explicit authorization, §2.1).
-  std::vector<FlowSpec> pinholes;
+  // Shared, never copied, by every verification graph built while it is
+  // installed; null or empty when the deployment opens none.
+  topology::PinholeSet pinholes;
   // Encoded verify-time path digest (symexec/path_digest.h): the hash sets of
   // every symbolically explored path through this config. Journaled and
   // carried through migration so the INT collector can attest sampled

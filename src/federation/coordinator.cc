@@ -44,20 +44,7 @@ void FederationCoordinator::AddRegion(RegionController* region) {
   regions_[name] = std::move(state);
 }
 
-void FederationCoordinator::SetRtt(const std::string& from, const std::string& to,
-                                   double rtt_ms) {
-  rtt_override_[from + "|" + to] = rtt_ms;
-}
-
 double FederationCoordinator::ModelRtt(const std::string& from, const std::string& to) const {
-  auto it = rtt_override_.find(from + "|" + to);
-  if (it != rtt_override_.end()) {
-    return it->second;
-  }
-  it = rtt_override_.find(to + "|" + from);
-  if (it != rtt_override_.end()) {
-    return it->second;
-  }
   if (from == to) {
     return options_.intra_rtt_ms;
   }
@@ -507,15 +494,6 @@ const RegionDigest* FederationCoordinator::ViewOf(const std::string& region) con
 std::string FederationCoordinator::BeliefOf(const std::string& module_id) const {
   auto it = beliefs_.find(module_id);
   return it != beliefs_.end() ? it->second : std::string();
-}
-
-std::vector<std::string> FederationCoordinator::RegionNames() const {
-  std::vector<std::string> names;
-  names.reserve(regions_.size());
-  for (const auto& [name, state] : regions_) {
-    names.push_back(name);
-  }
-  return names;
 }
 
 }  // namespace innet::federation

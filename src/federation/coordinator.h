@@ -89,13 +89,10 @@ class FederationCoordinator {
 
   FederationCoordinator(sim::EventQueue* clock, CoordinatorOptions options = {});
 
-  // Registers a region; registration order defines the default RTT matrix
+  // Registers a region; registration order defines the RTT matrix
   // (|index distance| * inter_rtt_step_ms, intra_rtt_ms on the diagonal).
   // The region must outlive the coordinator.
   void AddRegion(RegionController* region);
-  // Overrides the modeled RTT for one (client region -> region) pair,
-  // symmetric by default lookup.
-  void SetRtt(const std::string& from, const std::string& to, double rtt_ms);
   double ModelRtt(const std::string& from, const std::string& to) const;
 
   // Attaches the fault oracle to the coordinator<->region links (the channel
@@ -149,7 +146,6 @@ class FederationCoordinator {
   // Believed region of a module ("" when unknown).
   std::string BeliefOf(const std::string& module_id) const;
   size_t belief_count() const { return beliefs_.size(); }
-  std::vector<std::string> RegionNames() const;  // sorted
 
  private:
   struct RegionState {
@@ -174,7 +170,6 @@ class FederationCoordinator {
   bool polling_ = false;
   obs::FleetView fleet_view_;
   std::map<std::string, RegionState> regions_;
-  std::map<std::string, double> rtt_override_;      // "from|to" -> ms
   std::map<std::string, std::string> beliefs_;      // module id -> region
   // Guards polling ticks and async continuations against outliving us.
   std::shared_ptr<char> alive_;

@@ -183,11 +183,6 @@ bool IntCollector::HasTenantDigest(const std::string& tenant) const {
   return digests_.count(tenant) != 0;
 }
 
-const IntPathDigest* IntCollector::FindTenantDigest(const std::string& tenant) const {
-  auto it = digests_.find(tenant);
-  return it == digests_.end() ? nullptr : &it->second;
-}
-
 Counter* IntCollector::HopCounter(const ElementNameTable& names, uint32_t element) {
   if (names.hop_registry_ != registry_ || names.hop_counters_.size() != names.elements.size()) {
     names.hop_registry_ = registry_;

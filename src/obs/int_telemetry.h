@@ -144,7 +144,6 @@ class IntCollector {
   void SetTenantDigest(const std::string& tenant, const IntPathDigest& digest);
   void ClearTenantDigest(const std::string& tenant);
   bool HasTenantDigest(const std::string& tenant) const;
-  const IntPathDigest* FindTenantDigest(const std::string& tenant) const;
 
   // Folds one completed postcard: heatmap row, live metrics, attestation.
   // Registry instruments are resolved once per element, tenant and status

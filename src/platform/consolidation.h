@@ -22,6 +22,13 @@ struct TenantConfig {
   std::string config_text;  // the tenant's Click configuration
 };
 
+// A tenant whose configuration is already parsed. `config` is borrowed and
+// must outlive the ConsolidateTenants call.
+struct ParsedTenantConfig {
+  Ipv4Address addr;
+  const click::ConfigGraph* config = nullptr;
+};
+
 // How the merged configuration demultiplexes tenants:
 //   kLinearClassifier — an IPClassifier pattern scan, O(#tenants) per packet
 //     (the paper's setup, whose cost produces Figure 8's knee);
@@ -30,9 +37,15 @@ struct TenantConfig {
 enum class DemuxKind { kLinearClassifier, kHashDemux };
 
 // Builds the merged configuration. Element names are prefixed "t<i>_" so
-// tenants can never collide. Returns nullopt + *error when a tenant config
-// fails to parse, lacks a FromNetfront/ToNetfront, or uses stateful elements
-// (which the paper's prototype refuses to consolidate).
+// tenants can never collide. Returns nullopt + *error ("tenant <i>: ...")
+// when a tenant config lacks a FromNetfront/ToNetfront or uses stateful
+// elements (which the paper's prototype refuses to consolidate).
+std::optional<click::ConfigGraph> ConsolidateTenants(
+    const std::vector<ParsedTenantConfig>& tenants, std::string* error,
+    DemuxKind demux = DemuxKind::kLinearClassifier);
+
+// Parses every tenant's text, then merges as above; a syntax error fails
+// with "tenant <i>: <parse error>".
 std::optional<click::ConfigGraph> ConsolidateTenants(
     const std::vector<TenantConfig>& tenants, std::string* error,
     DemuxKind demux = DemuxKind::kLinearClassifier);

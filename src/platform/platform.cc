@@ -5,46 +5,21 @@
 
 namespace innet::platform {
 
-namespace {
-
-// Consolidated graphs prefix each tenant's element names with "t<i>_" in
-// merge order; map that prefix back to the tenant label ("" when the name
-// doesn't carry one, e.g. shared glue elements).
-std::string TenantForElement(const std::string& element_name,
-                             const std::vector<std::string>& tenants) {
-  if (element_name.size() < 3 || element_name[0] != 't') {
-    return "";
-  }
-  size_t i = 1;
-  size_t index = 0;
-  while (i < element_name.size() && element_name[i] >= '0' && element_name[i] <= '9') {
-    index = index * 10 + static_cast<size_t>(element_name[i] - '0');
-    ++i;
-  }
-  if (i == 1 || i >= element_name.size() || element_name[i] != '_' || index >= tenants.size()) {
-    return "";
-  }
-  return tenants[index];
-}
-
-}  // namespace
-
 Vm::VmId InNetPlatform::Install(Ipv4Address addr, const std::string& config_text,
                                 std::string* error, VmKind kind, bool sandbox,
                                 const std::vector<Ipv4Address>& sandbox_whitelist) {
-  std::string effective = config_text;
+  std::shared_ptr<const click::ConfigGraph> config = ParseGuestConfig(config_text, error);
+  if (config == nullptr) {
+    return 0;
+  }
   if (sandbox) {
-    auto parsed = click::ConfigGraph::Parse(config_text, error);
-    if (!parsed) {
-      return 0;
-    }
-    auto wrapped = WrapWithEnforcer(*parsed, sandbox_whitelist, 60.0, error);
+    auto wrapped = WrapWithEnforcer(*config, sandbox_whitelist, 60.0, error);
     if (!wrapped) {
       return 0;
     }
-    effective = wrapped->ToString();
+    config = std::make_shared<const click::ConfigGraph>(std::move(*wrapped));
   }
-  Vm* vm = vms_.Create(kind, effective,
+  Vm* vm = vms_.Create(kind, std::move(config),
                        [this](Vm* ready) {
                          AttachEgress(ready);
                          // Traffic that arrived during the boot was buffered
@@ -61,13 +36,53 @@ Vm::VmId InNetPlatform::Install(Ipv4Address addr, const std::string& config_text
   return vm->id();
 }
 
+const InNetPlatform::ConsolidatedTenant* InNetPlatform::FindConsolidatedTenant(
+    Vm::VmId vm_id, Ipv4Address addr) const {
+  auto guest = consolidated_tenants_.find(vm_id);
+  if (guest == consolidated_tenants_.end()) {
+    return nullptr;
+  }
+  for (const ConsolidatedTenant& tenant : guest->second) {
+    if (tenant.addr == addr) {
+      return &tenant;
+    }
+  }
+  return nullptr;
+}
+
 Vm::VmId InNetPlatform::InstallConsolidated(const std::vector<TenantConfig>& tenants,
                                             std::string* error) {
-  auto merged = ConsolidateTenants(tenants, error);
+  // Tenants the guest being replaced already runs keep their parse; only
+  // new or changed ones are parsed.
+  std::vector<ConsolidatedTenant> members;
+  std::vector<ParsedTenantConfig> parsed;
+  members.reserve(tenants.size());
+  parsed.reserve(tenants.size());
+  for (size_t i = 0; i < tenants.size(); ++i) {
+    const TenantConfig& tenant = tenants[i];
+    const ConsolidatedTenant* running =
+        FindConsolidatedTenant(InstalledVmFor(tenant.addr), tenant.addr);
+    std::shared_ptr<const TenantParse> parse;
+    if (running != nullptr && running->parsed->text == tenant.config_text) {
+      parse = running->parsed;
+    } else {
+      auto config = click::ConfigGraph::Parse(tenant.config_text, error);
+      if (!config) {
+        *error = "tenant " + std::to_string(i) + ": " + *error;
+        return 0;
+      }
+      parse = std::make_shared<const TenantParse>(
+          TenantParse{tenant.config_text, std::move(*config)});
+    }
+    parsed.push_back({tenant.addr, &parse->config});
+    members.push_back({tenant.addr, std::move(parse)});
+  }
+  auto merged = ConsolidateTenants(parsed, error);
   if (!merged) {
     return 0;
   }
-  Vm* vm = vms_.Create(VmKind::kClickOs, merged->ToString(),
+  Vm* vm = vms_.Create(VmKind::kClickOs,
+                       std::make_shared<const click::ConfigGraph>(std::move(*merged)),
                        [this](Vm* ready) {
                          AttachEgress(ready);
                          FlushStalled(ready->id());
@@ -79,15 +94,24 @@ Vm::VmId InNetPlatform::InstallConsolidated(const std::vector<TenantConfig>& ten
   // Remember the tenant order: the merged graph prefixes each tenant's
   // elements "t<i>_", so metric export can attribute element counters back
   // to the tenant that owns them.
-  std::vector<std::string>& tenant_labels = consolidated_tenants_[vm->id()];
+  consolidated_tenants_[vm->id()] = std::move(members);
+  std::vector<uint32_t>& addrs = vm_rules_[vm->id()].addrs;
   for (const TenantConfig& tenant : tenants) {
-    tenant_labels.push_back(tenant.addr.ToString());
     switch_.AddAddressRule(tenant.addr, vm->id());
     installed_[tenant.addr.value()] = vm->id();
-    vm_rules_[vm->id()].addrs.push_back(tenant.addr.value());
+    addrs.push_back(tenant.addr.value());
   }
   vms_.RefreshIntTenants(vm->id());
   return vm->id();
+}
+
+std::shared_ptr<const click::ConfigGraph> InNetPlatform::ConsolidatedConfig(
+    Vm::VmId vm_id, Ipv4Address addr) const {
+  const ConsolidatedTenant* tenant = FindConsolidatedTenant(vm_id, addr);
+  if (tenant == nullptr) {
+    return nullptr;
+  }
+  return {tenant->parsed, &tenant->parsed->config};
 }
 
 bool InNetPlatform::UninstallVm(Vm::VmId vm_id) {
@@ -210,7 +234,8 @@ bool InNetPlatform::Uninstall(Ipv4Address addr) {
 void InNetPlatform::RegisterOnDemand(Ipv4Address addr, const std::string& config_text,
                                      VmKind kind, bool per_flow) {
   OnDemandEntry entry;
-  entry.config_text = config_text;
+  std::string ignored;  // a text that does not parse leaves `config` null: boots fail
+  entry.config = ParseGuestConfig(config_text, &ignored);
   entry.kind = kind;
   entry.per_flow = per_flow;
   ondemand_[addr.value()] = std::move(entry);
@@ -427,7 +452,7 @@ void InNetPlatform::OnMiss(Packet& packet) {
     ++ondemand_boots_;
     ctr_ondemand_boots_->Increment();
     std::string error;
-    Vm* created = vms_.Create(entry.kind, entry.config_text,
+    Vm* created = vms_.Create(entry.kind, entry.config,
                          [this, addr](Vm* vm) {
                            AttachEgress(vm);
                            switch_.AddAddressRule(Ipv4Address(addr), vm->id());
@@ -465,7 +490,7 @@ void InNetPlatform::OnMiss(Packet& packet) {
   ++ondemand_boots_;
   ctr_ondemand_boots_->Increment();
   std::string error;
-  Vm* created = vms_.Create(entry.kind, entry.config_text,
+  Vm* created = vms_.Create(entry.kind, entry.config,
                        [this, key](Vm* vm) {
                          AttachEgress(vm);
                          switch_.AddFlowRule(key, vm->id());
@@ -529,10 +554,14 @@ void InNetPlatform::ExportMetrics(obs::MetricsRegistry* registry) const {
       vm->graph()->ExportMetrics(registry, base);
       continue;
     }
-    const std::vector<std::string>& tenants = consolidated->second;
+    // The graph read each element's t<i>_ prefix into its tenant slot (-1
+    // for shared glue elements); slot i is the i-th tenant in merge order.
+    const std::vector<ConsolidatedTenant>& tenants = consolidated->second;
+    const obs::ElementNameTable& names = *vm->graph()->element_names();
     for (const auto& element : vm->graph()->elements()) {
       obs::Labels labels = base;
-      labels.emplace_back("tenant", TenantForElement(element->name(), tenants));
+      auto slot = static_cast<size_t>(names.elements[element->id()].tenant_slot);
+      labels.emplace_back("tenant", slot < tenants.size() ? tenants[slot].addr.ToString() : "");
       labels.emplace_back("element", element->name());
       labels.emplace_back("class", std::string(element->class_name()));
       registry->GetCounter("innet_element_packets_total", labels)->SetTo(element->packets());
@@ -579,11 +608,11 @@ void InNetPlatform::TakePostmortem(obs::EventKind trigger, Vm::VmId vm_id,
   if (consolidated != consolidated_tenants_.end()) {
     // A consolidated guest serves several tenants; join them so the bundle
     // names everyone affected by the crash.
-    for (const std::string& tenant : consolidated->second) {
+    for (const ConsolidatedTenant& tenant : consolidated->second) {
       if (!bundle.tenant.empty()) {
         bundle.tenant += ",";
       }
-      bundle.tenant += tenant;
+      bundle.tenant += tenant.addr.ToString();
     }
   }
   if (vm != nullptr) {

@@ -62,9 +62,9 @@ class InNetPlatform {
   }
 
   // --- Static installation ------------------------------------------------------
-  // Boots a VM for `config_text` and routes dst==addr traffic to it once up.
-  // With `sandbox` set, the configuration is wrapped with a ChangeEnforcer
-  // first (in-config sandboxing; the tenant pays for it).
+  // Parses `config_text`, boots a VM for it and routes dst==addr traffic to
+  // it once up. With `sandbox` set, the parsed configuration is wrapped with
+  // a ChangeEnforcer first (in-config sandboxing; the tenant pays for it).
   // Returns the VM id, or 0 + *error.
   Vm::VmId Install(Ipv4Address addr, const std::string& config_text, std::string* error,
                    VmKind kind = VmKind::kClickOs, bool sandbox = false,
@@ -77,8 +77,16 @@ class InNetPlatform {
 
   // Consolidation (§5): boots one ClickOS VM running the merged
   // configuration of all `tenants` and routes each tenant address to it.
+  // Only tenants that no current consolidated guest runs with the same
+  // (address, text) are parsed; the others reuse that guest's parse.
   // Returns the VM id, or 0 + *error.
   Vm::VmId InstallConsolidated(const std::vector<TenantConfig>& tenants, std::string* error);
+
+  // The parsed configuration consolidated guest `vm_id` runs for the tenant
+  // at `addr`, or nullptr. Every guest built from the same (address, text)
+  // shares one; it is released with the last such guest.
+  std::shared_ptr<const click::ConfigGraph> ConsolidatedConfig(Vm::VmId vm_id,
+                                                               Ipv4Address addr) const;
 
   // Tears down a VM, every switch rule pointing at it, its stalled buffers,
   // and any on-demand bookkeeping referencing it (used to replace a
@@ -88,7 +96,9 @@ class InNetPlatform {
   // --- On-the-fly instantiation ----------------------------------------------------
   // Registers a tenant whose processing boots when traffic first arrives.
   // With per_flow set, every new 5-tuple gets its own VM (the Figure 5/6
-  // experiment); otherwise one VM serves the address once booted.
+  // experiment); otherwise one VM serves the address once booted. The text
+  // is parsed here, once; every guest booted for the tenant shares the
+  // parse. A text that does not parse boots nothing.
   void RegisterOnDemand(Ipv4Address addr, const std::string& config_text,
                         VmKind kind = VmKind::kClickOs, bool per_flow = true);
 
@@ -230,7 +240,7 @@ class InNetPlatform {
         if (slot >= 0) {
           if (consolidated != consolidated_tenants_.end() &&
               static_cast<size_t>(slot) < consolidated->second.size()) {
-            return consolidated->second[static_cast<size_t>(slot)];
+            return consolidated->second[static_cast<size_t>(slot)].addr.ToString();
           }
           return "";
         }
@@ -269,7 +279,7 @@ class InNetPlatform {
 
  private:
   struct OnDemandEntry {
-    std::string config_text;
+    std::shared_ptr<const click::ConfigGraph> config;  // null when the text did not parse
     VmKind kind = VmKind::kClickOs;
     bool per_flow = true;
     Vm::VmId shared_vm = 0;  // per_flow == false: the single VM once booted
@@ -303,9 +313,25 @@ class InNetPlatform {
   obs::FlightRecorder flight_;
   EgressHandler egress_;
   std::unique_ptr<Watchdog> watchdog_;
-  // Consolidated guests: tenant labels (addresses) in merge order, so the
-  // t<i>_ element-name prefix maps element -> tenant at export time.
-  std::unordered_map<Vm::VmId, std::vector<std::string>> consolidated_tenants_;
+  // A consolidated tenant's exact text and its parse, shared by every guest
+  // built from the same (address, text).
+  struct TenantParse {
+    std::string text;
+    click::ConfigGraph config;
+  };
+  // One tenant of a consolidated guest; its address in dotted form is the
+  // tenant's metric and INT key.
+  struct ConsolidatedTenant {
+    Ipv4Address addr;
+    std::shared_ptr<const TenantParse> parsed;
+  };
+  // Tenant `addr` of consolidated guest `vm_id`, or nullptr.
+  const ConsolidatedTenant* FindConsolidatedTenant(Vm::VmId vm_id, Ipv4Address addr) const;
+
+  // Consolidated guests: their tenants in merge order, so the t<i>_
+  // element-name prefix maps element -> tenant at export time. Each tenant's
+  // parse lives here, with the guest that runs it.
+  std::unordered_map<Vm::VmId, std::vector<ConsolidatedTenant>> consolidated_tenants_;
   std::unordered_map<uint32_t, OnDemandEntry> ondemand_;
   std::unordered_map<uint64_t, PendingFlow> pending_flows_;   // per-flow boots
   std::unordered_map<uint32_t, PendingFlow> pending_addrs_;   // shared-VM boots

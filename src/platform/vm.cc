@@ -165,14 +165,27 @@ void VmManager::MaybeAttachProfiler(Vm* vm) {
   vm->graph_->EnableProfiling(std::move(config));
 }
 
-Vm* VmManager::Create(VmKind kind, const std::string& config_text, ReadyCallback on_ready,
-                      std::string* error) {
+std::shared_ptr<const click::ConfigGraph> ParseGuestConfig(const std::string& text,
+                                                           std::string* error) {
+  auto config = click::ConfigGraph::Parse(text, error);
+  if (!config) {
+    return nullptr;
+  }
+  return std::make_shared<const click::ConfigGraph>(std::move(*config));
+}
+
+Vm* VmManager::Create(VmKind kind, std::shared_ptr<const click::ConfigGraph> config,
+                      ReadyCallback on_ready, std::string* error) {
   uint64_t needed = cost_model_.MemoryBytes(kind);
   if (memory_used_ + needed > memory_total_) {
     *error = "platform out of guest memory";
     return nullptr;
   }
-  auto graph = click::Graph::FromText(config_text, error, clock_);
+  if (config == nullptr) {
+    *error = "guest has no configuration";
+    return nullptr;
+  }
+  auto graph = click::Graph::Build(*config, error, click::Registry::Global(), clock_);
   if (graph == nullptr) {
     return nullptr;
   }
@@ -183,7 +196,7 @@ Vm* VmManager::Create(VmKind kind, const std::string& config_text, ReadyCallback
   vm->kind_ = kind;
   vm->state_ = VmState::kBooting;
   vm->graph_ = std::move(graph);
-  vm->config_text_ = config_text;
+  vm->config_ = std::move(config);
   vm->clock_ = clock_;
   Vm* raw = vm.get();
   memory_used_ += needed;
@@ -215,14 +228,15 @@ bool VmManager::Restart(Vm::VmId id, ReadyCallback on_ready, std::string* error)
     }
     return false;
   }
-  // A crash lost the guest's element state: rebuild the graph from the
-  // original configuration (it parsed once, so this cannot fail in normal
-  // operation — but report rather than assert).
-  std::string parse_error;
-  auto graph = click::Graph::FromText(vm->config_text_, &parse_error, clock_);
+  // A crash lost the guest's element state: build a new graph from the
+  // configuration (it built once, so this cannot fail in normal operation —
+  // but report rather than assert).
+  std::string build_error;
+  auto graph =
+      click::Graph::Build(*vm->config_, &build_error, click::Registry::Global(), clock_);
   if (graph == nullptr) {
     if (error != nullptr) {
-      *error = "restart config rebuild failed: " + parse_error;
+      *error = "restart config rebuild failed: " + build_error;
     }
     return false;
   }
@@ -363,7 +377,7 @@ std::optional<VmSnapshot> VmManager::ExportSuspended(Vm::VmId id) {
   Vm* vm = it->second.get();
   VmSnapshot snapshot;
   snapshot.kind = vm->kind_;
-  snapshot.config_text = std::move(vm->config_text_);
+  snapshot.config = std::move(vm->config_);
   snapshot.owner = std::move(vm->owner_);
   snapshot.graph = std::move(vm->graph_);
   snapshot.injected_count = vm->injected_count_;
@@ -376,7 +390,7 @@ std::optional<VmSnapshot> VmManager::ExportSuspended(Vm::VmId id) {
 }
 
 Vm* VmManager::ImportSnapshot(VmSnapshot* snapshot, ReadyCallback on_ready, std::string* error) {
-  if (snapshot == nullptr || snapshot->graph == nullptr) {
+  if (snapshot == nullptr || snapshot->graph == nullptr || snapshot->config == nullptr) {
     if (error != nullptr) {
       *error = "snapshot carries no graph";
     }
@@ -395,7 +409,7 @@ Vm* VmManager::ImportSnapshot(VmSnapshot* snapshot, ReadyCallback on_ready, std:
   vm->kind_ = snapshot->kind;
   vm->state_ = VmState::kResuming;
   vm->graph_ = std::move(snapshot->graph);
-  vm->config_text_ = std::move(snapshot->config_text);
+  vm->config_ = std::move(snapshot->config);
   vm->owner_ = std::move(snapshot->owner);
   vm->injected_count_ = snapshot->injected_count;
   vm->restart_count_ = snapshot->restart_count;

@@ -50,9 +50,6 @@ class Vm {
   VmKind kind() const { return kind_; }
   VmState state() const { return state_; }
   click::Graph* graph() const { return graph_.get(); }
-  // The configuration the guest was booted from (used by Restart to rebuild
-  // the graph after a crash — a crash loses all element state).
-  const std::string& config_text() const { return config_text_; }
   // How many times this guest was restarted after a crash.
   uint64_t restart_count() const { return restart_count_; }
 
@@ -91,7 +88,9 @@ class Vm {
   VmState state_ = VmState::kBooting;
   std::unique_ptr<click::Graph> graph_;
   EgressHandler egress_;
-  std::string config_text_;
+  // The configuration the guest was booted from: a crash loses all element
+  // state, and Restart builds a fresh graph from it.
+  std::shared_ptr<const click::ConfigGraph> config_;
   std::string owner_;
   uint64_t injected_count_ = 0;
   uint64_t restart_count_ = 0;
@@ -113,12 +112,17 @@ class Vm {
 // their clock binding across the move.
 struct VmSnapshot {
   VmKind kind = VmKind::kClickOs;
-  std::string config_text;
+  std::shared_ptr<const click::ConfigGraph> config;
   std::string owner;
   std::unique_ptr<click::Graph> graph;
   uint64_t injected_count = 0;
   uint64_t restart_count = 0;
 };
+
+// Parses `text` into the shared, immutable configuration VmManager::Create
+// takes; nullptr + *error on a syntax error.
+std::shared_ptr<const click::ConfigGraph> ParseGuestConfig(const std::string& text,
+                                                           std::string* error);
 
 class VmManager {
  public:
@@ -130,11 +134,12 @@ class VmManager {
   VmManager(sim::EventQueue* clock, VmCostModel cost_model, uint64_t total_memory_bytes)
       : clock_(clock), cost_model_(cost_model), memory_total_(total_memory_bytes) {}
 
-  // Starts booting a VM running `config_text`; `on_ready` fires when the
-  // guest is up (after BootTime). Returns nullptr + *error when the
-  // configuration is invalid or memory is exhausted.
-  Vm* Create(VmKind kind, const std::string& config_text, ReadyCallback on_ready,
-             std::string* error);
+  // Starts booting a VM running `config`; `on_ready` fires when the guest is
+  // up (after BootTime). The guest keeps `config` for restarts. Returns
+  // nullptr + *error when memory is exhausted, `config` is null, or its
+  // graph does not build (unknown class, bad arguments, bad port).
+  Vm* Create(VmKind kind, std::shared_ptr<const click::ConfigGraph> config,
+             ReadyCallback on_ready, std::string* error);
 
   // Suspends a running VM; `done` fires after SuspendTime.
   bool Suspend(Vm::VmId id, std::function<void()> done = nullptr);
@@ -152,8 +157,9 @@ class VmManager {
   // Destroy.
   bool Crash(Vm::VmId id);
 
-  // Reboots a crashed guest in place: rebuilds its Click graph from the
-  // original configuration, re-acquires memory, and schedules the boot.
+  // Reboots a crashed guest in place: builds a new Click graph from the
+  // configuration it was created with, re-acquires memory, and schedules
+  // the boot.
   // `on_ready` fires when the guest is running again (egress handlers must
   // be re-attached by the caller — the graph is new). Returns false when the
   // guest is not crashed or memory is exhausted.

@@ -18,12 +18,6 @@ void ResourceLedger::AddPlatform(const std::string& name) {
   entries_.insert(pos, Entry{name, true});
 }
 
-void ResourceLedger::RemovePlatform(const std::string& name) {
-  entries_.erase(std::remove_if(entries_.begin(), entries_.end(),
-                                [&](const Entry& entry) { return entry.name == name; }),
-                 entries_.end());
-}
-
 void ResourceLedger::SetAvailable(const std::string& name, bool available) {
   for (Entry& entry : entries_) {
     if (entry.name == name) {

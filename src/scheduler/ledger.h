@@ -47,7 +47,6 @@ class ResourceLedger {
   explicit ResourceLedger(Prober prober) : prober_(std::move(prober)) {}
 
   void AddPlatform(const std::string& name);
-  void RemovePlatform(const std::string& name);
   // Administrative override on top of the probe's own `available` bit (used
   // by tests and manual drains; failover flows through the probe).
   void SetAvailable(const std::string& name, bool available);

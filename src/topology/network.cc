@@ -130,7 +130,7 @@ class RouterModel : public SymbolicModel {
 class StatefulFirewallModel : public SymbolicModel {
  public:
   StatefulFirewallModel(const std::vector<uint8_t>& protos,
-                        std::shared_ptr<const std::vector<FlowSpec>> pinholes)
+                        std::shared_ptr<const std::vector<PinholeSet>> pinholes)
       : pinholes_(std::move(pinholes)) {
     for (uint8_t proto : protos) {
       allowed_protos_ = allowed_protos_.Union(ValueSet::Single(proto));
@@ -159,9 +159,11 @@ class StatefulFirewallModel : public SymbolicModel {
     // ...or matching a controller-installed pinhole (explicit authorization).
     // A pinhole the packet cannot match yields no branch, so it is skipped
     // before anything is copied.
-    for (const FlowSpec& pinhole : *pinholes_) {
-      if (packet.CanMatchFlowSpec(pinhole)) {
-        symexec::EmitFlowSpecBranches(ctx, packet, pinhole, 0, out);
+    for (const PinholeSet& set : *pinholes_) {
+      for (const FlowSpec& pinhole : *set) {
+        if (packet.CanMatchFlowSpec(pinhole)) {
+          symexec::EmitFlowSpecBranches(ctx, packet, pinhole, 0, out);
+        }
       }
     }
   }
@@ -169,7 +171,7 @@ class StatefulFirewallModel : public SymbolicModel {
  private:
   ValueSet allowed_protos_;
   // Shared by every firewall of one graph.
-  std::shared_ptr<const std::vector<FlowSpec>> pinholes_;
+  std::shared_ptr<const std::vector<PinholeSet>> pinholes_;
 };
 
 // HTTP optimizer: may rewrite payloads of port-80 TCP traffic in either
@@ -361,7 +363,7 @@ int Network::HopDistance(const std::string& from, const std::string& to) const {
 }
 
 symexec::SymGraph Network::BuildSymGraph(const std::vector<ModuleAttachment>& modules,
-                                         std::vector<FlowSpec> pinholes) const {
+                                         std::vector<PinholeSet> pinholes) const {
   // The node each module attaches to (-1 when unknown) and its port there:
   // the node's links come first, then one port per module in `modules`
   // order.
@@ -386,7 +388,7 @@ symexec::SymGraph Network::BuildSymGraph(const std::vector<ModuleAttachment>& mo
                 static_cast<int>(nodes_[it->second].neighbors.size() + ports.size())};
     ports.push_back({modules[m].addr.value(), slots[m].port});
   }
-  auto shared_pinholes = std::make_shared<const std::vector<FlowSpec>>(std::move(pinholes));
+  auto shared_pinholes = std::make_shared<const std::vector<PinholeSet>>(std::move(pinholes));
 
   symexec::SymGraph graph;
   size_t graph_nodes = nodes_.size();

@@ -85,6 +85,10 @@ struct ModuleAttachment {
   const ModuleFragment* fragment = nullptr;
 };
 
+// One deployment's firewall pinholes, shared by every verification graph
+// built while the deployment is installed.
+using PinholeSet = std::shared_ptr<const std::vector<FlowSpec>>;
+
 // The network is immutable once built: the modules and firewall pinholes a
 // verification graph includes are arguments of BuildSymGraph.
 class Network {
@@ -118,11 +122,12 @@ class Network {
   // links come first, then one port per module, in `modules` order. Each
   // module's fragment is merged after the network's nodes and wired to its
   // port, so the controller can test placements before committing (§4.3).
-  // Every stateful firewall admits inbound flows matching `pinholes`: the
-  // ones the controller opens when a customer explicitly authorizes traffic
-  // to its registered addresses (§2.1).
+  // Every stateful firewall admits inbound flows matching `pinholes`, in
+  // order: the ones the controller opens when a customer explicitly
+  // authorizes traffic to its registered addresses (§2.1). The firewalls
+  // share the sets; nothing is copied.
   symexec::SymGraph BuildSymGraph(const std::vector<ModuleAttachment>& modules = {},
-                                  std::vector<FlowSpec> pinholes = {}) const;
+                                  std::vector<PinholeSet> pinholes = {}) const;
 
   // --- Canned topologies -------------------------------------------------------
   // The paper's Figure 3: internet -- border router -- {path A: nat&fw;

@@ -337,7 +337,7 @@ TEST_F(ControllerDeploy, KillRenumbersSurvivorAndDropsItsPinholes) {
   first.pinned_platform = "platform3";
   DeployOutcome web = controller_.Deploy(first);
   ASSERT_TRUE(web.accepted) << web.reason;
-  ASSERT_EQ(controller_.FindDeployment(web.module_id)->pinholes.size(), 1u);
+  ASSERT_EQ(controller_.FindDeployment(web.module_id)->pinholes->size(), 1u);
 
   ClientRequest second;
   second.client_id = "dns";
@@ -432,7 +432,7 @@ TEST_F(ControllerDeploy, OneExplorationPerCandidate) {
 
   const Deployment* dep = controller_.FindDeployment(outcome.module_id);
   ASSERT_NE(dep, nullptr);
-  EXPECT_EQ(dep->pinholes.size(), 2u);
+  EXPECT_EQ(dep->pinholes->size(), 2u);
   EXPECT_EQ(dep->path_digest, symexec::ComputePathDigest(dep->config).Encode());
 }
 

@@ -33,6 +33,12 @@ Packet Udp(const char* src, const char* dst, uint16_t sport, uint16_t dport) {
                          32);
 }
 
+// A guest config that forwards everything, parsed for VmManager::Create.
+std::shared_ptr<const click::ConfigGraph> ForwardConfig() {
+  std::string error;
+  return platform::ParseGuestConfig("FromNetfront() -> ToNetfront();", &error);
+}
+
 // --- Platform resource exhaustion --------------------------------------------------
 
 TEST(Failure, OnDemandBootFailsWhenMemoryExhausted) {
@@ -58,7 +64,7 @@ TEST(Failure, DestroyWhileBootingNeverRuns) {
   InNetPlatform platform(&clock);
   std::string error;
   bool became_ready = false;
-  Vm* vm = platform.vms().Create(VmKind::kClickOs, "FromNetfront() -> ToNetfront();",
+  Vm* vm = platform.vms().Create(VmKind::kClickOs, ForwardConfig(),
                                  [&](Vm*) { became_ready = true; }, &error);
   ASSERT_NE(vm, nullptr);
   ASSERT_TRUE(platform.vms().Destroy(vm->id()));
@@ -71,7 +77,7 @@ TEST(Failure, DestroyWhileSuspendingIsSafe) {
   sim::EventQueue clock;
   platform::VmManager vms(&clock, VmCostModel{}, 1ull << 30);
   std::string error;
-  Vm* vm = vms.Create(VmKind::kClickOs, "FromNetfront() -> ToNetfront();", nullptr, &error);
+  Vm* vm = vms.Create(VmKind::kClickOs, ForwardConfig(), nullptr, &error);
   ASSERT_NE(vm, nullptr);
   clock.RunUntil(sim::FromMillis(100));
   bool suspend_done = false;
@@ -91,11 +97,11 @@ TEST(Failure, DestroyWhileBootingCancelsOnReadyDespiteLaterBoots) {
   std::string error;
   bool first_ready = false;
   bool second_ready = false;
-  Vm* first = vms.Create(VmKind::kClickOs, "FromNetfront() -> ToNetfront();",
+  Vm* first = vms.Create(VmKind::kClickOs, ForwardConfig(),
                          [&](Vm*) { first_ready = true; }, &error);
   ASSERT_NE(first, nullptr);
   ASSERT_TRUE(vms.Destroy(first->id()));
-  Vm* second = vms.Create(VmKind::kClickOs, "FromNetfront() -> ToNetfront();",
+  Vm* second = vms.Create(VmKind::kClickOs, ForwardConfig(),
                           [&](Vm*) { second_ready = true; }, &error);
   ASSERT_NE(second, nullptr);
   clock.RunUntil(sim::FromSeconds(1));
@@ -112,7 +118,7 @@ TEST(Failure, RemainingCapacityGuardsZeroCostModel) {
   platform::VmManager vms(&clock, model, 1ull << 30);
   EXPECT_EQ(vms.RemainingCapacity(VmKind::kClickOs), std::numeric_limits<uint64_t>::max());
   std::string error;
-  Vm* vm = vms.Create(VmKind::kClickOs, "FromNetfront() -> ToNetfront();", nullptr, &error);
+  Vm* vm = vms.Create(VmKind::kClickOs, ForwardConfig(), nullptr, &error);
   ASSERT_NE(vm, nullptr) << error;
   EXPECT_EQ(vms.memory_used(), 0u);
 }
@@ -128,7 +134,7 @@ TEST(Failure, CrashDuringBootReleasesMemoryAndSkipsOnReady) {
   vms.SetFaultInjector(&injector);
   std::string error;
   bool became_ready = false;
-  Vm* vm = vms.Create(VmKind::kClickOs, "FromNetfront() -> ToNetfront();",
+  Vm* vm = vms.Create(VmKind::kClickOs, ForwardConfig(),
                       [&](Vm*) { became_ready = true; }, &error);
   ASSERT_NE(vm, nullptr);
   clock.RunUntil(sim::FromSeconds(1));
@@ -143,7 +149,7 @@ TEST(Failure, CrashDuringResumeDoesNotRevive) {
   sim::EventQueue clock;
   platform::VmManager vms(&clock, VmCostModel{}, 1ull << 30);
   std::string error;
-  Vm* vm = vms.Create(VmKind::kClickOs, "FromNetfront() -> ToNetfront();", nullptr, &error);
+  Vm* vm = vms.Create(VmKind::kClickOs, ForwardConfig(), nullptr, &error);
   ASSERT_NE(vm, nullptr);
   Vm::VmId id = vm->id();
   clock.RunUntil(sim::FromSeconds(1));
@@ -172,7 +178,7 @@ TEST(Failure, CrashDuringSuspendKeepsAccountingConsistent) {
   sim::EventQueue clock;
   platform::VmManager vms(&clock, VmCostModel{}, 1ull << 30);
   std::string error;
-  Vm* vm = vms.Create(VmKind::kClickOs, "FromNetfront() -> ToNetfront();", nullptr, &error);
+  Vm* vm = vms.Create(VmKind::kClickOs, ForwardConfig(), nullptr, &error);
   ASSERT_NE(vm, nullptr);
   clock.RunUntil(sim::FromSeconds(1));
   ASSERT_TRUE(vms.Suspend(vm->id()));
@@ -215,7 +221,7 @@ TEST(Failure, ResumeOfDestroyedVmRejected) {
   sim::EventQueue clock;
   platform::VmManager vms(&clock, VmCostModel{}, 1ull << 30);
   std::string error;
-  Vm* vm = vms.Create(VmKind::kClickOs, "FromNetfront() -> ToNetfront();", nullptr, &error);
+  Vm* vm = vms.Create(VmKind::kClickOs, ForwardConfig(), nullptr, &error);
   ASSERT_NE(vm, nullptr);
   Vm::VmId id = vm->id();
   clock.RunUntil(sim::FromMillis(100));

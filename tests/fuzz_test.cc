@@ -17,11 +17,14 @@
 #include <vector>
 
 #include "src/click/config_parser.h"
+#include "src/click/graph.h"
 #include "src/click/registry.h"
 #include "src/controller/controller.h"
 #include "src/controller/security.h"
 #include "src/controller/stock_modules.h"
 #include "src/netcore/flowspec.h"
+#include "src/platform/consolidation.h"
+#include "src/platform/platform.h"
 #include "src/policy/reach_spec.h"
 #include "src/sim/rng.h"
 #include "src/symexec/path_digest.h"
@@ -338,6 +341,198 @@ TEST(TenantInputFuzz, ReachStatements) {
     SCOPED_TRACE(input);
     CheckReach(input);
   }
+}
+
+// --- Consolidated guests built from parsed configs ---------------------------------
+// A platform builds a consolidated guest from its tenants' parsed configs and
+// keeps no text; before, it rendered the merged config to text and parsed it
+// again. These checks hold the two paths equal on every tenant set below.
+
+void ExpectSameConfig(const click::ConfigGraph& got, const click::ConfigGraph& want) {
+  ASSERT_EQ(got.elements.size(), want.elements.size());
+  for (size_t i = 0; i < got.elements.size(); ++i) {
+    EXPECT_EQ(got.elements[i].name, want.elements[i].name);
+    EXPECT_EQ(got.elements[i].class_name, want.elements[i].class_name);
+    EXPECT_EQ(got.elements[i].args, want.elements[i].args);
+  }
+  ASSERT_EQ(got.connections.size(), want.connections.size());
+  for (size_t i = 0; i < got.connections.size(); ++i) {
+    EXPECT_EQ(got.connections[i].from, want.connections[i].from);
+    EXPECT_EQ(got.connections[i].from_port, want.connections[i].from_port);
+    EXPECT_EQ(got.connections[i].to, want.connections[i].to);
+    EXPECT_EQ(got.connections[i].to_port, want.connections[i].to_port);
+  }
+}
+
+// Element names and classes, every output's wiring, and the tenant slots the
+// graph reads from the t<i>_ prefixes.
+void ExpectSameGraph(const click::Graph& got, const click::Graph& want) {
+  ASSERT_EQ(got.elements().size(), want.elements().size());
+  for (size_t i = 0; i < got.elements().size(); ++i) {
+    const click::Element& a = *got.elements()[i];
+    const click::Element& b = *want.elements()[i];
+    EXPECT_EQ(a.name(), b.name());
+    EXPECT_EQ(a.class_name(), b.class_name());
+    ASSERT_EQ(a.n_outputs(), b.n_outputs()) << a.name();
+    for (int port = 0; port < a.n_outputs(); ++port) {
+      ASSERT_EQ(a.output(port).connected(), b.output(port).connected()) << a.name();
+      if (a.output(port).connected()) {
+        EXPECT_EQ(a.output(port).element->id(), b.output(port).element->id());
+        EXPECT_EQ(a.output(port).port, b.output(port).port);
+      }
+    }
+    EXPECT_EQ(got.element_names()->elements[i].tenant_slot,
+              want.element_names()->elements[i].tenant_slot);
+  }
+  EXPECT_EQ(got.element_names()->tenant_slots, want.element_names()->tenant_slots);
+}
+
+// True when a consolidated guest accepts `text` as its only tenant.
+bool Consolidatable(const std::string& text) {
+  std::string error;
+  auto config = click::ConfigGraph::Parse(text, &error);
+  if (!config) {
+    return false;
+  }
+  auto merged = platform::ConsolidateTenants(
+      std::vector<platform::ParsedTenantConfig>{{Ipv4Address::MustParse("172.16.3.10"), &*config}},
+      &error);
+  return merged.has_value() && click::Graph::Build(*merged, &error) != nullptr;
+}
+
+// Merges `tenants` both ways for each demux kind and compares the results;
+// with the paper's classifier demux, also installs them on a platform.
+void CheckTenantSet(const std::vector<platform::TenantConfig>& tenants) {
+  std::vector<click::ConfigGraph> configs;
+  std::vector<platform::ParsedTenantConfig> parsed;
+  configs.reserve(tenants.size());
+  for (const platform::TenantConfig& tenant : tenants) {
+    std::string error;
+    auto config = click::ConfigGraph::Parse(tenant.config_text, &error);
+    ASSERT_TRUE(config.has_value()) << error;
+    configs.push_back(std::move(*config));
+  }
+  for (size_t i = 0; i < tenants.size(); ++i) {
+    parsed.push_back({tenants[i].addr, &configs[i]});
+  }
+  for (platform::DemuxKind kind :
+       {platform::DemuxKind::kLinearClassifier, platform::DemuxKind::kHashDemux}) {
+    std::string text_error;
+    std::string parsed_error;
+    auto from_text = platform::ConsolidateTenants(tenants, &text_error, kind);
+    auto merged = platform::ConsolidateTenants(parsed, &parsed_error, kind);
+    ASSERT_EQ(merged.has_value(), from_text.has_value()) << parsed_error << text_error;
+    if (!merged) {
+      EXPECT_EQ(parsed_error, text_error);
+      continue;
+    }
+    ExpectSameConfig(*merged, *from_text);
+
+    // A merged config that does not build must not build from its text
+    // either (a tenant's second source or sink is dropped but still wired:
+    // the text no longer parses).
+    std::string built_error;
+    std::string round_trip_error;
+    auto built = click::Graph::Build(*merged, &built_error);
+    auto round_trip = click::Graph::FromText(merged->ToString(), &round_trip_error);
+    ASSERT_EQ(built != nullptr, round_trip != nullptr) << built_error << round_trip_error;
+    sim::EventQueue clock;
+    platform::InNetPlatform box(&clock);
+    std::string error;
+    if (built == nullptr) {
+      EXPECT_EQ(box.InstallConsolidated(tenants, &error), 0u);
+      continue;
+    }
+    auto reparsed = click::ConfigGraph::Parse(merged->ToString(), &error);
+    ASSERT_TRUE(reparsed.has_value()) << error;
+    ExpectSameConfig(*merged, *reparsed);
+    ExpectSameGraph(*built, *round_trip);
+    if (kind != platform::DemuxKind::kLinearClassifier) {
+      continue;
+    }
+    platform::Vm::VmId vm = box.InstallConsolidated(tenants, &error);
+    ASSERT_NE(vm, 0u) << error;
+    ExpectSameGraph(*box.vms().Find(vm)->graph(), *round_trip);
+    // A post-mortem names the guest's tenants by label, in merge order.
+    std::string labels;
+    for (const platform::TenantConfig& tenant : tenants) {
+      labels += (labels.empty() ? "" : ",") + tenant.addr.ToString();
+    }
+    box.TakePostmortem(obs::EventKind::kVmCrash, vm, "");
+    EXPECT_EQ(box.flight_recorder().postmortems().back().tenant, labels);
+  }
+}
+
+TEST(ConsolidatedGuestFuzz, BuiltFromParsedConfigsMatchesTheTextRoundTrip) {
+  // Tenant configs from the platform tests and benches, every corpus config,
+  // and byte-level and structured fuzz mutants that a guest accepts.
+  std::vector<std::string> texts = {
+      "FromNetfront() -> Counter() -> ToNetfront();",
+      "FromNetfront() -> IPFilter(allow udp) -> ToNetfront();",
+      "FromNetfront() -> RateLimiter(1000) -> ToNetfront();",
+      "FromNetfront() -> IPFilter(allow tcp, allow udp) -> ToNetfront();",
+      "FromNetfront() -> gate :: IPFilter(allow udp) -> ToNetfront();",
+      "FromNetfront() -> Counter() -> SetTTL(9) -> ToNetfront();",
+      "FromNetfront() -> DecIPTTL() -> ToNetfront();",
+  };
+  std::vector<std::string> corpus = ConfigCorpus();
+  texts.insert(texts.end(), corpus.begin(), corpus.end());
+  sim::Rng rng(kSeed + 4);
+  int mutants = 0;
+  for (int i = 0; i < kInputsPerKind; ++i) {
+    std::string input = Mutate(corpus[rng.NextBelow(corpus.size())], corpus, &rng);
+    if (Consolidatable(input)) {
+      texts.push_back(std::move(input));
+      ++mutants;
+    }
+  }
+  std::vector<click::ConfigGraph> parsed_corpus;
+  std::vector<std::string> arguments = {"", "0", "-", "10.10.0.5", "udp dst port 53"};
+  for (const std::string& text : corpus) {
+    std::string error;
+    auto config = click::ConfigGraph::Parse(text, &error);
+    ASSERT_TRUE(config.has_value()) << error;
+    parsed_corpus.push_back(std::move(*config));
+  }
+  std::vector<std::string> classes = click::Registry::Global().KnownClasses();
+  for (int i = 0; i < kStructuredConfigs; ++i) {
+    std::string input = MutateStructure(parsed_corpus[rng.NextBelow(parsed_corpus.size())],
+                                        classes, arguments, &rng);
+    if (Consolidatable(input)) {
+      texts.push_back(std::move(input));
+      ++mutants;
+    }
+  }
+  EXPECT_GE(mutants, 20);
+
+  // Sets of one to four accepted tenants, each at its own address. Each
+  // config a guest refuses (stateful, no endpoints, a second source) is a
+  // set of its own, for the refusal paths.
+  std::vector<std::string> accepted;
+  std::vector<std::vector<platform::TenantConfig>> sets;
+  Ipv4Address base = Ipv4Address::MustParse("172.16.3.10");
+  for (const std::string& text : texts) {
+    if (Consolidatable(SubstituteSelf(text, base))) {
+      accepted.push_back(text);
+    } else {
+      sets.push_back({{base, SubstituteSelf(text, base)}});
+    }
+  }
+  size_t refused = sets.size();
+  size_t start = 0;
+  for (size_t size = 1; start < accepted.size(); size = size % 4 + 1) {
+    std::vector<platform::TenantConfig>& tenants = sets.emplace_back();
+    for (size_t k = 0; k < size && start < accepted.size(); ++k, ++start) {
+      Ipv4Address addr(base.value() + static_cast<uint32_t>(k));
+      tenants.push_back({addr, SubstituteSelf(accepted[start], addr)});
+    }
+  }
+  for (size_t i = 0; i < sets.size(); ++i) {
+    SCOPED_TRACE("tenant set " + std::to_string(i));
+    CheckTenantSet(sets[i]);
+  }
+  std::printf("consolidated tenant sets: %zu (%zu refused configs, %d fuzz mutants)\n",
+              sets.size(), refused, mutants);
 }
 
 // Found by this fuzzer (seed 1): a port number that does not fit an int made

@@ -17,6 +17,14 @@ Packet Udp(const char* src, const char* dst, uint16_t sport, uint16_t dport) {
 const char* kForwarderConfig =
     "FromNetfront() -> IPFilter(allow all) -> ToNetfront();";
 
+// `text` parsed for VmManager::Create.
+std::shared_ptr<const click::ConfigGraph> Parsed(const char* text) {
+  std::string error;
+  auto config = ParseGuestConfig(text, &error);
+  EXPECT_NE(config, nullptr) << error;
+  return config;
+}
+
 // --- Cost model ------------------------------------------------------------------
 
 TEST(VmCostModel, ClickOsBootsOrdersOfMagnitudeFasterThanLinux) {
@@ -49,7 +57,7 @@ TEST(VmManager, BootCompletesAfterBootTime) {
   VmManager vms(&clock, VmCostModel{}, 1ull << 30);
   std::string error;
   bool ready = false;
-  Vm* vm = vms.Create(VmKind::kClickOs, kForwarderConfig, [&](Vm*) { ready = true; }, &error);
+  Vm* vm = vms.Create(VmKind::kClickOs, Parsed(kForwarderConfig), [&](Vm*) { ready = true; }, &error);
   ASSERT_NE(vm, nullptr) << error;
   EXPECT_EQ(vm->state(), VmState::kBooting);
   clock.RunUntil(sim::FromMillis(10));
@@ -63,7 +71,7 @@ TEST(VmManager, RejectsInvalidConfig) {
   sim::EventQueue clock;
   VmManager vms(&clock, VmCostModel{}, 1ull << 30);
   std::string error;
-  EXPECT_EQ(vms.Create(VmKind::kClickOs, "Bogus();", nullptr, &error), nullptr);
+  EXPECT_EQ(vms.Create(VmKind::kClickOs, Parsed("Bogus();"), nullptr, &error), nullptr);
   EXPECT_FALSE(error.empty());
 }
 
@@ -73,9 +81,9 @@ TEST(VmManager, MemoryExhaustion) {
   VmManager vms(&clock, model, 3 * model.MemoryBytes(VmKind::kClickOs));
   std::string error;
   for (int i = 0; i < 3; ++i) {
-    EXPECT_NE(vms.Create(VmKind::kClickOs, kForwarderConfig, nullptr, &error), nullptr);
+    EXPECT_NE(vms.Create(VmKind::kClickOs, Parsed(kForwarderConfig), nullptr, &error), nullptr);
   }
-  EXPECT_EQ(vms.Create(VmKind::kClickOs, kForwarderConfig, nullptr, &error), nullptr);
+  EXPECT_EQ(vms.Create(VmKind::kClickOs, Parsed(kForwarderConfig), nullptr, &error), nullptr);
   EXPECT_NE(error.find("memory"), std::string::npos);
   EXPECT_EQ(vms.RemainingCapacity(VmKind::kClickOs), 0u);
 }
@@ -85,18 +93,18 @@ TEST(VmManager, DestroyReleasesMemory) {
   VmCostModel model;
   VmManager vms(&clock, model, 1 * model.MemoryBytes(VmKind::kClickOs));
   std::string error;
-  Vm* vm = vms.Create(VmKind::kClickOs, kForwarderConfig, nullptr, &error);
+  Vm* vm = vms.Create(VmKind::kClickOs, Parsed(kForwarderConfig), nullptr, &error);
   ASSERT_NE(vm, nullptr);
   EXPECT_TRUE(vms.Destroy(vm->id()));
   EXPECT_EQ(vms.memory_used(), 0u);
-  EXPECT_NE(vms.Create(VmKind::kClickOs, kForwarderConfig, nullptr, &error), nullptr);
+  EXPECT_NE(vms.Create(VmKind::kClickOs, Parsed(kForwarderConfig), nullptr, &error), nullptr);
 }
 
 TEST(VmManager, SuspendResumeCycle) {
   sim::EventQueue clock;
   VmManager vms(&clock, VmCostModel{}, 1ull << 30);
   std::string error;
-  Vm* vm = vms.Create(VmKind::kClickOs, kForwarderConfig, nullptr, &error);
+  Vm* vm = vms.Create(VmKind::kClickOs, Parsed(kForwarderConfig), nullptr, &error);
   ASSERT_NE(vm, nullptr);
   clock.RunUntil(sim::FromMillis(100));
   ASSERT_EQ(vm->state(), VmState::kRunning);
@@ -120,7 +128,7 @@ TEST(VmManager, SuspendedVmDropsTraffic) {
   sim::EventQueue clock;
   VmManager vms(&clock, VmCostModel{}, 1ull << 30);
   std::string error;
-  Vm* vm = vms.Create(VmKind::kClickOs, kForwarderConfig, nullptr, &error);
+  Vm* vm = vms.Create(VmKind::kClickOs, Parsed(kForwarderConfig), nullptr, &error);
   ASSERT_NE(vm, nullptr);
   clock.RunUntil(sim::FromMillis(100));
   vms.Suspend(vm->id());
@@ -392,6 +400,166 @@ TEST(Sandbox, InstallWithSandboxEnforcesWhitelist) {
   // address is not whitelisted here and the packet is not a response), so it
   // is blocked — the sandbox fails closed.
   EXPECT_EQ(egressed, 0);
+}
+
+// --- Consolidated guests keep their tenants' parses -------------------------------
+
+TenantConfig Tenant(const char* addr, const char* text) {
+  return TenantConfig{Ipv4Address::MustParse(addr), text};
+}
+
+std::vector<std::string> ElementNames(const click::Graph& graph) {
+  std::vector<std::string> names;
+  for (const auto& element : graph.elements()) {
+    names.push_back(element->name());
+  }
+  return names;
+}
+
+const char* kCounterTenant = "FromNetfront() -> Counter() -> ToNetfront();";
+const char* kFilterTenant = "FromNetfront() -> IPFilter(allow udp) -> ToNetfront();";
+
+TEST(ConsolidatedGuest, UnchangedTenantsKeepTheirParseAcrossRebuilds) {
+  sim::EventQueue clock;
+  InNetPlatform platform(&clock);
+  std::string error;
+  Ipv4Address a = Ipv4Address::MustParse("172.16.3.10");
+  Ipv4Address b = Ipv4Address::MustParse("172.16.3.11");
+  Vm::VmId first = platform.InstallConsolidated(
+      {Tenant("172.16.3.10", kCounterTenant), Tenant("172.16.3.11", kFilterTenant)}, &error);
+  ASSERT_NE(first, 0u) << error;
+  auto a_parse = platform.ConsolidatedConfig(first, a);
+  auto b_parse = platform.ConsolidatedConfig(first, b);
+  ASSERT_NE(a_parse, nullptr);
+  ASSERT_NE(b_parse, nullptr);
+  EXPECT_EQ(platform.ConsolidatedConfig(first, Ipv4Address::MustParse("172.16.3.12")), nullptr);
+
+  // The rebuild that adds a tenant reuses the parses the running guest holds.
+  Vm::VmId second = platform.InstallConsolidated(
+      {Tenant("172.16.3.10", kCounterTenant), Tenant("172.16.3.11", kFilterTenant),
+       Tenant("172.16.3.12", kCounterTenant)},
+      &error);
+  ASSERT_NE(second, 0u) << error;
+  EXPECT_EQ(platform.ConsolidatedConfig(second, a), a_parse);
+  EXPECT_EQ(platform.ConsolidatedConfig(second, b), b_parse);
+  auto c_parse = platform.ConsolidatedConfig(second, Ipv4Address::MustParse("172.16.3.12"));
+  ASSERT_NE(c_parse, nullptr);
+  EXPECT_NE(c_parse, a_parse);  // same text, other address: parsed on its own
+  EXPECT_TRUE(platform.UninstallVm(first));
+  EXPECT_EQ(platform.ConsolidatedConfig(second, a), a_parse);
+}
+
+TEST(ConsolidatedGuest, RedeployedTenantWithNewTextIsParsedAgain) {
+  sim::EventQueue clock;
+  InNetPlatform platform(&clock);
+  std::string error;
+  Ipv4Address a = Ipv4Address::MustParse("172.16.3.10");
+  Vm::VmId first = platform.InstallConsolidated(
+      {Tenant("172.16.3.10", kCounterTenant), Tenant("172.16.3.11", kFilterTenant)}, &error);
+  ASSERT_NE(first, 0u) << error;
+  auto old_parse = platform.ConsolidatedConfig(first, a);
+
+  Vm::VmId second = platform.InstallConsolidated(
+      {Tenant("172.16.3.10", "FromNetfront() -> DecIPTTL() -> ToNetfront();"),
+       Tenant("172.16.3.11", kFilterTenant)},
+      &error);
+  ASSERT_NE(second, 0u) << error;
+  auto new_parse = platform.ConsolidatedConfig(second, a);
+  ASSERT_NE(new_parse, nullptr);
+  EXPECT_NE(new_parse, old_parse);
+  ASSERT_NE(new_parse->FindElement("DecIPTTL@1"), nullptr);
+  EXPECT_EQ(new_parse->FindElement("Counter@1"), nullptr);
+  Vm* guest = platform.vms().Find(second);
+  ASSERT_NE(guest, nullptr);
+  EXPECT_NE(guest->graph()->Find("t0_DecIPTTL@1"), nullptr);
+  EXPECT_EQ(guest->graph()->Find("t0_Counter@1"), nullptr);
+}
+
+TEST(ConsolidatedGuest, RetiredTenantParseIsReleasedWithItsGuest) {
+  sim::EventQueue clock;
+  InNetPlatform platform(&clock);
+  std::string error;
+  Vm::VmId both = platform.InstallConsolidated(
+      {Tenant("172.16.3.10", kCounterTenant), Tenant("172.16.3.11", kFilterTenant)}, &error);
+  ASSERT_NE(both, 0u) << error;
+  std::weak_ptr<const click::ConfigGraph> kept =
+      platform.ConsolidatedConfig(both, Ipv4Address::MustParse("172.16.3.10"));
+  std::weak_ptr<const click::ConfigGraph> retired =
+      platform.ConsolidatedConfig(both, Ipv4Address::MustParse("172.16.3.11"));
+
+  // Retire the second tenant the way the orchestrator does: build the
+  // smaller guest, then tear down the old one.
+  Vm::VmId one = platform.InstallConsolidated({Tenant("172.16.3.10", kCounterTenant)}, &error);
+  ASSERT_NE(one, 0u) << error;
+  EXPECT_FALSE(retired.expired());  // the old guest still runs it
+  EXPECT_TRUE(platform.UninstallVm(both));
+  EXPECT_TRUE(retired.expired());
+  EXPECT_FALSE(kept.expired());
+  EXPECT_TRUE(platform.UninstallVm(one));
+  EXPECT_TRUE(kept.expired());
+}
+
+TEST(ConsolidatedGuest, CrashedGuestRestartsWithTheSameElementNames) {
+  sim::EventQueue clock;
+  InNetPlatform platform(&clock);
+  std::string error;
+  Vm::VmId shared = platform.InstallConsolidated(
+      {Tenant("172.16.3.10", kCounterTenant), Tenant("172.16.3.11", kFilterTenant)}, &error);
+  ASSERT_NE(shared, 0u) << error;
+  int egressed = 0;
+  platform.SetEgressHandler([&](Packet&) { ++egressed; });
+  clock.RunUntil(sim::FromMillis(100));
+  Vm* guest = platform.vms().Find(shared);
+  ASSERT_NE(guest, nullptr);
+  std::vector<std::string> names = ElementNames(*guest->graph());
+
+  ASSERT_TRUE(platform.vms().Crash(shared));
+  EXPECT_EQ(guest->graph(), nullptr);
+  ASSERT_TRUE(platform.RestartCrashedVm(shared, &error)) << error;
+  clock.RunUntil(sim::FromMillis(200));
+  ASSERT_EQ(guest->state(), VmState::kRunning);
+  EXPECT_EQ(ElementNames(*guest->graph()), names);
+  EXPECT_EQ(guest->restart_count(), 1u);
+  Packet p = Udp("9.9.9.9", "172.16.3.11", 1, 2);
+  platform.HandlePacket(p);
+  EXPECT_EQ(egressed, 1);
+}
+
+TEST(VmManager, SnapshotExportImportRoundTripsAGuest) {
+  sim::EventQueue clock;
+  VmManager source(&clock, VmCostModel{}, 1ull << 30);
+  VmManager target(&clock, VmCostModel{}, 1ull << 30);
+  std::string error;
+  Vm* vm = source.Create(VmKind::kClickOs, Parsed(kForwarderConfig), nullptr, &error);
+  ASSERT_NE(vm, nullptr) << error;
+  vm->set_owner("tenant");
+  clock.RunUntil(sim::FromMillis(100));
+  Packet p = Udp("9.9.9.9", "172.16.3.10", 1, 2);
+  vm->Inject(p);
+  std::vector<std::string> names = ElementNames(*vm->graph());
+  ASSERT_TRUE(source.Suspend(vm->id()));
+  clock.RunUntil(sim::FromMillis(300));
+
+  auto snapshot = source.ExportSuspended(vm->id());
+  ASSERT_TRUE(snapshot.has_value());
+  EXPECT_EQ(source.vm_count(), 0u);
+  ASSERT_NE(snapshot->config, nullptr);
+  ASSERT_NE(snapshot->graph, nullptr);
+  Vm* moved = target.ImportSnapshot(&*snapshot, nullptr, &error);
+  ASSERT_NE(moved, nullptr) << error;
+  clock.RunUntil(sim::FromMillis(500));
+  ASSERT_EQ(moved->state(), VmState::kRunning);
+  EXPECT_EQ(moved->owner(), "tenant");
+  EXPECT_EQ(moved->injected_count(), 1u);
+  EXPECT_EQ(ElementNames(*moved->graph()), names);
+  EXPECT_EQ(moved->graph()->elements()[0]->packets(), 1u);  // element state moved too
+
+  // The carried configuration is what a restart on the target builds from.
+  ASSERT_TRUE(target.Crash(moved->id()));
+  ASSERT_TRUE(target.Restart(moved->id(), nullptr, &error)) << error;
+  ASSERT_NE(moved->graph(), nullptr);
+  EXPECT_EQ(ElementNames(*moved->graph()), names);
+  EXPECT_EQ(moved->graph()->elements()[0]->packets(), 0u);
 }
 
 TEST(Sandbox, SeparateVmRoundTrip) {

@@ -76,8 +76,8 @@ void RenderOutcome(const DeployOutcome& outcome, std::ostringstream* out) {
 void RenderDeployments(const Controller& controller, std::ostringstream* out) {
   for (const Deployment& dep : controller.deployments()) {
     *out << "deployment " << dep.module_id << " on " << dep.platform << " at "
-         << dep.addr.ToString() << " pinholes=" << dep.pinholes.size() << "\n";
-    for (const FlowSpec& pinhole : dep.pinholes) {
+         << dep.addr.ToString() << " pinholes=" << dep.pinholes->size() << "\n";
+    for (const FlowSpec& pinhole : *dep.pinholes) {
       *out << "  pinhole: " << pinhole.ToString() << "\n";
     }
     *out << "  digest: " << dep.path_digest << "\n";
