@@ -66,7 +66,13 @@ std::unique_ptr<Graph> Graph::Build(const ConfigGraph& config, std::string* erro
     if (entry.tenant_slot >= 0) {
       tenant_slots.insert(entry.tenant_slot);
     }
-    graph->by_name_[decl.name] = element.get();
+    if (!graph->by_name_.try_emplace(decl.name, element.get()).second) {
+      // A config built without the parser (a merge, a sandbox wrap) could
+      // otherwise repeat a name and have its connections land on the wrong
+      // element.
+      *error = "duplicate element name '" + decl.name + "'";
+      return nullptr;
+    }
     if (graph->default_source_ == nullptr && element->class_name() == "FromNetfront") {
       graph->default_source_ = element.get();
     }

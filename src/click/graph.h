@@ -20,7 +20,8 @@ class Graph {
  public:
   // Instantiates every declared element against `registry`, wires the
   // connections, and calls Initialize(). Returns nullptr and fills *error on
-  // unknown classes, bad configurations, or out-of-range ports.
+  // unknown classes, bad configurations, duplicate element names, or
+  // out-of-range ports.
   static std::unique_ptr<Graph> Build(const ConfigGraph& config, std::string* error,
                                       const Registry& registry = Registry::Global(),
                                       sim::EventQueue* clock = nullptr);

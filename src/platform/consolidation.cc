@@ -31,14 +31,6 @@ bool IsStatelessConfig(const click::ConfigGraph& config) {
 std::optional<click::ConfigGraph> ConsolidateTenants(
     const std::vector<ParsedTenantConfig>& tenants, std::string* error, DemuxKind demux) {
   click::ConfigGraph merged;
-  size_t n_elements = 3;
-  size_t n_connections = 1;
-  for (const ParsedTenantConfig& tenant : tenants) {
-    n_elements += tenant.config->elements.size();
-    n_connections += tenant.config->connections.size();
-  }
-  merged.elements.reserve(n_elements);
-  merged.connections.reserve(n_connections);
   merged.elements.push_back({"src", "FromNetfront", ""});
 
   // Demux: one branch per tenant, keyed on destination address.
@@ -48,65 +40,68 @@ std::optional<click::ConfigGraph> ConsolidateTenants(
       patterns += ", ";
     }
     if (demux == DemuxKind::kLinearClassifier) {
-      patterns += "dst host ";
+      patterns += "dst host " + tenants[i].addr.ToString();
+    } else {
+      patterns += tenants[i].addr.ToString();
     }
-    patterns += tenants[i].addr.ToString();
   }
   merged.elements.push_back(
       {"demux", demux == DemuxKind::kLinearClassifier ? "IPClassifier" : "AddressDemux",
-       std::move(patterns)});
+       patterns});
   merged.elements.push_back({"out", "ToNetfront", ""});
   merged.connections.push_back({"src", 0, "demux", 0});
 
   for (size_t i = 0; i < tenants.size(); ++i) {
-    const click::ConfigGraph& config = *tenants[i].config;
     std::string prefix = "t" + std::to_string(i) + "_";
+    const click::ConfigGraph& config = *tenants[i].config;
     if (!IsStatelessConfig(config)) {
       *error = "tenant " + std::to_string(i) + ": stateful configurations cannot be "
                "consolidated";
       return std::nullopt;
     }
 
-    const std::string* source_name = nullptr;
-    const std::string* sink_name = nullptr;
+    std::string source_name;
+    std::string sink_name;
     for (const click::ElementDecl& decl : config.elements) {
       if (IsSource(decl.class_name)) {
-        if (source_name == nullptr) {
-          source_name = &decl.name;
+        if (source_name.empty()) {
+          source_name = decl.name;
         }
         continue;  // replaced by the demux branch
       }
       if (IsSink(decl.class_name)) {
-        if (sink_name == nullptr) {
-          sink_name = &decl.name;
+        if (sink_name.empty()) {
+          sink_name = decl.name;
         }
         continue;  // replaced by the shared egress
       }
       merged.elements.push_back({prefix + decl.name, decl.class_name, decl.args});
     }
-    if (source_name == nullptr || sink_name == nullptr) {
+    if (source_name.empty() || sink_name.empty()) {
       *error = "tenant " + std::to_string(i) + ": configuration needs FromNetfront and "
                "ToNetfront";
       return std::nullopt;
     }
 
     for (const click::Connection& conn : config.connections) {
-      click::Connection& wired = merged.connections.emplace_back();
-      if (conn.from == *source_name) {
+      std::string from = conn.from;
+      int from_port = conn.from_port;
+      std::string to = conn.to;
+      int to_port = conn.to_port;
+      if (from == source_name) {
         // The demux branch replaces the tenant's own ingress.
-        wired.from = "demux";
-        wired.from_port = static_cast<int>(i);
+        from = "demux";
+        from_port = static_cast<int>(i);
       } else {
-        wired.from = prefix + conn.from;
-        wired.from_port = conn.from_port;
+        from = prefix + from;
       }
-      if (conn.to == *sink_name) {
-        wired.to = "out";
-        wired.to_port = 0;
+      if (to == sink_name) {
+        to = "out";
+        to_port = 0;
       } else {
-        wired.to = prefix + conn.to;
-        wired.to_port = conn.to_port;
+        to = prefix + to;
       }
+      merged.connections.push_back({from, from_port, to, to_port});
     }
   }
   return merged;

@@ -105,15 +105,6 @@ Vm::VmId InNetPlatform::InstallConsolidated(const std::vector<TenantConfig>& ten
   return vm->id();
 }
 
-std::shared_ptr<const click::ConfigGraph> InNetPlatform::ConsolidatedConfig(
-    Vm::VmId vm_id, Ipv4Address addr) const {
-  const ConsolidatedTenant* tenant = FindConsolidatedTenant(vm_id, addr);
-  if (tenant == nullptr) {
-    return nullptr;
-  }
-  return {tenant->parsed, &tenant->parsed->config};
-}
-
 bool InNetPlatform::UninstallVm(Vm::VmId vm_id) {
   bool found = false;
   for (auto it = installed_.begin(); it != installed_.end();) {

@@ -82,12 +82,6 @@ class InNetPlatform {
   // Returns the VM id, or 0 + *error.
   Vm::VmId InstallConsolidated(const std::vector<TenantConfig>& tenants, std::string* error);
 
-  // The parsed configuration consolidated guest `vm_id` runs for the tenant
-  // at `addr`, or nullptr. Every guest built from the same (address, text)
-  // shares one; it is released with the last such guest.
-  std::shared_ptr<const click::ConfigGraph> ConsolidatedConfig(Vm::VmId vm_id,
-                                                               Ipv4Address addr) const;
-
   // Tears down a VM, every switch rule pointing at it, its stalled buffers,
   // and any on-demand bookkeeping referencing it (used to replace a
   // consolidated VM when its tenant set changes).
@@ -327,6 +321,8 @@ class InNetPlatform {
   };
   // Tenant `addr` of consolidated guest `vm_id`, or nullptr.
   const ConsolidatedTenant* FindConsolidatedTenant(Vm::VmId vm_id, Ipv4Address addr) const;
+  // Lets tests see which parse each consolidated guest holds.
+  friend struct ConsolidatedGuestPeer;
 
   // Consolidated guests: their tenants in merge order, so the t<i>_
   // element-name prefix maps element -> tenant at export time. Each tenant's

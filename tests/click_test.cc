@@ -263,6 +263,18 @@ TEST(Graph, RejectsOutOfRangePort) {
   EXPECT_NE(error.find("out of range"), std::string::npos);
 }
 
+TEST(Graph, RejectsDuplicateElementNames) {
+  // Configs assembled without the parser must not reuse a name either.
+  ConfigGraph config;
+  config.elements.push_back({"a", "Counter", ""});
+  config.elements.push_back({"b", "Counter", ""});
+  config.elements.push_back({"a", "Discard", ""});
+  config.connections.push_back({"a", 0, "b", 0});
+  std::string error;
+  EXPECT_EQ(Graph::Build(config, &error), nullptr);
+  EXPECT_EQ(error, "duplicate element name 'a'");
+}
+
 TEST(Registry, KnowsAllDocumentedClasses) {
   const Registry& reg = Registry::Global();
   for (const char* name :

@@ -7,6 +7,22 @@
 #include "src/platform/vm.h"
 
 namespace innet::platform {
+
+// The parsed configuration consolidated guest `vm_id` runs for the tenant at
+// `addr`, or nullptr. Every guest built from the same (address, text) shares
+// one; it is released with the last such guest.
+struct ConsolidatedGuestPeer {
+  static std::shared_ptr<const click::ConfigGraph> Config(const InNetPlatform& platform,
+                                                          Vm::VmId vm_id, Ipv4Address addr) {
+    const InNetPlatform::ConsolidatedTenant* tenant =
+        platform.FindConsolidatedTenant(vm_id, addr);
+    if (tenant == nullptr) {
+      return nullptr;
+    }
+    return {tenant->parsed, &tenant->parsed->config};
+  }
+};
+
 namespace {
 
 Packet Udp(const char* src, const char* dst, uint16_t sport, uint16_t dport) {
@@ -402,6 +418,22 @@ TEST(Sandbox, InstallWithSandboxEnforcesWhitelist) {
   EXPECT_EQ(egressed, 0);
 }
 
+TEST(Sandbox, InstallRefusesAConfigThatNamesTheEnforcer) {
+  sim::EventQueue clock;
+  InNetPlatform platform(&clock);
+  std::string error;
+  // The wrap adds its own `__sandbox__`; a second one would splice the
+  // tenant's connections onto the enforcer.
+  Vm::VmId id = platform.Install(Ipv4Address::MustParse("172.16.3.10"),
+                                 "src :: FromNetfront(); __sandbox__ :: Tee(2); "
+                                 "src -> __sandbox__; __sandbox__[1] -> x :: Counter(); "
+                                 "x -> ToNetfront();",
+                                 &error, VmKind::kClickOs, /*sandbox=*/true,
+                                 {Ipv4Address::MustParse("7.7.7.7")});
+  EXPECT_EQ(id, 0u);
+  EXPECT_EQ(error, "duplicate element name '__sandbox__'");
+}
+
 // --- Consolidated guests keep their tenants' parses -------------------------------
 
 TenantConfig Tenant(const char* addr, const char* text) {
@@ -428,11 +460,12 @@ TEST(ConsolidatedGuest, UnchangedTenantsKeepTheirParseAcrossRebuilds) {
   Vm::VmId first = platform.InstallConsolidated(
       {Tenant("172.16.3.10", kCounterTenant), Tenant("172.16.3.11", kFilterTenant)}, &error);
   ASSERT_NE(first, 0u) << error;
-  auto a_parse = platform.ConsolidatedConfig(first, a);
-  auto b_parse = platform.ConsolidatedConfig(first, b);
+  auto a_parse = ConsolidatedGuestPeer::Config(platform, first, a);
+  auto b_parse = ConsolidatedGuestPeer::Config(platform, first, b);
   ASSERT_NE(a_parse, nullptr);
   ASSERT_NE(b_parse, nullptr);
-  EXPECT_EQ(platform.ConsolidatedConfig(first, Ipv4Address::MustParse("172.16.3.12")), nullptr);
+  Ipv4Address c = Ipv4Address::MustParse("172.16.3.12");
+  EXPECT_EQ(ConsolidatedGuestPeer::Config(platform, first, c), nullptr);
 
   // The rebuild that adds a tenant reuses the parses the running guest holds.
   Vm::VmId second = platform.InstallConsolidated(
@@ -440,13 +473,13 @@ TEST(ConsolidatedGuest, UnchangedTenantsKeepTheirParseAcrossRebuilds) {
        Tenant("172.16.3.12", kCounterTenant)},
       &error);
   ASSERT_NE(second, 0u) << error;
-  EXPECT_EQ(platform.ConsolidatedConfig(second, a), a_parse);
-  EXPECT_EQ(platform.ConsolidatedConfig(second, b), b_parse);
-  auto c_parse = platform.ConsolidatedConfig(second, Ipv4Address::MustParse("172.16.3.12"));
+  EXPECT_EQ(ConsolidatedGuestPeer::Config(platform, second, a), a_parse);
+  EXPECT_EQ(ConsolidatedGuestPeer::Config(platform, second, b), b_parse);
+  auto c_parse = ConsolidatedGuestPeer::Config(platform, second, c);
   ASSERT_NE(c_parse, nullptr);
   EXPECT_NE(c_parse, a_parse);  // same text, other address: parsed on its own
   EXPECT_TRUE(platform.UninstallVm(first));
-  EXPECT_EQ(platform.ConsolidatedConfig(second, a), a_parse);
+  EXPECT_EQ(ConsolidatedGuestPeer::Config(platform, second, a), a_parse);
 }
 
 TEST(ConsolidatedGuest, RedeployedTenantWithNewTextIsParsedAgain) {
@@ -457,14 +490,14 @@ TEST(ConsolidatedGuest, RedeployedTenantWithNewTextIsParsedAgain) {
   Vm::VmId first = platform.InstallConsolidated(
       {Tenant("172.16.3.10", kCounterTenant), Tenant("172.16.3.11", kFilterTenant)}, &error);
   ASSERT_NE(first, 0u) << error;
-  auto old_parse = platform.ConsolidatedConfig(first, a);
+  auto old_parse = ConsolidatedGuestPeer::Config(platform, first, a);
 
   Vm::VmId second = platform.InstallConsolidated(
       {Tenant("172.16.3.10", "FromNetfront() -> DecIPTTL() -> ToNetfront();"),
        Tenant("172.16.3.11", kFilterTenant)},
       &error);
   ASSERT_NE(second, 0u) << error;
-  auto new_parse = platform.ConsolidatedConfig(second, a);
+  auto new_parse = ConsolidatedGuestPeer::Config(platform, second, a);
   ASSERT_NE(new_parse, nullptr);
   EXPECT_NE(new_parse, old_parse);
   ASSERT_NE(new_parse->FindElement("DecIPTTL@1"), nullptr);
@@ -483,9 +516,9 @@ TEST(ConsolidatedGuest, RetiredTenantParseIsReleasedWithItsGuest) {
       {Tenant("172.16.3.10", kCounterTenant), Tenant("172.16.3.11", kFilterTenant)}, &error);
   ASSERT_NE(both, 0u) << error;
   std::weak_ptr<const click::ConfigGraph> kept =
-      platform.ConsolidatedConfig(both, Ipv4Address::MustParse("172.16.3.10"));
+      ConsolidatedGuestPeer::Config(platform, both, Ipv4Address::MustParse("172.16.3.10"));
   std::weak_ptr<const click::ConfigGraph> retired =
-      platform.ConsolidatedConfig(both, Ipv4Address::MustParse("172.16.3.11"));
+      ConsolidatedGuestPeer::Config(platform, both, Ipv4Address::MustParse("172.16.3.11"));
 
   // Retire the second tenant the way the orchestrator does: build the
   // smaller guest, then tear down the old one.
