@@ -1,17 +1,11 @@
 #include "src/click/element.h"
 
 #include <string_view>
-#include <utility>
 
 #include "src/click/profiler.h"
 
 namespace innet::click {
 namespace {
-
-PacketTraceHook& GlobalTraceHook() {
-  static PacketTraceHook hook;
-  return hook;
-}
 
 // Simulated per-class processing costs: a fixed base per packet plus a
 // per-byte term (scaled by 1024). Calibrated loosely to the relative costs
@@ -40,18 +34,6 @@ constexpr uint64_t kDefaultPerByteX1024 = 256;  // 0.25 ns per byte
 
 }  // namespace
 
-void SetPacketTraceHook(PacketTraceHook hook) {
-  GlobalTraceHook() = std::move(hook);
-  Element::trace_enabled_ = static_cast<bool>(GlobalTraceHook());
-}
-
-void Element::Trace(int out_port, const Packet& packet) const {
-  const PacketTraceHook& hook = GlobalTraceHook();
-  if (hook) {
-    hook(*this, out_port, packet);
-  }
-}
-
 bool Element::Configure(const std::string& args, std::string* error) {
   if (!args.empty()) {
     *error = std::string(class_name()) + " takes no configuration, got '" + args + "'";
@@ -73,8 +55,20 @@ void Element::SetPorts(int inputs, int outputs) {
   port_packets_.assign(outputs_.size(), 0);
 }
 
-void Element::ForwardProfiled(const PortTarget& target, Packet& packet) {
+void Element::ForwardObserved(int out_port, const PortTarget& target, Packet& packet) {
+  if (context_->trace) {
+    context_->trace(*this, out_port, packet);
+  }
+  if (!target.connected()) {
+    ++drops_;
+    return;
+  }
+  target.element->CountArrival(packet);
   GraphProfiler* profiler = context_->profiler;
+  if (profiler == nullptr) {
+    target.element->Push(target.port, packet);
+    return;
+  }
   profiler->EnterElement(*target.element, packet, target.port);
   target.element->Push(target.port, packet);
   profiler->ExitElement();

@@ -8,6 +8,7 @@
 #define SRC_CLICK_ELEMENT_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -27,28 +28,23 @@ struct PortTarget {
   bool connected() const { return element != nullptr; }
 };
 
+// Called for every inter-element forward of a graph that has one attached
+// (Graph::SetPacketTrace), before the target element sees the packet.
+using PacketTraceHook = std::function<void(const Element& from, int out_port,
+                                           const Packet& packet)>;
+
 // Per-graph services elements may use. Timed elements (TimedUnqueue) need a
 // clock; elements that expire state (ChangeEnforcer) read it lazily. The
 // profiler is attached by Graph::EnableProfiling; null means no folded
-// attribution or walk sampling for this graph.
+// attribution or walk sampling for this graph. The trace hook is attached by
+// Graph::SetPacketTrace (debugging tools such as innet_run).
 struct ElementContext {
   sim::EventQueue* clock = nullptr;
   GraphProfiler* profiler = nullptr;
-};
+  PacketTraceHook trace;
 
-// Optional process-wide packet tracing: when set, every inter-element
-// forward invokes the hook. Used by debugging tools (tools/innet_run); the
-// fast path pays a single pointer test when disabled.
-using PacketTraceHook = std::function<void(const Element& from, int out_port,
-                                           const Packet& packet)>;
-void SetPacketTraceHook(PacketTraceHook hook);
-// RAII enabling of the hook for a scope.
-class ScopedPacketTrace {
- public:
-  explicit ScopedPacketTrace(PacketTraceHook hook) { SetPacketTraceHook(std::move(hook)); }
-  ~ScopedPacketTrace() { SetPacketTraceHook(nullptr); }
-  ScopedPacketTrace(const ScopedPacketTrace&) = delete;
-  ScopedPacketTrace& operator=(const ScopedPacketTrace&) = delete;
+  // A forward in this graph takes the out-of-line observed path.
+  bool observed() const { return profiler != nullptr || trace != nullptr; }
 };
 
 class Element {
@@ -130,9 +126,6 @@ class Element {
 
   // Forwards to the element connected at `out_port`; drops if unconnected.
   void ForwardTo(int out_port, Packet& packet) {
-    if (trace_enabled_) {
-      Trace(out_port, packet);
-    }
     if (packet.int_active()) {
       // Complete this element's in-band hop record with the chosen exit port
       // before the next element appends its own.
@@ -142,15 +135,15 @@ class Element {
       ++port_packets_[static_cast<size_t>(out_port)];
     }
     const PortTarget& target = outputs_[static_cast<size_t>(out_port)];
+    if (context_ != nullptr && context_->observed()) {
+      ForwardObserved(out_port, target, packet);  // out of line: profiler is incomplete here
+      return;
+    }
     if (!target.connected()) {
       ++drops_;
       return;
     }
     target.element->CountArrival(packet);
-    if (context_ != nullptr && context_->profiler != nullptr) {
-      ForwardProfiled(target, packet);  // out of line: profiler is incomplete here
-      return;
-    }
     target.element->Push(target.port, packet);
   }
 
@@ -159,12 +152,10 @@ class Element {
   GraphProfiler* profiler() const { return context_ != nullptr ? context_->profiler : nullptr; }
 
  private:
-  friend void SetPacketTraceHook(PacketTraceHook hook);
-  void Trace(int out_port, const Packet& packet) const;
-  void ForwardProfiled(const PortTarget& target, Packet& packet);
+  // The rest of ForwardTo when the graph has a trace hook or a profiler.
+  void ForwardObserved(int out_port, const PortTarget& target, Packet& packet);
   // Fills the cost coefficients from the per-class table (element.cc).
   void InitCostModel() const;
-  static inline bool trace_enabled_ = false;
 
   std::string name_;
   uint32_t id_ = 0;

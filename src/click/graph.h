@@ -5,6 +5,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/click/config_parser.h"
@@ -61,6 +62,9 @@ class Graph {
   // profiler belongs to the graph and is visible to elements through their
   // context.
   GraphProfiler* EnableProfiling(GraphProfilerConfig config);
+  // Calls `hook` for every inter-element forward in this graph (null
+  // detaches it).
+  void SetPacketTrace(PacketTraceHook hook) { context_.trace = std::move(hook); }
   GraphProfiler* profiler() const { return profiler_.get(); }
   // Appends this graph's folded chains ("prefix;a;b;c weight" lines) to
   // `out`; no-op when profiling is off.

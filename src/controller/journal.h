@@ -7,10 +7,21 @@
 // (terminal failure/abandonment states: rolled_back, superseded, killed).
 // The journal object is handed to the orchestrator from outside and
 // survives its destruction — it models the controller's persistent WAL. A
-// restarted orchestrator replays it (Orchestrator::RecoverFromJournal):
-// completed entries rebuild controller/scheduler belief, and each in-flight
-// entry is converged by probing the platform for actual guest state —
-// completed, rolled back, or re-placed, with re-verification on ambiguity.
+// restarted orchestrator replays it (Orchestrator::RecoverFromJournal), one
+// rule per entry, decided by its kind, its state and whether its guest is
+// up on its platform:
+//
+//   1. a migration whose snapshot never left the source is cancelled;
+//   2. a deploy intent is re-placed;
+//   3. a live guest is restored and committed (re-verified only for a deploy
+//      at verified): a cut-over entry is adopted, a migration rolls forward,
+//      and a deploy's confirm chain is re-armed;
+//   4. otherwise a deploy at verified re-sends its install under its
+//      original epoch, a cut-over entry is killed, and any other entry is
+//      re-placed (a migration first kills the entry it supersedes).
+//
+// A migration whose snapshot left the source decides the fate of the entry
+// it supersedes, which is therefore never adopted on its own.
 //
 // The journal also mints the attempt-epochs behind the control channel's
 // (tenant, op, epoch) idempotency tokens: a monotonic sequence that survives

@@ -189,14 +189,9 @@ void Orchestrator::ClearModuleDigest(const std::string& module_id) {
     return;
   }
   obs::Int().ClearTenantDigest(dead->addr.ToString());
-  bool client_has_other = false;
-  for (const Deployment& dep : controller_.deployments()) {
-    if (dep.module_id != module_id && dep.client_id == dead->client_id) {
-      client_has_other = true;
-      break;
-    }
-  }
-  if (!client_has_other) {
+  if (std::ranges::none_of(controller_.deployments(), [&](const Deployment& dep) {
+        return dep.module_id != module_id && dep.client_id == dead->client_id;
+      })) {
     obs::Int().ClearTenantDigest(dead->client_id);
   }
 }
@@ -1066,72 +1061,44 @@ void Orchestrator::RestorePlatform(const std::string& platform_name) {
   }
 }
 
+Vm::VmId Orchestrator::LiveGuest(const std::string& platform_name, Vm::VmId vm_id,
+                                 Ipv4Address addr) {
+  InNetPlatform* box = fleet_->Get(platform_name);
+  if (box == nullptr) {
+    return 0;
+  }
+  return vm_id != 0 && box->vms().Find(vm_id) != nullptr ? vm_id : box->InstalledVmFor(addr);
+}
+
+auto Orchestrator::RestoreTask(const JournalEntry& e, Ipv4Address addr, bool reverify,
+                               const std::string& why) -> std::shared_ptr<DeployTask> {
+  std::string err;
+  if (!controller_.RestoreDeployment(e.request, e.module_id, e.platform, addr, reverify, &err)) {
+    journal_->Advance(e.id, JournalState::kRolledBack, clock_->now(), why + err);
+    return nullptr;
+  }
+  auto task = std::make_shared<DeployTask>();
+  task->request = e.request;
+  task->journal_id = e.id;
+  task->record = {e.request, {e.platform, 0}, addr,
+                  controller_.FindDeployment(e.module_id)->config_text};
+  task->result.outcome.module_id = e.module_id;
+  task->result.outcome.sandboxed = e.sandboxed;
+  task->consolidated = e.consolidated;
+  return task;
+}
+
 RecoveryReport Orchestrator::RecoverFromJournal() {
   RecoveryReport report;
-  uint64_t now = clock_->now();
-
-  // Migrations that crashed after the target adopted the guest roll forward;
-  // their superseded originals must not be adopted as live copies.
+  const uint64_t now = clock_->now();
+  // A migration whose snapshot left the source decides the fate of the entry
+  // it supersedes, which must not be adopted as a second live copy.
   std::set<uint64_t> superseded_in_progress;
   for (const JournalEntry& e : journal_->entries()) {
-    if (e.kind == JournalEntryKind::kMigration && e.supersedes != 0 && Confirming(&e)) {
+    if (e.exported && DeployJournal::IsInFlight(e.state)) {
       superseded_in_progress.insert(e.supersedes);
     }
   }
-
-  // Does the entry's guest actually exist on its platform right now?
-  auto guest_alive = [this](const JournalEntry* e) -> bool {
-    InNetPlatform* box = fleet_->Get(e->platform);
-    if (box == nullptr) {
-      return false;
-    }
-    if (!e->consolidated && e->vm_id != 0 && box->vms().Find(e->vm_id) != nullptr) {
-      return true;
-    }
-    auto addr = Ipv4Address::Parse(e->addr);
-    return addr.has_value() && box->InstalledVmFor(*addr) != 0;
-  };
-
-  // Restores the controller's deployment record for the entry's module and
-  // returns a task holding the entry's placement, past Verify; on failure the
-  // entry is rolled back with `why` and the task is null.
-  auto restore = [this, now](const JournalEntry* e, bool reverify,
-                             const std::string& why) -> std::shared_ptr<DeployTask> {
-    auto addr = Ipv4Address::Parse(e->addr);
-    std::string err;
-    if (!addr.has_value() ||
-        !controller_.RestoreDeployment(e->request, e->module_id, e->platform, *addr, reverify,
-                                       &err)) {
-      journal_->Advance(e->id, JournalState::kRolledBack, now, why + err);
-      return nullptr;
-    }
-    const Deployment* dep = controller_.FindDeployment(e->module_id);
-    auto task = std::make_shared<DeployTask>();
-    task->request = e->request;
-    task->journal_id = e->id;
-    task->record = {e->request, {e->platform, 0}, *addr, dep != nullptr ? dep->config_text : ""};
-    task->result.outcome.module_id = e->module_id;
-    task->result.outcome.sandboxed = e->sandboxed;
-    task->consolidated = e->consolidated;
-    return task;
-  };
-
-  // Rebuild controller/scheduler/orchestrator belief for a placement that is
-  // present on its platform. Re-verification is reserved for ambiguity.
-  auto adopt = [this, &restore](const JournalEntry* e, bool reverify) -> bool {
-    InNetPlatform* box = fleet_->Get(e->platform);
-    if (box == nullptr) {
-      return false;
-    }
-    auto task = restore(e, reverify, "re-verification failed after crash: ");
-    if (task == nullptr) {
-      return false;
-    }
-    task->guard = MakeChannelGuard(e->request.client_id);
-    CommitPlacement(*task, e->consolidated ? box->InstalledVmFor(task->record.addr) : e->vm_id);
-    return true;
-  };
-
   // Retires the entry and places its request afresh.
   auto replace = [this, now, &report](uint64_t id, const std::string& note) {
     journal_->Advance(id, JournalState::kRolledBack, now, note);
@@ -1139,9 +1106,8 @@ RecoveryReport Orchestrator::RecoverFromJournal() {
     DeployViaChannel(journal_->Find(id)->request, nullptr);
     ++report.resumed;
   };
-
-  // Fix the scan range first: converging an entry can append fresh entries
-  // (re-placements), which must not themselves be scanned.
+  // Fix the scan range first: re-placements append entries that must not
+  // themselves be scanned.
   const size_t scan = journal_->entries().size();
   for (size_t i = 0; i < scan; ++i) {
     const uint64_t id = journal_->entries()[i].id;
@@ -1156,125 +1122,86 @@ RecoveryReport Orchestrator::RecoverFromJournal() {
                            std::string(JournalEntryKindName(e->kind)) + ":" +
                                JournalStateName(e->state));
     }
-
-    // Live entries (deploys and completed migrations alike): adopt.
-    if (e->state == JournalState::kCutover) {
-      if (superseded_in_progress.count(id) != 0) {
-        continue;  // its in-flight migration below decides its fate
+    const bool migration = e->kind == JournalEntryKind::kMigration;
+    const bool live = e->state == JournalState::kCutover;
+    const bool placed = live || Confirming(e);
+    // 1. The snapshot never left the source: cancel the mark. The (possibly
+    // suspended) guest resumes on traffic; its deploy entry stays live.
+    if (migration && !e->exported) {
+      if (InNetPlatform* src = fleet_->Get(e->source_platform); src != nullptr && e->vm_id != 0) {
+        src->CancelMigrationOut(e->vm_id);
       }
-      if (guest_alive(e) && adopt(e, /*reverify=*/false)) {
-        ++report.adopted;
-      } else {
-        journal_->Advance(id, JournalState::kKilled, now, "guest did not survive the crash");
-        ++report.killed;
-      }
+      journal_->Advance(id, JournalState::kRolledBack, now, "crashed mid-migration; cancelled");
+      ++report.rolled_back;
       continue;
     }
-
-    if (e->kind == JournalEntryKind::kDeploy) {
-      switch (e->state) {
-        case JournalState::kIntent: {
-          // Nothing was minted yet: retire the entry and place afresh.
-          replace(id, "crashed before verify; re-placed");
-          break;
-        }
-        case JournalState::kVerified: {
-          if (guest_alive(e)) {
-            // The install executed but its ack died with the controller:
-            // ambiguous enough to warrant full re-verification.
-            if (adopt(e, /*reverify=*/true)) {
-              journal_->Advance(id, JournalState::kPlaced, now, "found applied after crash");
-              ScheduleConfirm(id, options_.confirm_rounds);
-              ++report.completed;
-            } else {
-              if (auto addr = Ipv4Address::Parse(e->addr)) {
-                ControlRequest undo = NewOp(journal_, ControlOp::kUninstallAddr, e->module_id);
-                undo.addr = *addr;
-                fleet_->channel().DeliverDirect(e->platform, undo);
-              }
-              ++report.rolled_back;  // adopt() already advanced the entry
-            }
-            break;
-          }
-          // Not applied: restore belief and re-send the install under its
-          // original token — if the platform did execute it and only the
-          // ack was lost, the endpoint dedups and answers from cache.
-          auto task = restore(e, /*reverify=*/false, "restore failed: ");
-          if (task == nullptr) {
-            ++report.rolled_back;
-            break;
-          }
-          task->direct = false;
-          task->trace_cutover = false;
-          task->placed_note = "re-sent install acked";
-          task->failed_note = "re-sent install failed: ";
-          task->epoch = e->op_epoch;
-          Place(task);
-          ++report.resumed;
-          break;
-        }
-        case JournalState::kPlaced:
-        case JournalState::kBooted: {
-          if (guest_alive(e) && adopt(e, /*reverify=*/false)) {
-            ScheduleConfirm(id, options_.confirm_rounds);
-            ++report.completed;
-          } else {
-            replace(id, "guest lost; re-placed");
-          }
-          break;
-        }
-        default:
-          break;
-      }
+    // 2. Nothing was minted yet.
+    if (e->state == JournalState::kIntent) {
+      replace(id, "crashed before verify; re-placed");
       continue;
     }
-
-    // In-flight migrations.
-    switch (e->state) {
-      case JournalState::kIntent:
-      case JournalState::kVerified: {
-        if (!e->exported) {
-          // Crashed before the snapshot left the source: cancel the mark;
-          // the (possibly suspended) guest resumes on traffic as usual. The
-          // original deploy entry was adopted above, so the tenant is whole.
-          InNetPlatform* src = fleet_->Get(e->source_platform);
-          if (src != nullptr && e->vm_id != 0) {
-            src->CancelMigrationOut(e->vm_id);
-          }
-          journal_->Advance(id, JournalState::kRolledBack, now,
-                            "crashed mid-migration; cancelled");
-          ++report.rolled_back;
-          break;
-        }
-        // The snapshot lived only in controller memory: the guest state died
-        // with the crash (the adoption pass already recorded the original as
-        // killed). Re-place a fresh instance.
-        replace(id, "snapshot lost in crash; tenant re-placed fresh");
-        break;
-      }
-      case JournalState::kPlaced:
-      case JournalState::kBooted: {
-        // Post-import: the target holds the guest — roll the migration
-        // forward (the parked blackout traffic died with the controller).
-        if (guest_alive(e) && adopt(e, /*reverify=*/false)) {
-          if (e->supersedes != 0) {
-            journal_->Advance(e->supersedes, JournalState::kSuperseded, now,
-                              "migration rolled forward after crash");
-          }
+    if (live && superseded_in_progress.count(id) != 0) {
+      continue;  // its in-flight migration decides its fate
+    }
+    // 3. The guest is up: restore belief around it. Before kPlaced, vm_id is
+    // not the entry's guest (a migration's names the source), so look it up by
+    // address. Re-verify only an install whose ack died with the controller.
+    const Ipv4Address addr = Ipv4Address::Parse(e->addr).value_or(Ipv4Address());
+    const Vm::VmId vm = LiveGuest(e->platform, placed && !e->consolidated ? e->vm_id : 0, addr);
+    const bool unacked_install = !migration && !placed;
+    if (vm != 0) {
+      if (auto task =
+              RestoreTask(*e, addr, unacked_install, "re-verification failed after crash: ")) {
+        task->guard = MakeChannelGuard(e->request.client_id);
+        CommitPlacement(*task, vm);
+        e->vm_id = vm;  // the guest found, as PlaceDone records the acked one
+        ++(live ? report.adopted : report.completed);
+        if (migration && !live) {  // roll forward; the parked traffic died with the controller
+          journal_->Advance(e->supersedes, JournalState::kSuperseded, now,
+                            "migration rolled forward after crash");
           journal_->Advance(id, JournalState::kCutover, now,
                             "rolled forward after crash; parked traffic lost");
-          ++report.completed;
-        } else {
-          if (e->supersedes != 0) {
-            journal_->Advance(e->supersedes, JournalState::kKilled, now,
-                              "guest lost in crashed migration");
+        } else if (!live) {
+          if (unacked_install) {
+            journal_->Advance(id, JournalState::kPlaced, now, "found applied after crash");
           }
-          replace(id, "target guest lost; tenant re-placed fresh");
+          ScheduleConfirm(id, options_.confirm_rounds);
         }
-        break;
+        continue;
       }
-      default:
-        break;
+      // Rolled back: remove the guest that could not be vouched for, then
+      // converge as if it were lost.
+      ControlRequest undo = NewOp(journal_, ControlOp::kUninstallAddr, e->module_id);
+      undo.addr = addr;
+      fleet_->channel().DeliverDirect(e->platform, undo);
+    }
+    // 4. The guest is gone.
+    if (unacked_install) {
+      // Re-send the install under its original token (if only the ack was
+      // lost, the endpoint dedups), unless re-verification just refused it.
+      auto task =
+          vm != 0 ? nullptr : RestoreTask(*e, addr, /*reverify=*/false, "restore failed: ");
+      if (task == nullptr) {
+        ++report.rolled_back;
+        continue;
+      }
+      task->direct = false;
+      task->trace_cutover = false;
+      task->placed_note = "re-sent install acked";
+      task->failed_note = "re-sent install failed: ";
+      task->epoch = e->op_epoch;
+      Place(task);
+      ++report.resumed;
+    } else if (live) {
+      journal_->Advance(id, JournalState::kKilled, now, "guest did not survive the crash");
+      ++report.killed;
+    } else if (migration) {
+      journal_->Advance(e->supersedes, JournalState::kKilled, now,
+                        "guest lost in crashed migration");
+      replace(id, placed ? "target guest lost; tenant re-placed fresh"
+                         : "snapshot lost in crash; tenant re-placed fresh");
+    } else {
+      replace(id, "guest lost; re-placed");
     }
   }
   return report;
@@ -1294,10 +1221,8 @@ void Orchestrator::SetPartitioned(const std::string& platform_name, bool partiti
 }
 
 ReconcileReport Orchestrator::ReconcilePlatform(const std::string& platform_name) {
-  ReconcileReport report;
-  report.platform = platform_name;
-  InNetPlatform* box = fleet_->Get(platform_name);
-  if (box == nullptr) {
+  ReconcileReport report{.platform = platform_name};
+  if (fleet_->Get(platform_name) == nullptr) {
     return report;
   }
   uint64_t now = clock_->now();
@@ -1319,10 +1244,7 @@ ReconcileReport Orchestrator::ReconcilePlatform(const std::string& platform_name
     if (tenant == tenants_.end()) {
       continue;  // a previous Kill in this loop rebuilt the shared VM set
     }
-    const Vm::VmId vm_id = tenant->second.placement.second;
-    bool alive = vm_id != 0 ? box->vms().Find(vm_id) != nullptr
-                            : box->InstalledVmFor(tenant->second.addr) != 0;
-    if (alive) {
+    if (LiveGuest(platform_name, tenant->second.placement.second, tenant->second.addr) != 0) {
       ++report.healthy;
       continue;
     }

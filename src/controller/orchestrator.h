@@ -23,8 +23,8 @@
 // each deploy/migration is journaled write-ahead in a DeployJournal, and a
 // controller crash is modeled by destroying the Orchestrator and building a
 // new one over the surviving PlatformFleet + journal; RecoverFromJournal()
-// then converges every in-flight entry by probing actual guest state —
-// completing, rolling back, or re-placing it, re-verifying on ambiguity.
+// then converges every entry by probing actual guest state, one rule per
+// (entry kind, state) — see journal.h.
 // Quota reservations are held by RAII ReservationGuards, so no error path
 // can strand a reservation: within one controller lifetime the guard's
 // destructor releases it, and across a crash the engine's usage is rebuilt
@@ -392,6 +392,18 @@ class Orchestrator {
   // the cancel for the heal-time reconcile (the source may be unreachable).
   void SendCancelMigration(const std::string& platform_name, const std::string& module_id,
                            platform::Vm::VmId vm_id, bool defer = false);
+
+  // The guest serving a placement on `platform_name`: `vm_id` when that
+  // guest exists there, else the guest the switch routes `addr` to, else 0.
+  // Recovery and the heal-time reconcile both decide liveness with it.
+  platform::Vm::VmId LiveGuest(const std::string& platform_name, platform::Vm::VmId vm_id,
+                     Ipv4Address addr);
+
+  // Recovery: restores the controller's record of the entry's module and
+  // returns a task holding its placement, past Verify. On failure the entry
+  // is rolled back with `why` + the error and the task is null.
+  std::shared_ptr<DeployTask> RestoreTask(const JournalEntry& e, Ipv4Address addr, bool reverify,
+                                          const std::string& why);
 
   // Ledger prober: fills *out from the named platform's live state.
   bool ProbePlatform(const std::string& name, scheduler::PlatformResources* out);

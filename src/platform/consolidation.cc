@@ -1,5 +1,7 @@
 #include "src/platform/consolidation.h"
 
+#include <algorithm>
+#include <string_view>
 #include <unordered_set>
 
 namespace innet::platform {
@@ -60,24 +62,23 @@ std::optional<click::ConfigGraph> ConsolidateTenants(
       return std::nullopt;
     }
 
+    // A dedicated guest injects only at its first source, so the demux
+    // branch replaces that one; any later source stays as an idle element.
+    // Every sink is replaced by the shared egress.
     std::string source_name;
-    std::string sink_name;
+    std::vector<std::string_view> sinks;
     for (const click::ElementDecl& decl : config.elements) {
-      if (IsSource(decl.class_name)) {
-        if (source_name.empty()) {
-          source_name = decl.name;
-        }
-        continue;  // replaced by the demux branch
+      if (IsSource(decl.class_name) && source_name.empty()) {
+        source_name = decl.name;
+        continue;
       }
       if (IsSink(decl.class_name)) {
-        if (sink_name.empty()) {
-          sink_name = decl.name;
-        }
-        continue;  // replaced by the shared egress
+        sinks.push_back(decl.name);
+        continue;
       }
       merged.elements.push_back({prefix + decl.name, decl.class_name, decl.args});
     }
-    if (source_name.empty() || sink_name.empty()) {
+    if (source_name.empty() || sinks.empty()) {
       *error = "tenant " + std::to_string(i) + ": configuration needs FromNetfront and "
                "ToNetfront";
       return std::nullopt;
@@ -89,13 +90,12 @@ std::optional<click::ConfigGraph> ConsolidateTenants(
       std::string to = conn.to;
       int to_port = conn.to_port;
       if (from == source_name) {
-        // The demux branch replaces the tenant's own ingress.
         from = "demux";
         from_port = static_cast<int>(i);
       } else {
         from = prefix + from;
       }
-      if (to == sink_name) {
+      if (std::ranges::find(sinks, to) != sinks.end()) {
         to = "out";
         to_port = 0;
       } else {

@@ -37,9 +37,12 @@ struct ParsedTenantConfig {
 enum class DemuxKind { kLinearClassifier, kHashDemux };
 
 // Builds the merged configuration. Element names are prefixed "t<i>_" so
-// tenants can never collide. Returns nullopt + *error ("tenant <i>: ...")
-// when a tenant config lacks a FromNetfront/ToNetfront or uses stateful
-// elements (which the paper's prototype refuses to consolidate).
+// tenants can never collide. The demux branch takes the place of each
+// tenant's first source; a later source stays as an idle element, as it is
+// in a dedicated guest. Every sink is wired to the shared egress. Returns
+// nullopt + *error ("tenant <i>: ...") when a tenant config lacks a
+// FromNetfront/ToNetfront or uses stateful elements (which the paper's
+// prototype refuses to consolidate).
 std::optional<click::ConfigGraph> ConsolidateTenants(
     const std::vector<ParsedTenantConfig>& tenants, std::string* error,
     DemuxKind demux = DemuxKind::kLinearClassifier);

@@ -135,8 +135,8 @@ class InNetPlatform {
 
   // --- Failure handling ----------------------------------------------------------
   // Attaches the deterministic fault injector to the VM manager (boot
-  // failures, crash timers, suspend/resume stretch) and the switch (packet
-  // drop/corruption). The injector must outlive the platform.
+  // failures, crash timers) and the switch (packet drops). The injector must
+  // outlive the platform.
   void SetFaultInjector(sim::FaultInjector* injector) {
     vms_.SetFaultInjector(injector);
     switch_.SetFaultInjector(injector);

@@ -12,21 +12,13 @@ void SoftwareSwitch::RemoveRulesForVm(Vm::VmId vm) {
 }
 
 void SoftwareSwitch::Deliver(Packet& packet) {
-  if (fault_ != nullptr) {
-    if (fault_->ShouldDropPacket()) {
-      ++fault_dropped_;
-      if (flight_ != nullptr) {
-        flight_->Record(packet.timestamp_ns(), obs::EventKind::kPacketDrop, switch_text_,
-                        fault_text_, static_cast<int64_t>(packet.length()));
-      }
-      return;
+  if (fault_ != nullptr && fault_->ShouldDropPacket()) {
+    ++fault_dropped_;
+    if (flight_ != nullptr) {
+      flight_->Record(packet.timestamp_ns(), obs::EventKind::kPacketDrop, switch_text_,
+                      fault_text_, static_cast<int64_t>(packet.length()));
     }
-    if (fault_->ShouldCorruptPacket() && packet.length() > 0) {
-      // Flip one byte without refreshing checksums; CheckIPHeader-style
-      // elements inside the guest will discard the frame.
-      size_t offset = fault_->CorruptOffset(packet.length());
-      packet.mutable_data()[offset] ^= fault_->CorruptMask();
-    }
+    return;
   }
   Vm* stalled_vm = nullptr;
   auto flow_it = flow_rules_.find(packet.FlowKey());

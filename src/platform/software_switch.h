@@ -33,9 +33,8 @@ class SoftwareSwitch {
   // stale forwarding state.
   void RemoveRulesForVm(Vm::VmId vm);
 
-  // Switch-level fault injection: packets may be dropped or have a byte
-  // flipped before forwarding. Pass nullptr to detach; the injector must
-  // outlive the switch.
+  // Switch-level fault injection: packets may be dropped before forwarding.
+  // Pass nullptr to detach; the injector must outlive the switch.
   void SetFaultInjector(sim::FaultInjector* injector) { fault_ = injector; }
 
   // Unknown traffic goes here (the controller port).

@@ -296,10 +296,7 @@ bool VmManager::Suspend(Vm::VmId id, std::function<void()> done) {
   }
   vm->state_ = VmState::kSuspending;
   ++vm->epoch_;
-  sim::TimeNs latency = cost_model_.SuspendTime(vm_count());
-  if (fault_ != nullptr) {
-    latency = fault_->StretchSuspend(latency);
-  }
+  const sim::TimeNs latency = cost_model_.SuspendTime(vm_count());
   // The completion runs from the event queue with an empty span stack, so
   // capture the initiator's scope (e.g. a migration span) now.
   uint64_t parent = obs::Tracer().enabled() ? obs::Tracer().current_span() : 0;
@@ -340,10 +337,7 @@ bool VmManager::Resume(Vm::VmId id, std::function<void()> done) {
   memory_used_ += needed;
   vm->state_ = VmState::kResuming;
   ++vm->epoch_;
-  sim::TimeNs latency = cost_model_.ResumeTime(vm_count());
-  if (fault_ != nullptr) {
-    latency = fault_->StretchResume(latency);
-  }
+  const sim::TimeNs latency = cost_model_.ResumeTime(vm_count());
   uint64_t parent = obs::Tracer().enabled() ? obs::Tracer().current_span() : 0;
   clock_->ScheduleAfter(latency, [this, id, latency, parent, epoch = vm->epoch_,
                                   cb = std::move(done)] {
@@ -421,10 +415,7 @@ Vm* VmManager::ImportSnapshot(VmSnapshot* snapshot, ReadyCallback on_ready, std:
   // the new id (fresh folded chains, correctly-prefixed walk targets).
   MaybeAttachProfiler(raw);
   obs::Registry().GetCounter("innet_vm_migrate_imports_total")->Increment();
-  sim::TimeNs latency = cost_model_.ResumeTime(vm_count());
-  if (fault_ != nullptr) {
-    latency = fault_->StretchResume(latency);
-  }
+  const sim::TimeNs latency = cost_model_.ResumeTime(vm_count());
   uint64_t parent = obs::Tracer().enabled() ? obs::Tracer().current_span() : 0;
   clock_->ScheduleAfter(
       latency,

@@ -183,9 +183,8 @@ class VmManager {
     crash_observers_.push_back(std::move(observer));
   }
 
-  // Attach a fault injector: boot failures, scheduled crashes, and
-  // suspend/resume stretch are drawn from it. Pass nullptr to detach. The
-  // injector must outlive the manager.
+  // Attach a fault injector: boot failures and scheduled crashes are drawn
+  // from it. Pass nullptr to detach. The injector must outlive the manager.
   void SetFaultInjector(sim::FaultInjector* injector) { fault_ = injector; }
   sim::FaultInjector* fault_injector() const { return fault_; }
 

@@ -32,14 +32,6 @@ bool FaultInjector::ShouldDropPacket() {
   return true;
 }
 
-bool FaultInjector::ShouldCorruptPacket() {
-  if (plan_.packet_corrupt_p <= 0.0 || !rng_.Bernoulli(plan_.packet_corrupt_p)) {
-    return false;
-  }
-  ++packets_corrupted_;
-  return true;
-}
-
 bool FaultInjector::ShouldDropControl() {
   if (plan_.control_loss_p <= 0.0 || !rng_.Bernoulli(plan_.control_loss_p)) {
     return false;

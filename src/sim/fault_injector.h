@@ -1,6 +1,6 @@
 // Deterministic fault injection for availability experiments. A FaultPlan
-// describes *what* can go wrong (boot failures, VM crashes, slow
-// suspend/resume, switch-level packet drops/corruption); the FaultInjector
+// describes *what* can go wrong (boot failures, VM crashes, switch-level
+// packet drops, control and region channel faults); the FaultInjector
 // turns the plan into a reproducible decision stream: every query draws from
 // one seeded RNG, and because the event queue is deterministic, the same
 // seed always yields the same fault timeline.
@@ -27,12 +27,8 @@ struct FaultPlan {
   // distributed. 0 disables crash scheduling. A value of 1.0 models the
   // "crash rate 1/s" regime.
   double crash_mean_uptime_s = 0.0;
-  // Multipliers on suspend/resume latency (a loaded toolstack). 1.0 = none.
-  double suspend_stretch = 1.0;
-  double resume_stretch = 1.0;
-  // Per-packet switch faults.
+  // Per-packet switch fault: the switch drops the packet.
   double packet_drop_p = 0.0;
-  double packet_corrupt_p = 0.0;
   // Control-plane channel faults (orchestrator <-> platform messages). Each
   // message leg (request or response) draws independently: it may be lost,
   // duplicated, held back past later sends (reordering), and is delayed by
@@ -75,15 +71,7 @@ class FaultInjector {
   // crash injection is disabled.
   TimeNs NextCrashDelay();
 
-  TimeNs StretchSuspend(TimeNs t) const {
-    return static_cast<TimeNs>(static_cast<double>(t) * plan_.suspend_stretch);
-  }
-  TimeNs StretchResume(TimeNs t) const {
-    return static_cast<TimeNs>(static_cast<double>(t) * plan_.resume_stretch);
-  }
-
   bool ShouldDropPacket();
-  bool ShouldCorruptPacket();
 
   // --- Control-plane channel faults -----------------------------------------
   bool HasControlFaults() const { return plan_.HasControlFaults(); }
@@ -110,14 +98,9 @@ class FaultInjector {
   TimeNs RegionDelay();
   TimeNs RegionReorderPenalty();
 
-  // Where and how to flip a byte of a corrupted packet.
-  size_t CorruptOffset(size_t len) { return len == 0 ? 0 : rng_.NextBelow(len); }
-  uint8_t CorruptMask() { return static_cast<uint8_t>(1 + rng_.NextBelow(255)); }
-
   uint64_t boot_failures_injected() const { return boot_failures_injected_; }
   uint64_t crashes_scheduled() const { return crashes_scheduled_; }
   uint64_t packets_dropped() const { return packets_dropped_; }
-  uint64_t packets_corrupted() const { return packets_corrupted_; }
   uint64_t control_dropped() const { return control_dropped_; }
   uint64_t control_duplicated() const { return control_duplicated_; }
   uint64_t control_reordered() const { return control_reordered_; }
@@ -131,7 +114,6 @@ class FaultInjector {
   uint64_t boot_failures_injected_ = 0;
   uint64_t crashes_scheduled_ = 0;
   uint64_t packets_dropped_ = 0;
-  uint64_t packets_corrupted_ = 0;
   uint64_t control_dropped_ = 0;
   uint64_t control_duplicated_ = 0;
   uint64_t control_reordered_ = 0;

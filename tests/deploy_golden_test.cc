@@ -14,9 +14,10 @@
 // cut-over ack is lost (rolled forward); MarkPlatformFailed; a controller
 // crash over intent, consolidated verified, dedicated verified and placed
 // entries, then RecoverFromJournal; a crash in the middle of a stateful
-// migration (while suspending, after the export, after the import ack, and
-// after the import ack with the target guest gone), then RecoverFromJournal;
-// ExportTenant followed by AdoptMigrated with and without a frozen guest.
+// migration (while suspending, after the export, after the import ack, after
+// the import ack with the target guest gone, and after the export with the
+// import lost), then RecoverFromJournal; ExportTenant followed by
+// AdoptMigrated with and without a frozen guest.
 //
 // A mismatch writes the rendering to <name>.actual.txt in the test's working
 // directory; copy it over tests/golden/deploy/<name>.txt only when the change
@@ -32,6 +33,7 @@
 #include <tuple>
 #include <vector>
 
+#include "src/click/elements.h"
 #include "src/controller/fleet.h"
 #include "src/controller/journal.h"
 #include "src/controller/orchestrator.h"
@@ -457,15 +459,45 @@ TEST(DeployGolden, CrashRecovery) {
 enum class CrashPoint {
   kSuspending,    // the suspend landed; nothing exported yet
   kExported,      // the snapshot left the source; the import is unacked
+  kImportLost,    // as kExported, and the import never reaches the target
   kImported,      // the target acked the import; the cut-over is unacked
   kTargetLost,    // as kImported, and the imported guest is gone by recovery
 };
 
+// control_chaos's no_duplicate_installs rule: each dedicated placement owns
+// one guest, each platform with consolidated tenants one shared guest, and
+// the fleet runs no other guest.
+void ExpectGuestsMatchBelief(Orchestrator& orch) {
+  size_t fleet_vms = 0;
+  size_t believed = orch.placement_count();
+  for (const std::string& name : orch.fleet().Names()) {
+    fleet_vms += orch.platform(name)->vms().vm_count();
+    const size_t shared = orch.ConsolidatedTenantCount(name);
+    believed = believed - shared + (shared > 0 ? 1 : 0);
+  }
+  EXPECT_EQ(fleet_vms, believed);
+}
+
+// The FlowMeter in the guest the orchestrator believes runs the tenant.
+const click::FlowMeter* BelievedMeter(Orchestrator& orch) {
+  for (const JournalEntry& entry : orch.journal().entries()) {
+    if (const auto* placement = orch.FindPlacement(entry.module_id)) {
+      const platform::Vm* vm = orch.platform(placement->first)->vms().Find(placement->second);
+      return vm != nullptr && vm->graph() != nullptr
+                 ? dynamic_cast<const click::FlowMeter*>(vm->graph()->FindByClass("FlowMeter"))
+                 : nullptr;
+    }
+  }
+  return nullptr;
+}
+
 // Migrates a stateful tenant over a delayed channel, destroys the
 // orchestrator once the migration reaches `point`, lets the messages still
 // on the wire land, and recovers with a successor. Returns the successor's
-// rendering and recovery report.
-std::string CrashMidMigration(CrashPoint point) {
+// rendering and recovery report. With `traffic`, flows cross the meter
+// before the migration, and the recovered tenant's meter must show them
+// wherever its guest was carried rather than re-created.
+std::string CrashMidMigration(CrashPoint point, bool traffic = false) {
   sim::EventQueue clock;
   ObsGuard guard(&clock);
   sim::FaultPlan plan;
@@ -483,6 +515,13 @@ std::string CrashMidMigration(CrashPoint point) {
     auto meter = orch.Deploy(MeterRequest("meter", "10.10.0.5", "10.10.0.0/24"));
     EXPECT_TRUE(meter.outcome.accepted) << meter.outcome.reason;
     clock.RunUntil(clock.now() + sim::FromSeconds(1));
+    for (uint16_t port = 4000; traffic && port < 4003; ++port) {
+      Packet packet = Packet::MakeUdp(Ipv4Address::MustParse("8.8.8.8"),
+                                      meter.outcome.module_addr, port, 53, 64);
+      fleet.Get(meter.outcome.platform)->HandlePacket(packet);
+    }
+    const click::FlowMeter* before = BelievedMeter(orch);
+    EXPECT_TRUE(before != nullptr && before->packets() == (traffic ? 3u : 0u));
     orch.SetControlFaults(&faults);
     target = meter.outcome.platform == "platform2" ? "platform1" : "platform2";
     EXPECT_TRUE(orch.MigrateTenant(meter.outcome.module_id, target).started);
@@ -494,6 +533,7 @@ std::string CrashMidMigration(CrashPoint point) {
         case CrashPoint::kSuspending:
           return fleet.Get(source)->vms().Find(meter.vm_id)->state() != VmState::kRunning;
         case CrashPoint::kExported:
+        case CrashPoint::kImportLost:
           return e->exported;
         case CrashPoint::kImported:
         case CrashPoint::kTargetLost:
@@ -505,7 +545,10 @@ std::string CrashMidMigration(CrashPoint point) {
     }
     EXPECT_TRUE(reached());
   }  // crash
+  // The import is still on the wire: a partition drops it on arrival.
+  fleet.channel().SetPartitioned(target, point == CrashPoint::kImportLost);
   clock.RunUntil(clock.now() + sim::FromSeconds(1));
+  fleet.channel().SetPartitioned(target, false);
   if (point == CrashPoint::kTargetLost) {
     EXPECT_TRUE(fleet.Get(target)->UninstallVm(journal.Find(migration)->vm_id));
   }
@@ -516,6 +559,12 @@ std::string CrashMidMigration(CrashPoint point) {
   RecoveryReport report = successor.RecoverFromJournal();
   clock.RunUntil(clock.now() + sim::FromSeconds(5));
   EXPECT_EQ(journal.InFlightCount(), 0u);
+  ExpectGuestsMatchBelief(successor);
+  const click::FlowMeter* after = BelievedMeter(successor);
+  const bool carried = point == CrashPoint::kSuspending || point == CrashPoint::kExported ||
+                       point == CrashPoint::kImported;
+  const uint64_t expected = traffic && carried ? 3 : 0;
+  EXPECT_TRUE(after != nullptr && after->packets() == expected && after->flow_count() == expected);
   std::ostringstream counts;
   counts << "== recovery ==\nscanned=" << report.scanned << " adopted=" << report.adopted
          << " completed=" << report.completed << " resumed=" << report.resumed
@@ -529,7 +578,21 @@ TEST(DeployGolden, CrashMidMigration) {
                    "=== crash after export ===\n" + CrashMidMigration(CrashPoint::kExported) +
                    "=== crash after import ===\n" + CrashMidMigration(CrashPoint::kImported) +
                    "=== crash after import, target guest lost ===\n" +
-                   CrashMidMigration(CrashPoint::kTargetLost));
+                   CrashMidMigration(CrashPoint::kTargetLost) +
+                   "=== crash after export, import lost ===\n" +
+                   CrashMidMigration(CrashPoint::kImportLost));
+}
+
+// A guest carried through the crash keeps its element state: the meter's
+// counters continue on the recovered tenant's guest. A re-placed tenant
+// starts from zero.
+TEST(DeployGolden, CrashMidMigrationKeepsCarriedState) {
+  for (CrashPoint point : {CrashPoint::kSuspending, CrashPoint::kExported,
+                           CrashPoint::kImportLost, CrashPoint::kImported,
+                           CrashPoint::kTargetLost}) {
+    SCOPED_TRACE(static_cast<int>(point));
+    CrashMidMigration(point, /*traffic=*/true);
+  }
 }
 
 TEST(DeployGolden, ExportThenAdopt) {

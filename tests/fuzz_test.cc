@@ -429,8 +429,7 @@ void CheckTenantSet(const std::vector<platform::TenantConfig>& tenants) {
     ExpectSameConfig(*merged, *from_text);
 
     // A merged config that does not build must not build from its text
-    // either (a tenant's second source or sink is dropped but still wired:
-    // the text no longer parses).
+    // either.
     std::string built_error;
     std::string round_trip_error;
     auto built = click::Graph::Build(*merged, &built_error);
@@ -474,6 +473,10 @@ TEST(ConsolidatedGuestFuzz, BuiltFromParsedConfigsMatchesTheTextRoundTrip) {
       "FromNetfront() -> gate :: IPFilter(allow udp) -> ToNetfront();",
       "FromNetfront() -> Counter() -> SetTTL(9) -> ToNetfront();",
       "FromNetfront() -> DecIPTTL() -> ToNetfront();",
+      // Table 1's multicast row: two sinks. (Its tunnel row, with two
+      // sources, is in the corpus.)
+      "src :: FromNetfront(); t :: Tee(2); a :: ToNetfront(); b :: ToNetfront();"
+      "src -> t; t[0] -> SetIPDst(10.10.0.5) -> a; t[1] -> SetIPDst(10.10.0.6) -> b;",
   };
   std::vector<std::string> corpus = ConfigCorpus();
   texts.insert(texts.end(), corpus.begin(), corpus.end());
@@ -506,8 +509,8 @@ TEST(ConsolidatedGuestFuzz, BuiltFromParsedConfigsMatchesTheTextRoundTrip) {
   EXPECT_GE(mutants, 20);
 
   // Sets of one to four accepted tenants, each at its own address. Each
-  // config a guest refuses (stateful, no endpoints, a second source) is a
-  // set of its own, for the refusal paths.
+  // config a guest refuses (stateful, no endpoints) is a set of its own, for
+  // the refusal paths.
   std::vector<std::string> accepted;
   std::vector<std::vector<platform::TenantConfig>> sets;
   Ipv4Address base = Ipv4Address::MustParse("172.16.3.10");

@@ -3,6 +3,8 @@
 // packets through the deployed modules.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/controller/orchestrator.h"
 #include "src/controller/stock_modules.h"
 #include "src/topology/network.h"
@@ -143,6 +145,47 @@ TEST_F(OrchestratorTest, KillRemovesConsolidatedTenantOnly) {
   // Removing the last tenant tears the shared VM down entirely.
   EXPECT_TRUE(orchestrator_.Kill(second.outcome.module_id));
   EXPECT_EQ(box->vms().vm_count(), 0u);
+}
+
+// Two Table 1 rows are stateless tenants with a second endpoint: the tunnel
+// has a second source (its idle encapsulation side) and the multicast config
+// a second sink. Both consolidate, and the multicast guest emits one replica
+// per sink through the shared egress.
+TEST_F(OrchestratorTest, TenantsWithSeveralSourcesOrSinksConsolidate) {
+  ClientRequest tunnel;
+  tunnel.client_id = "tunnel";
+  tunnel.requester = RequesterClass::kClient;
+  tunnel.click_config =
+      StockTunnel(Ipv4Address::MustParse("7.7.7.7"), Ipv4Prefix::MustParse("10.10.0.0/24"));
+  tunnel.whitelist = {Ipv4Address::MustParse("7.7.7.7")};
+  tunnel.owned_prefixes = {Ipv4Prefix::MustParse("10.10.0.0/24")};
+  ClientRequest multicast;
+  multicast.client_id = "multicast";
+  multicast.requester = RequesterClass::kClient;
+  multicast.click_config =
+      "src :: FromNetfront(); t :: Tee(2);"
+      "a :: ToNetfront(); b :: ToNetfront();"
+      "src -> t; t[0] -> SetIPDst(10.10.0.5) -> a;"
+      "t[1] -> SetIPDst(10.10.0.6) -> b;";
+  multicast.owned_prefixes = {Ipv4Prefix::MustParse("10.10.0.0/24")};
+
+  auto tunneled = orchestrator_.Deploy(tunnel);
+  ASSERT_TRUE(tunneled.outcome.accepted) << tunneled.outcome.reason;
+  EXPECT_TRUE(tunneled.consolidated);
+  auto replicated = orchestrator_.Deploy(multicast);
+  ASSERT_TRUE(replicated.outcome.accepted) << replicated.outcome.reason;
+  EXPECT_TRUE(replicated.consolidated);
+
+  InNetPlatform* box = orchestrator_.platform(replicated.outcome.platform);
+  clock_.RunUntil(clock_.now() + sim::FromSeconds(1));
+  std::vector<Ipv4Address> egressed;
+  box->SetEgressHandler([&](Packet& p) { egressed.push_back(p.ip_dst()); });
+  Packet packet = Packet::MakeUdp(Ipv4Address::MustParse("8.8.8.8"),
+                                  replicated.outcome.module_addr, 4000, 1500, 64);
+  box->HandlePacket(packet);
+  std::ranges::sort(egressed, {}, &Ipv4Address::value);
+  EXPECT_EQ(egressed, (std::vector<Ipv4Address>{Ipv4Address::MustParse("10.10.0.5"),
+                                                Ipv4Address::MustParse("10.10.0.6")}));
 }
 
 TEST_F(OrchestratorTest, KillUnknownModuleFails) {

@@ -385,11 +385,10 @@ int main(int argc, char** argv) {
   }
 
   // Hop-by-hop trace of every forward, plus delivery/drop accounting.
-  click::ScopedPacketTrace trace(
-      [](const click::Element& from, int out_port, const Packet& packet) {
-        std::printf("    %s[%d] -> %s\n", from.name().c_str(), out_port,
-                    packet.Describe().c_str());
-      });
+  auto print_hop = [](const click::Element& from, int out_port, const Packet& packet) {
+    std::printf("    %s[%d] -> %s\n", from.name().c_str(), out_port, packet.Describe().c_str());
+  };
+  graph->SetPacketTrace(print_hop);
   for (const auto& element : graph->elements()) {
     if (auto* sink = dynamic_cast<click::ToNetfront*>(element.get())) {
       sink->set_handler([name = element->name()](Packet& packet) {
@@ -486,6 +485,10 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(deployed.vm_id));
       clock.RunUntil(clock.now() + sim::FromSeconds(2));
       box = orch.platform(deployed.outcome.platform);
+      if (platform::Vm* guest = box->vms().Find(deployed.vm_id);
+          guest != nullptr && guest->graph() != nullptr) {
+        guest->graph()->SetPacketTrace(print_hop);
+      }
       if (flight_depth > 0) {
         box->flight_recorder().set_depth(flight_depth);
       }
