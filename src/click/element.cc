@@ -55,20 +55,12 @@ void Element::SetPorts(int inputs, int outputs) {
   port_packets_.assign(outputs_.size(), 0);
 }
 
-void Element::ForwardObserved(int out_port, const PortTarget& target, Packet& packet) {
-  if (context_->trace) {
-    context_->trace(*this, out_port, packet);
-  }
-  if (!target.connected()) {
-    ++drops_;
-    return;
-  }
-  target.element->CountArrival(packet);
+void Element::TraceForward(int out_port, const Packet& packet) const {
+  context_->trace(*this, out_port, packet);
+}
+
+void Element::ForwardProfiled(const PortTarget& target, Packet& packet) {
   GraphProfiler* profiler = context_->profiler;
-  if (profiler == nullptr) {
-    target.element->Push(target.port, packet);
-    return;
-  }
   profiler->EnterElement(*target.element, packet, target.port);
   target.element->Push(target.port, packet);
   profiler->ExitElement();

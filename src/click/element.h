@@ -42,9 +42,6 @@ struct ElementContext {
   sim::EventQueue* clock = nullptr;
   GraphProfiler* profiler = nullptr;
   PacketTraceHook trace;
-
-  // A forward in this graph takes the out-of-line observed path.
-  bool observed() const { return profiler != nullptr || trace != nullptr; }
 };
 
 class Element {
@@ -126,6 +123,9 @@ class Element {
 
   // Forwards to the element connected at `out_port`; drops if unconnected.
   void ForwardTo(int out_port, Packet& packet) {
+    if (context_ != nullptr && context_->trace) {
+      TraceForward(out_port, packet);  // out of line: keeps the hook call off the inline path
+    }
     if (packet.int_active()) {
       // Complete this element's in-band hop record with the chosen exit port
       // before the next element appends its own.
@@ -135,15 +135,15 @@ class Element {
       ++port_packets_[static_cast<size_t>(out_port)];
     }
     const PortTarget& target = outputs_[static_cast<size_t>(out_port)];
-    if (context_ != nullptr && context_->observed()) {
-      ForwardObserved(out_port, target, packet);  // out of line: profiler is incomplete here
-      return;
-    }
     if (!target.connected()) {
       ++drops_;
       return;
     }
     target.element->CountArrival(packet);
+    if (context_ != nullptr && context_->profiler != nullptr) {
+      ForwardProfiled(target, packet);  // out of line: profiler is incomplete here
+      return;
+    }
     target.element->Push(target.port, packet);
   }
 
@@ -152,8 +152,8 @@ class Element {
   GraphProfiler* profiler() const { return context_ != nullptr ? context_->profiler : nullptr; }
 
  private:
-  // The rest of ForwardTo when the graph has a trace hook or a profiler.
-  void ForwardObserved(int out_port, const PortTarget& target, Packet& packet);
+  void TraceForward(int out_port, const Packet& packet) const;
+  void ForwardProfiled(const PortTarget& target, Packet& packet);
   // Fills the cost coefficients from the per-class table (element.cc).
   void InitCostModel() const;
 

@@ -11,14 +11,17 @@
 // rule per entry, decided by its kind, its state and whether its guest is
 // up on its platform:
 //
-//   1. a migration whose snapshot never left the source is cancelled;
+//   1. a migration whose snapshot never left the source, and that placed
+//      nothing without one, is cancelled;
 //   2. a deploy intent is re-placed;
 //   3. a live guest is restored and committed (re-verified only for a deploy
 //      at verified): a cut-over entry is adopted, a migration rolls forward,
 //      and a deploy's confirm chain is re-armed;
 //   4. otherwise a deploy at verified re-sends its install under its
-//      original epoch, a cut-over entry is killed, and any other entry is
-//      re-placed (a migration first kills the entry it supersedes).
+//      original epoch, a cut-over entry is killed, a migration whose
+//      original the source re-adopted after a failed import adopts that
+//      original and rolls back, and any other entry is re-placed (a migration
+//      first kills the entry it supersedes).
 //
 // A migration whose snapshot left the source decides the fate of the entry
 // it supersedes, which is therefore never adopted on its own.

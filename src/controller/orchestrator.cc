@@ -1070,11 +1070,17 @@ Vm::VmId Orchestrator::LiveGuest(const std::string& platform_name, Vm::VmId vm_i
   return vm_id != 0 && box->vms().Find(vm_id) != nullptr ? vm_id : box->InstalledVmFor(addr);
 }
 
-auto Orchestrator::RestoreTask(const JournalEntry& e, Ipv4Address addr, bool reverify,
-                               const std::string& why) -> std::shared_ptr<DeployTask> {
+auto Orchestrator::RestoreTask(JournalEntry& e, Ipv4Address addr, Vm::VmId vm, bool reverify)
+    -> std::shared_ptr<DeployTask> {
   std::string err;
   if (!controller_.RestoreDeployment(e.request, e.module_id, e.platform, addr, reverify, &err)) {
-    journal_->Advance(e.id, JournalState::kRolledBack, clock_->now(), why + err);
+    journal_->Advance(e.id, JournalState::kRolledBack, clock_->now(),
+                      (vm != 0 ? "re-verification failed after crash: " : "restore failed: ") + err);
+    if (vm != 0) {  // remove the guest that could not be vouched for
+      ControlRequest undo = NewOp(journal_, ControlOp::kUninstallAddr, e.module_id);
+      undo.addr = addr;
+      fleet_->channel().DeliverDirect(e.platform, undo);
+    }
     return nullptr;
   }
   auto task = std::make_shared<DeployTask>();
@@ -1085,6 +1091,11 @@ auto Orchestrator::RestoreTask(const JournalEntry& e, Ipv4Address addr, bool rev
   task->result.outcome.module_id = e.module_id;
   task->result.outcome.sandboxed = e.sandboxed;
   task->consolidated = e.consolidated;
+  if (vm != 0) {
+    task->guard = MakeChannelGuard(e.request.client_id);
+    CommitPlacement(*task, vm);
+    e.vm_id = vm;  // the guest found, as PlaceDone records the acked one
+  }
   return task;
 }
 
@@ -1125,9 +1136,10 @@ RecoveryReport Orchestrator::RecoverFromJournal() {
     const bool migration = e->kind == JournalEntryKind::kMigration;
     const bool live = e->state == JournalState::kCutover;
     const bool placed = live || Confirming(e);
-    // 1. The snapshot never left the source: cancel the mark. The (possibly
-    // suspended) guest resumes on traffic; its deploy entry stays live.
-    if (migration && !e->exported) {
+    // 1. The snapshot never left the source and nothing was placed without
+    // one (stateless, adopted): cancel the mark. The (possibly suspended) guest
+    // resumes on traffic; its deploy entry stays live.
+    if (migration && !e->exported && !placed) {
       if (InNetPlatform* src = fleet_->Get(e->source_platform); src != nullptr && e->vm_id != 0) {
         src->CancelMigrationOut(e->vm_id);
       }
@@ -1149,38 +1161,26 @@ RecoveryReport Orchestrator::RecoverFromJournal() {
     const Ipv4Address addr = Ipv4Address::Parse(e->addr).value_or(Ipv4Address());
     const Vm::VmId vm = LiveGuest(e->platform, placed && !e->consolidated ? e->vm_id : 0, addr);
     const bool unacked_install = !migration && !placed;
-    if (vm != 0) {
-      if (auto task =
-              RestoreTask(*e, addr, unacked_install, "re-verification failed after crash: ")) {
-        task->guard = MakeChannelGuard(e->request.client_id);
-        CommitPlacement(*task, vm);
-        e->vm_id = vm;  // the guest found, as PlaceDone records the acked one
-        ++(live ? report.adopted : report.completed);
-        if (migration && !live) {  // roll forward; the parked traffic died with the controller
-          journal_->Advance(e->supersedes, JournalState::kSuperseded, now,
-                            "migration rolled forward after crash");
-          journal_->Advance(id, JournalState::kCutover, now,
-                            "rolled forward after crash; parked traffic lost");
-        } else if (!live) {
-          if (unacked_install) {
-            journal_->Advance(id, JournalState::kPlaced, now, "found applied after crash");
-          }
-          ScheduleConfirm(id, options_.confirm_rounds);
+    if (vm != 0 && RestoreTask(*e, addr, vm, unacked_install)) {
+      ++(live ? report.adopted : report.completed);
+      if (migration && !live) {  // roll forward; the parked traffic died with the controller
+        journal_->Advance(e->supersedes, JournalState::kSuperseded, now,
+                          "migration rolled forward after crash");
+        journal_->Advance(id, JournalState::kCutover, now,
+                          "rolled forward after crash; parked traffic lost");
+      } else if (!live) {
+        if (unacked_install) {
+          journal_->Advance(id, JournalState::kPlaced, now, "found applied after crash");
         }
-        continue;
+        ScheduleConfirm(id, options_.confirm_rounds);
       }
-      // Rolled back: remove the guest that could not be vouched for, then
-      // converge as if it were lost.
-      ControlRequest undo = NewOp(journal_, ControlOp::kUninstallAddr, e->module_id);
-      undo.addr = addr;
-      fleet_->channel().DeliverDirect(e->platform, undo);
+      continue;
     }
-    // 4. The guest is gone.
+    // 4. The guest is gone (or was refused and removed).
     if (unacked_install) {
       // Re-send the install under its original token (if only the ack was
       // lost, the endpoint dedups), unless re-verification just refused it.
-      auto task =
-          vm != 0 ? nullptr : RestoreTask(*e, addr, /*reverify=*/false, "restore failed: ");
+      auto task = vm != 0 ? nullptr : RestoreTask(*e, addr, 0, /*reverify=*/false);
       if (task == nullptr) {
         ++report.rolled_back;
         continue;
@@ -1196,6 +1196,17 @@ RecoveryReport Orchestrator::RecoverFromJournal() {
       journal_->Advance(id, JournalState::kKilled, now, "guest did not survive the crash");
       ++report.killed;
     } else if (migration) {
+      // A failed import the source re-adopted before the crash left the
+      // original whole there: adopt it and cancel the migration.
+      JournalEntry* orig = journal_->Find(e->supersedes);
+      const Ipv4Address from = Ipv4Address::Parse(orig ? orig->addr : "").value_or(Ipv4Address());
+      const Vm::VmId back = orig != nullptr ? LiveGuest(orig->platform, 0, from) : 0;
+      if (back != 0 && RestoreTask(*orig, from, back, /*reverify=*/false)) {
+        journal_->Advance(id, JournalState::kRolledBack, now, "source re-adopted guest; cancelled");
+        ++report.adopted;
+        ++report.rolled_back;
+        continue;
+      }
       journal_->Advance(e->supersedes, JournalState::kKilled, now,
                         "guest lost in crashed migration");
       replace(id, placed ? "target guest lost; tenant re-placed fresh"

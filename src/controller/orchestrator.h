@@ -397,13 +397,15 @@ class Orchestrator {
   // guest exists there, else the guest the switch routes `addr` to, else 0.
   // Recovery and the heal-time reconcile both decide liveness with it.
   platform::Vm::VmId LiveGuest(const std::string& platform_name, platform::Vm::VmId vm_id,
-                     Ipv4Address addr);
+                               Ipv4Address addr);
 
   // Recovery: restores the controller's record of the entry's module and
-  // returns a task holding its placement, past Verify. On failure the entry
-  // is rolled back with `why` + the error and the task is null.
-  std::shared_ptr<DeployTask> RestoreTask(const JournalEntry& e, Ipv4Address addr, bool reverify,
-                                          const std::string& why);
+  // returns a task holding its placement, past Verify. With `vm`, a guest
+  // found up at `addr`, it also commits the placement around that guest and
+  // records it as the entry's. On failure the entry is rolled back, `vm` (if
+  // any) is uninstalled, and the task is null.
+  std::shared_ptr<DeployTask> RestoreTask(JournalEntry& e, Ipv4Address addr,
+                                          platform::Vm::VmId vm, bool reverify);
 
   // Ledger prober: fills *out from the named platform's live state.
   bool ProbePlatform(const std::string& name, scheduler::PlatformResources* out);

@@ -15,9 +15,10 @@
 // crash over intent, consolidated verified, dedicated verified and placed
 // entries, then RecoverFromJournal; a crash in the middle of a stateful
 // migration (while suspending, after the export, after the import ack, after
-// the import ack with the target guest gone, and after the export with the
-// import lost), then RecoverFromJournal; ExportTenant followed by
-// AdoptMigrated with and without a frozen guest.
+// the import ack with the target guest gone, after the export with the
+// import lost, and after a failed import the source re-adopted), then
+// RecoverFromJournal; ExportTenant followed by AdoptMigrated with and without
+// a frozen guest.
 //
 // A mismatch writes the rendering to <name>.actual.txt in the test's working
 // directory; copy it over tests/golden/deploy/<name>.txt only when the change
@@ -462,6 +463,8 @@ enum class CrashPoint {
   kImportLost,    // as kExported, and the import never reaches the target
   kImported,      // the target acked the import; the cut-over is unacked
   kTargetLost,    // as kImported, and the imported guest is gone by recovery
+  kReadopted,     // the import failed (target full) and the source re-imported
+                  // the guest; the re-import is unacked
 };
 
 // control_chaos's no_duplicate_installs rule: each dedicated placement owns
@@ -504,16 +507,28 @@ std::string CrashMidMigration(CrashPoint point, bool traffic = false) {
   plan.seed = 9;
   plan.control_delay_mean_ms = 2.0;
   sim::FaultInjector faults(plan);
-  PlatformFleet fleet(&clock, platform::VmCostModel{},
-                      OrchestratorOptions{}.platform_memory_bytes);
+  OrchestratorOptions options;
+  if (point == CrashPoint::kReadopted) {  // room for two guests per platform
+    options.platform_memory_bytes = 2 * options.cost_model.MemoryBytes(platform::VmKind::kClickOs);
+  }
+  PlatformFleet fleet(&clock, platform::VmCostModel{}, options.platform_memory_bytes);
   DeployJournal journal;
   std::string target;
   uint64_t migration = 0;
   {
-    Orchestrator orch(topology::Network::MakeFigure3(), &clock, OrchestratorOptions{}, &fleet,
-                      &journal);
+    Orchestrator orch(topology::Network::MakeFigure3(), &clock, options, &fleet, &journal);
     auto meter = orch.Deploy(MeterRequest("meter", "10.10.0.5", "10.10.0.0/24"));
     EXPECT_TRUE(meter.outcome.accepted) << meter.outcome.reason;
+    target = meter.outcome.platform == "platform2" ? "platform1" : "platform2";
+    for (const auto& [client, addr, prefix] :
+         {std::tuple{"fill1", "10.20.0.5", "10.20.0.0/24"},
+          std::tuple{"fill2", "10.30.0.5", "10.30.0.0/24"}}) {
+      if (point == CrashPoint::kReadopted) {  // the target verifies but cannot import
+        ClientRequest filler = MeterRequest(client, addr, prefix);
+        filler.pinned_platform = target;
+        EXPECT_TRUE(orch.Deploy(filler).outcome.accepted);
+      }
+    }
     clock.RunUntil(clock.now() + sim::FromSeconds(1));
     for (uint16_t port = 4000; traffic && port < 4003; ++port) {
       Packet packet = Packet::MakeUdp(Ipv4Address::MustParse("8.8.8.8"),
@@ -523,7 +538,6 @@ std::string CrashMidMigration(CrashPoint point, bool traffic = false) {
     const click::FlowMeter* before = BelievedMeter(orch);
     EXPECT_TRUE(before != nullptr && before->packets() == (traffic ? 3u : 0u));
     orch.SetControlFaults(&faults);
-    target = meter.outcome.platform == "platform2" ? "platform1" : "platform2";
     EXPECT_TRUE(orch.MigrateTenant(meter.outcome.module_id, target).started);
     migration = journal.entries().back().id;
     const std::string source = meter.outcome.platform;
@@ -538,6 +552,8 @@ std::string CrashMidMigration(CrashPoint point, bool traffic = false) {
         case CrashPoint::kImported:
         case CrashPoint::kTargetLost:
           return e->state == JournalState::kPlaced;
+        case CrashPoint::kReadopted:
+          return e->exported && fleet.Get(source)->InstalledVmFor(meter.outcome.module_addr) != 0;
       }
       return false;
     };
@@ -554,15 +570,13 @@ std::string CrashMidMigration(CrashPoint point, bool traffic = false) {
   }
   fleet.SetControlFaults(nullptr);
 
-  Orchestrator successor(topology::Network::MakeFigure3(), &clock, OrchestratorOptions{},
-                         &fleet, &journal);
+  Orchestrator successor(topology::Network::MakeFigure3(), &clock, options, &fleet, &journal);
   RecoveryReport report = successor.RecoverFromJournal();
   clock.RunUntil(clock.now() + sim::FromSeconds(5));
   EXPECT_EQ(journal.InFlightCount(), 0u);
   ExpectGuestsMatchBelief(successor);
   const click::FlowMeter* after = BelievedMeter(successor);
-  const bool carried = point == CrashPoint::kSuspending || point == CrashPoint::kExported ||
-                       point == CrashPoint::kImported;
+  const bool carried = point != CrashPoint::kImportLost && point != CrashPoint::kTargetLost;
   const uint64_t expected = traffic && carried ? 3 : 0;
   EXPECT_TRUE(after != nullptr && after->packets() == expected && after->flow_count() == expected);
   std::ostringstream counts;
@@ -580,7 +594,9 @@ TEST(DeployGolden, CrashMidMigration) {
                    "=== crash after import, target guest lost ===\n" +
                    CrashMidMigration(CrashPoint::kTargetLost) +
                    "=== crash after export, import lost ===\n" +
-                   CrashMidMigration(CrashPoint::kImportLost));
+                   CrashMidMigration(CrashPoint::kImportLost) +
+                   "=== crash after failed import, source re-adopted ===\n" +
+                   CrashMidMigration(CrashPoint::kReadopted));
 }
 
 // A guest carried through the crash keeps its element state: the meter's
@@ -589,10 +605,62 @@ TEST(DeployGolden, CrashMidMigration) {
 TEST(DeployGolden, CrashMidMigrationKeepsCarriedState) {
   for (CrashPoint point : {CrashPoint::kSuspending, CrashPoint::kExported,
                            CrashPoint::kImportLost, CrashPoint::kImported,
-                           CrashPoint::kTargetLost}) {
+                           CrashPoint::kTargetLost, CrashPoint::kReadopted}) {
     SCOPED_TRACE(static_cast<int>(point));
     CrashMidMigration(point, /*traffic=*/true);
   }
+}
+
+// Migrations that place without an export (a consolidated tenant's
+// make-before-break move, a cross-region adopt of a frozen guest) leave
+// live entries: a later crash must not cancel them, and recovery adopts
+// their guests.
+TEST(DeployGolden, CrashAfterMigrationsWithoutExport) {
+  sim::EventQueue clock;
+  ObsGuard guard(&clock);
+  Orchestrator home(topology::Network::MakeFigure3(), &clock);
+  auto meter = home.Deploy(MeterRequest("meter", "10.10.0.5", "10.10.0.0/24"));
+  ASSERT_TRUE(meter.outcome.accepted) << meter.outcome.reason;
+  clock.RunUntil(clock.now() + sim::FromSeconds(1));
+  std::optional<TenantExport> exported;
+  home.ExportTenant(meter.outcome.module_id, [&](const TenantExport& out) { exported = out; });
+  clock.RunUntil(clock.now() + sim::FromSeconds(1));
+  ASSERT_TRUE(exported.has_value() && exported->ok && exported->moved != nullptr);
+
+  PlatformFleet fleet(&clock, platform::VmCostModel{},
+                      OrchestratorOptions{}.platform_memory_bytes);
+  DeployJournal journal;
+  {
+    Orchestrator orch(topology::Network::MakeFigure3(), &clock, OrchestratorOptions{}, &fleet,
+                      &journal);
+    auto web = orch.Deploy(StatelessRequest("web", 1500));
+    ASSERT_TRUE(web.outcome.accepted) << web.outcome.reason;
+    const std::string target = web.outcome.platform == "platform2" ? "platform1" : "platform2";
+    std::optional<MigrationReport> moved;
+    ASSERT_TRUE(orch.MigrateTenant(web.outcome.module_id, target,
+                                   [&](const MigrationReport& r) { moved = r; })
+                    .started);
+    ASSERT_TRUE(moved.has_value() && moved->ok);
+    TenantAdopt adopted = orch.AdoptMigrated(exported->request, exported->moved);
+    ASSERT_TRUE(adopted.ok) << adopted.error;
+    clock.RunUntil(clock.now() + sim::FromSeconds(1));
+  }  // crash
+
+  Orchestrator successor(topology::Network::MakeFigure3(), &clock, OrchestratorOptions{},
+                         &fleet, &journal);
+  RecoveryReport report = successor.RecoverFromJournal();
+  EXPECT_EQ(report.adopted, 2u);
+  EXPECT_EQ(report.rolled_back, 0u);
+  EXPECT_EQ(report.killed, 0u);
+  EXPECT_EQ(successor.placement_count(), 2u);
+  for (const JournalEntry& entry : journal.entries()) {
+    if (entry.kind == JournalEntryKind::kMigration) {
+      EXPECT_EQ(entry.state, JournalState::kCutover) << entry.module_id;
+    }
+  }
+  clock.RunUntil(clock.now() + sim::FromSeconds(5));
+  EXPECT_EQ(journal.InFlightCount(), 0u);
+  ExpectGuestsMatchBelief(successor);
 }
 
 TEST(DeployGolden, ExportThenAdopt) {
