@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # One-stop CI gate: tier-1 build + tests, the sanitizer suite, the
 # metrics-documentation lint, the perf-regression gate (innet_benchdiff vs
-# the committed BENCH_*.json baselines), the wall-clock benchmark's own
+# the committed BENCH_*.json baselines, and Figure 10's metrics dump against a
+# fresh run), the wall-clock benchmark's own
 # correctness checks on its control workloads, the timeseries and
 # journey-dump determinism checks, and a JSON lint over every committed
 # BENCH_*.json telemetry file. Any failure fails the whole run.
@@ -97,6 +98,39 @@ fi
 
 step "perf-regression gate (check_bench_regression.sh vs committed baselines)"
 scripts/check_bench_regression.sh || fail=1
+
+step "Figure 10 snapshot (series + metrics must match a fresh run)"
+# check_bench_regression.sh diffs only the series; the metrics registry dump
+# is seeded and exact too, so it is compared here. The scaling rows hold
+# wall-clock columns and are not selected.
+if [ ! -x build/bench/fig10_controller_scaling ]; then
+  echo "ERROR: build/bench/fig10_controller_scaling missing — build step failed?" >&2
+  fail=1
+else
+  fig10_dir=$(mktemp -d)
+  if ! (cd "$fig10_dir" && "$OLDPWD/build/bench/fig10_controller_scaling" >/dev/null); then
+    echo "ERROR: fig10_controller_scaling exited non-zero" >&2
+    fail=1
+  elif python3 - BENCH_fig10_controller_scaling.json \
+      "$fig10_dir/BENCH_fig10_controller_scaling.json" <<'EOF'
+import json
+import sys
+
+committed, fresh = (json.load(open(path))["results"] for path in sys.argv[1:3])
+differing = [key for key in ("series", "metrics") if committed.get(key) != fresh.get(key)]
+for key in differing:
+    print(f"ERROR: BENCH_fig10_controller_scaling.json: '{key}' differs from a fresh run",
+          file=sys.stderr)
+sys.exit(1 if differing else 0)
+EOF
+  then
+    echo "ok: fig10 series and metrics match the committed snapshot"
+    rm -rf "$fig10_dir"
+  else
+    echo "       (if the change is intentional: cp $fig10_dir/BENCH_fig10_controller_scaling.json .)" >&2
+    fail=1
+  fi
+fi
 
 step "wall-clock benchmark checks (perfbench deploy_churn + verify_deep, traced, 1 s each)"
 # The benchmark fails a run when a request's verdict or final placement is wrong
