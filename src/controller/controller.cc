@@ -38,19 +38,19 @@ std::vector<std::string> ModuleNodeNames(const std::string& module_id,
 
 // The fragment the verification graph embeds: the explored model with each
 // exit's sink turned into a pass-through, whose output 0 the network wires
-// back into the hosting platform.
+// back into the hosting platform. Moves the exploration's graph and sinks.
 std::shared_ptr<const topology::ModuleFragment> MakeFragment(
-    symexec::ModuleExploration exploration) {
+    symexec::ModuleExploration* exploration) {
   auto fragment = std::make_shared<topology::ModuleFragment>();
-  fragment->graph = std::move(exploration.graph);
-  if (!exploration.sources.empty()) {
-    fragment->entry = exploration.sources[0];
+  fragment->graph = std::move(exploration->graph);
+  if (!exploration->sources.empty()) {
+    fragment->entry = exploration->sources[0];
   }
   auto passthrough = std::make_shared<symexec::PassthroughModel>();
-  for (int exit : exploration.sinks) {
+  for (int exit : exploration->sinks) {
     fragment->graph.SetModel(exit, passthrough);
   }
-  fragment->exits = std::move(exploration.sinks);
+  fragment->exits = std::move(exploration->sinks);
   return fragment;
 }
 
@@ -95,6 +95,11 @@ std::vector<FlowSpec> AuthorizedPinholes(const symexec::ModuleExploration& explo
   return pinholes;
 }
 
+// How a verification graph embeds `dep`.
+topology::ModuleAttachment Attachment(const Deployment& dep) {
+  return {dep.module_id, dep.platform, dep.addr, dep.fragment.get(), dep.pinholes};
+}
+
 // Parses the request's reach statements; false and *error ("bad requirement:
 // ...") on the first that does not parse.
 bool ParseRequirements(const ClientRequest& request, std::vector<ReachSpec>* specs,
@@ -110,9 +115,36 @@ bool ParseRequirements(const ClientRequest& request, std::vector<ReachSpec>* spe
   return true;
 }
 
+// Checks `specs` in order; false and *failure at the first that does not
+// hold. With `via_module` each must hold through the module under
+// deployment. Adds the engine steps taken to *steps.
+bool CheckAllRequirements(const ReachChecker& checker, const std::vector<ReachSpec>& specs,
+                          std::string* failure, uint64_t* steps, bool via_module) {
+  for (const ReachSpec& spec : specs) {
+    std::optional<ReachSpec> effective;
+    if (via_module) {
+      // A client requirement is about *its* processing: the flow must pass
+      // through the module being deployed (this is what makes unreachable
+      // platforms — Figure 3's platforms 1 and 2 for the UDP batcher — fail).
+      effective = spec;
+      policy::ReachNode module_waypoint;
+      module_waypoint.spec = "__module_any__";
+      effective->waypoints.insert(effective->waypoints.begin(), std::move(module_waypoint));
+    }
+    policy::ReachCheckResult result = checker.Check(effective ? *effective : spec);
+    *steps += result.engine_steps;
+    if (!result.satisfied) {
+      *failure = spec.ToString() + ": " + result.explanation;
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
-Controller::Controller(topology::Network network) : network_(std::move(network)) {}
+Controller::Controller(topology::Network network)
+    : network_(std::move(network)), graph_(network_) {}
 
 bool Controller::AddOperatorPolicy(const std::string& reach_statement, std::string* error) {
   std::string local_error;
@@ -159,12 +191,9 @@ void Controller::Reindex() {
   }
 }
 
-std::optional<Controller::Trial> Controller::MakeTrial(const ClientRequest& request,
-                                                       const std::string& module_id,
-                                                       const std::string& platform,
-                                                       Ipv4Address addr,
-                                                       std::string* error) const {
-  std::string config_text = SubstituteSelf(request.click_config, addr);
+std::optional<Controller::Trial> Controller::Compile(const ClientRequest& request,
+                                                     std::string config_text,
+                                                     std::string* error) const {
   auto config = click::ConfigGraph::Parse(config_text, error);
   std::optional<symexec::ModuleExploration> exploration;
   if (config) {
@@ -175,34 +204,38 @@ std::optional<Controller::Trial> Controller::MakeTrial(const ClientRequest& requ
     return std::nullopt;
   }
   Trial trial;
-  trial.security = ClassifyModuleFlows(
-      *exploration, {request.requester, addr, request.whitelist, request.owned_prefixes});
   Deployment& dep = trial.deployment;
+  dep.pinholes = std::make_shared<const std::vector<FlowSpec>>(
+      AuthorizedPinholes(*exploration, request.whitelist));
+  dep.path_digest = symexec::ComputePathDigest(*config, *exploration).Encode();
+  dep.fragment = MakeFragment(&*exploration);
+  dep.config = std::move(*config);
+  dep.config_text = std::move(config_text);
+  trial.exploration = std::move(*exploration);
+  return trial;
+}
+
+void Controller::Place(const ClientRequest& request, const std::string& module_id,
+                       const std::string& platform, Ipv4Address addr, Trial* trial) const {
+  trial->security = ClassifyModuleFlows(
+      trial->exploration, {request.requester, addr, request.whitelist, request.owned_prefixes});
+  Deployment& dep = trial->deployment;
   dep.module_id = module_id;
   dep.client_id = request.client_id;
   dep.platform = platform;
   dep.addr = addr;
-  dep.sandboxed = trial.security.verdict == Verdict::kNeedsSandbox;
-  dep.pinholes = std::make_shared<const std::vector<FlowSpec>>(
-      AuthorizedPinholes(*exploration, request.whitelist));
-  dep.path_digest = symexec::ComputePathDigest(*config, *exploration).Encode();
-  dep.fragment = MakeFragment(std::move(*exploration));
-  dep.config = std::move(*config);
-  dep.config_text = std::move(config_text);
-  return trial;
+  dep.sandboxed = trial->security.verdict == Verdict::kNeedsSandbox;
 }
 
 bool Controller::CheckTrial(const Trial& trial, const std::vector<ReachSpec>* client_specs,
                             DeployOutcome* outcome, uint64_t* graph_nodes,
-                            std::string* failure) const {
-  // The graph is built before the verdict is read, so a candidate the
+                            std::string* failure) {
+  // The trial is pushed before the verdict is read, so a candidate the
   // security rules reject still counts its graph as verification work.
-  std::optional<SymGraph> graph;
+  auto t_build = std::chrono::steady_clock::now();
+  graph_.Push(Attachment(trial.deployment));
   if (client_specs != nullptr) {
-    auto t_build = std::chrono::steady_clock::now();
-    std::string error;
-    graph = BuildVerificationGraph(&trial.deployment, &error);
-    *graph_nodes += graph->node_count();
+    *graph_nodes += graph_.graph().node_count();
     outcome->model_build_ms += MillisSince(t_build);
   }
 
@@ -213,17 +246,27 @@ bool Controller::CheckTrial(const Trial& trial, const std::vector<ReachSpec>* cl
   bool ok = trial.security.verdict != Verdict::kRejected;
   if (!ok) {
     *failure = "security: " + trial.security.Summary();
-  } else if (graph) {
+  } else if (client_specs != nullptr) {
+    const SymGraph& graph = graph_.graph();
+    symexec::EngineOptions options;
+    // Long middlebox chains (the Figure 10 scaling topologies) need path
+    // budgets proportional to the network diameter.
+    options.max_hops = std::max(256, static_cast<int>(graph.node_count()) * 2 + 64);
+    // Gone before any pop: its engine shares the graph's name table.
+    ReachChecker checker(&graph, MakeResolver(&trial.deployment), options);
     std::string reach_failure;
-    ok = CheckAllRequirements(*graph, trial.deployment, operator_policies_, &reach_failure,
+    ok = CheckAllRequirements(checker, operator_policies_, &reach_failure,
                               &outcome->engine_steps, /*via_module=*/false) &&
-         CheckAllRequirements(*graph, trial.deployment, *client_specs, &reach_failure,
-                              &outcome->engine_steps, /*via_module=*/true);
+         CheckAllRequirements(checker, *client_specs, &reach_failure, &outcome->engine_steps,
+                              /*via_module=*/true);
     if (!ok) {
       *failure = "on " + trial.deployment.platform + ": " + reach_failure;
     }
   }
   outcome->check_ms += MillisSince(t_check);
+  if (!ok) {
+    graph_.Pop();
+  }
   return ok;
 }
 
@@ -232,18 +275,13 @@ symexec::SymGraph Controller::BuildVerificationGraph(const Deployment* trial,
   // Every committed module, then the trial one: that order numbers their
   // ports on each platform.
   std::vector<topology::ModuleAttachment> modules;
-  std::vector<topology::PinholeSet> pinholes;
   modules.reserve(deployments_.size() + 1);
-  pinholes.reserve(deployments_.size() + 1);
   auto attach = [&](const Deployment& dep) {
     if (dep.fragment == nullptr) {
-      // Only a Deployment made outside MakeTrial can lack one.
+      // Only a Deployment made outside Compile can lack one.
       *error = "module " + dep.module_id + " has no symbolic model";
     }
-    modules.push_back({dep.module_id, dep.platform, dep.addr, dep.fragment.get()});
-    if (dep.pinholes != nullptr && !dep.pinholes->empty()) {
-      pinholes.push_back(dep.pinholes);
-    }
+    modules.push_back(Attachment(dep));
   };
   for (const Deployment& dep : deployments_) {
     attach(dep);
@@ -251,7 +289,7 @@ symexec::SymGraph Controller::BuildVerificationGraph(const Deployment* trial,
   if (trial != nullptr) {
     attach(*trial);
   }
-  return network_.BuildSymGraph(modules, std::move(pinholes));
+  return network_.BuildSymGraph(modules);
 }
 
 policy::NodeResolver Controller::MakeResolver(const Deployment* trial) const {
@@ -340,36 +378,6 @@ policy::NodeResolver Controller::MakeResolver(const Deployment* trial) const {
     }
     return {};
   };
-}
-
-bool Controller::CheckAllRequirements(const SymGraph& graph, const Deployment& trial,
-                                      const std::vector<ReachSpec>& specs, std::string* failure,
-                                      uint64_t* steps, bool via_module) const {
-  symexec::EngineOptions options;
-  // Long middlebox chains (the Figure 10 scaling topologies) need path
-  // budgets proportional to the network diameter.
-  options.max_hops =
-      std::max(256, static_cast<int>(graph.node_count()) * 2 + 64);
-  ReachChecker checker(&graph, MakeResolver(&trial), options);
-  for (const ReachSpec& spec : specs) {
-    std::optional<ReachSpec> effective;
-    if (via_module) {
-      // A client requirement is about *its* processing: the flow must pass
-      // through the module being deployed (this is what makes unreachable
-      // platforms — Figure 3's platforms 1 and 2 for the UDP batcher — fail).
-      effective = spec;
-      policy::ReachNode module_waypoint;
-      module_waypoint.spec = "__module_any__";
-      effective->waypoints.insert(effective->waypoints.begin(), std::move(module_waypoint));
-    }
-    policy::ReachCheckResult result = checker.Check(effective ? *effective : spec);
-    *steps += result.engine_steps;
-    if (!result.satisfied) {
-      *failure = spec.ToString() + ": " + result.explanation;
-      return false;
-    }
-  }
-  return true;
 }
 
 void Controller::RecordDeployMetrics(DeployOutcome* outcome, uint64_t graph_nodes) const {
@@ -487,23 +495,30 @@ DeployOutcome Controller::Deploy(const ClientRequest& request,
   }
 
   std::string last_failure = "no platform satisfied the request";
+  const std::string module_id = request.client_id + "-m" + std::to_string(next_module_seq_);
+  // Compiled for the last candidate; reused while the config text, with
+  // $SELF substituted, stays the same.
+  std::optional<Trial> trial;
   for (const topology::Node* platform : platforms) {
     std::optional<Ipv4Address> addr = NextAddress(*platform);
     if (!addr) {
       continue;  // pool exhausted
     }
 
-    // "Compilation": parse the configuration, explore its model and build
-    // the verification graph; then the checks.
+    // "Compilation": parse the configuration and explore its model, once
+    // per distinct text; place it; then push it and run the checks.
     auto t_build = std::chrono::steady_clock::now();
-    std::optional<Trial> trial =
-        MakeTrial(request, request.client_id + "-m" + std::to_string(next_module_seq_),
-                  platform->name, *addr, &outcome.reason);
-    outcome.model_build_ms += MillisSince(t_build);
+    std::string config_text = SubstituteSelf(request.click_config, *addr);
+    if (!trial || trial->deployment.config_text != config_text) {
+      trial = Compile(request, std::move(config_text), &outcome.reason);
+    }
     if (!trial) {
+      outcome.model_build_ms += MillisSince(t_build);
       RecordDeployMetrics(&outcome, graph_nodes);
       return outcome;
     }
+    Place(request, module_id, platform->name, *addr, &*trial);
+    outcome.model_build_ms += MillisSince(t_build);
     if (!CheckTrial(*trial, &client_specs, &outcome, &graph_nodes, &last_failure)) {
       continue;
     }
@@ -544,10 +559,11 @@ bool Controller::RestoreDeployment(const ClientRequest& request, const std::stri
   if (reverify && !ParseRequirements(request, &client_specs, error)) {
     return false;
   }
-  std::optional<Trial> trial = MakeTrial(request, module_id, platform, addr, error);
+  std::optional<Trial> trial = Compile(request, SubstituteSelf(request.click_config, addr), error);
   if (!trial) {
     return false;
   }
+  Place(request, module_id, platform, addr, &*trial);
   DeployOutcome work;  // a restore reports no verification work
   uint64_t graph_nodes = 0;
   if (!CheckTrial(*trial, reverify ? &client_specs : nullptr, &work, &graph_nodes, error)) {
@@ -574,7 +590,17 @@ bool Controller::Kill(const std::string& module_id) {
   if (it == by_module_.end()) {
     return false;
   }
-  deployments_.erase(deployments_.begin() + static_cast<ptrdiff_t>(it->second));
+  // Pop back to the killed module, then push the ones after it again: a
+  // fresh build in commit order numbers their ports the same way. Killing
+  // the newest deployment is one pop.
+  size_t index = it->second;
+  while (graph_.module_count() > index) {
+    graph_.Pop();
+  }
+  deployments_.erase(deployments_.begin() + static_cast<ptrdiff_t>(index));
+  for (size_t i = index; i < deployments_.size(); ++i) {
+    graph_.Push(Attachment(deployments_[i]));
+  }
   Reindex();
   return true;
 }

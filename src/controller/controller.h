@@ -16,6 +16,7 @@
 #include "src/controller/security.h"
 #include "src/policy/reach_checker.h"
 #include "src/policy/reach_spec.h"
+#include "src/symexec/click_models.h"
 #include "src/topology/network.h"
 
 namespace innet::controller {
@@ -143,10 +144,14 @@ class Controller {
   void set_verify_cost_model(VerifyCostModel model) { verify_cost_ = model; }
   const VerifyCostModel& verify_cost_model() const { return verify_cost_; }
 
-  // Builds the verification graph for the network plus all committed
-  // deployments (and optionally one trial module after them). Exposed for
-  // tests.
+  // Builds a fresh verification graph for the network plus all committed
+  // deployments (and optionally one trial module after them). It equals
+  // verification_graph() with the trial pushed. Exposed for tests and
+  // benchmarks.
   symexec::SymGraph BuildVerificationGraph(const Deployment* trial, std::string* error) const;
+  // The graph Deploy checks candidates against, kept across requests: the
+  // network with every committed deployment pushed in commit order.
+  const topology::VerificationGraph& verification_graph() const { return graph_; }
 
   // Resolves reach-language node specs against the current graph; `trial`
   // names the module whose elements "module:element" refs resolve into. The
@@ -156,34 +161,40 @@ class Controller {
 
  private:
   std::optional<Ipv4Address> NextAddress(const topology::Node& platform) const;
-  // A placement under verification and its security report.
+  // A request's module under verification. Compile fills it once per
+  // distinct config text; Place then puts it on each candidate in turn.
   struct Trial {
+    // From Compile: the config and its text, the pinholes the request's
+    // whitelist authorizes, the path digest and the fragment. From Place:
+    // the module id, client, platform, address and sandboxing.
     Deployment deployment;
-    SecurityReport security;
+    // The module explored once on its own, which Place classifies at each
+    // candidate's address. Its graph and sinks moved into the fragment.
+    symexec::ModuleExploration exploration;
+    SecurityReport security;  // from Place
   };
-  // The trial deployment of `request` as `module_id` at `addr` on
-  // `platform`. Its config is modeled and explored once; the security
-  // report, the pinholes the request's whitelist authorizes, the path digest
-  // and the fragment are all read from that exploration. nullopt and *error
-  // ("bad configuration: ...") when the config does not parse or cannot be
-  // modeled.
-  std::optional<Trial> MakeTrial(const ClientRequest& request, const std::string& module_id,
-                                 const std::string& platform, Ipv4Address addr,
-                                 std::string* error) const;
-  // The checks Deploy and RestoreDeployment share: builds the verification
-  // graph with the trial, then checks the security verdict, the operator
+  // Parses and explores `config_text`, the request's config with $SELF
+  // substituted. nullopt and *error ("bad configuration: ...") when it does
+  // not parse or cannot be modeled.
+  std::optional<Trial> Compile(const ClientRequest& request, std::string config_text,
+                               std::string* error) const;
+  // Places the compiled `trial` as `module_id` at `addr` on `platform`,
+  // classifying its flows at that address.
+  void Place(const ClientRequest& request, const std::string& module_id,
+             const std::string& platform, Ipv4Address addr, Trial* trial) const;
+  // The checks Deploy and RestoreDeployment share: pushes the trial onto
+  // the verification graph, then checks the security verdict, the operator
   // policy and `client_specs`. Without `client_specs` only the verdict is
-  // checked and no graph is built. Adds the work done to *outcome (timings,
-  // engine steps, the security report) and *graph_nodes; false and *failure
-  // when a check fails.
+  // checked. Adds the work done to *outcome (timings, engine steps, the
+  // security report) and *graph_nodes. On success the trial stays pushed,
+  // for Commit; otherwise it is popped, and *failure says which check
+  // failed.
   bool CheckTrial(const Trial& trial, const std::vector<policy::ReachSpec>* client_specs,
-                  DeployOutcome* outcome, uint64_t* graph_nodes, std::string* failure) const;
+                  DeployOutcome* outcome, uint64_t* graph_nodes, std::string* failure);
+  // Records `deployment`, which CheckTrial left pushed onto graph_.
   void Commit(Deployment deployment);
   // Rebuilds the module-id and address indexes from deployments_.
   void Reindex();
-  bool CheckAllRequirements(const symexec::SymGraph& graph, const Deployment& trial,
-                            const std::vector<policy::ReachSpec>& specs, std::string* failure,
-                            uint64_t* steps, bool via_module) const;
   // Stamps sim_verify_ns, bumps the registry's request/latency/step
   // instruments, and emits the verify-finish trace event. Called on every
   // Deploy exit path.
@@ -191,6 +202,9 @@ class Controller {
 
   const topology::Network network_;
   std::vector<Deployment> deployments_;
+  // The network with every committed deployment pushed, in commit order;
+  // a trial is pushed on top while it is checked.
+  topology::VerificationGraph graph_;
   // Indexes into deployments_; on a shared address, the first in commit order.
   std::unordered_map<std::string, size_t> by_module_;
   std::unordered_map<uint32_t, size_t> by_addr_;

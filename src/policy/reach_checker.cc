@@ -4,7 +4,6 @@
 
 namespace innet::policy {
 
-using symexec::Engine;
 using symexec::EngineResult;
 using symexec::kPortInject;
 using symexec::SymbolicPacket;
@@ -43,12 +42,13 @@ ReachCheckResult ReachChecker::Check(const ReachSpec& spec) const {
     if (start < 0) {
       continue;
     }
-    Engine engine(options_);
-    SymbolicPacket seed = SymbolicPacket::MakeUnconstrained(engine.vars());
+    // Every source numbers its variables from 0, as a fresh engine would.
+    engine_.vars()->Reset();
+    SymbolicPacket seed = SymbolicPacket::MakeUnconstrained(engine_.vars());
     std::vector<SymbolicPacket> branches = seed.ConstrainToFlowSpec(spec.from.flow,
-                                                                    engine.vars());
+                                                                    engine_.vars());
     for (SymbolicPacket& branch : branches) {
-      EngineResult run = engine.Run(*graph_, start, kPortInject, std::move(branch));
+      EngineResult run = engine_.Run(*graph_, start, kPortInject, std::move(branch));
       result.engine_steps += run.steps;
       result.paths_explored += run.delivered.size() + run.dropped.size();
       for (const SymbolicPacket& packet : run.delivered) {

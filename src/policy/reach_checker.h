@@ -28,7 +28,7 @@ class ReachChecker {
  public:
   ReachChecker(const symexec::SymGraph* graph, NodeResolver resolver,
                symexec::EngineOptions options = {})
-      : graph_(graph), resolver_(std::move(resolver)), options_(options) {}
+      : graph_(graph), resolver_(std::move(resolver)), engine_(options) {}
 
   // The requirement is satisfied when at least one symbolic flow traverses
   // every waypoint in order, matching each waypoint's flow spec at that hop
@@ -44,7 +44,10 @@ class ReachChecker {
 
   const symexec::SymGraph* graph_;
   NodeResolver resolver_;
-  symexec::EngineOptions options_;
+  // One engine for every source of every check, so its hop arena and work
+  // queue keep their capacity. Its arena holds the graph's name table until
+  // the checker is gone.
+  mutable symexec::Engine engine_;
 };
 
 }  // namespace innet::policy

@@ -41,6 +41,38 @@ void SymGraph::Connect(int from, int out_port, int to, int in_port) {
   node.more_edges[port - kInlineEdges] = {to, in_port};
 }
 
+void SymGraph::Disconnect(int from, int out_port) {
+  Node& node = nodes_[static_cast<size_t>(from)];
+  size_t port = static_cast<size_t>(out_port);
+  if (port < kInlineEdges) {
+    node.edges[port] = {};
+  } else if (port - kInlineEdges < node.more_edges.size()) {
+    node.more_edges[port - kInlineEdges] = {};
+  }
+}
+
+void SymGraph::Truncate(size_t nodes) {
+  if (nodes >= nodes_.size()) {
+    return;
+  }
+  nodes_.erase(nodes_.begin() + static_cast<ptrdiff_t>(nodes), nodes_.end());
+  NameTable& names = MutableNames();
+  names.erase(names.begin() + static_cast<ptrdiff_t>(nodes), names.end());
+}
+
+std::vector<std::pair<int, int>> SymGraph::OutEdges(int id) const {
+  const Node& node = nodes_[static_cast<size_t>(id)];
+  std::vector<std::pair<int, int>> edges;
+  for (size_t port = 0; port < kInlineEdges + node.more_edges.size(); ++port) {
+    const Edge* edge = node.EdgeAt(static_cast<int>(port));
+    edges.emplace_back(edge != nullptr ? edge->to : -1, edge != nullptr ? edge->in_port : 0);
+  }
+  while (!edges.empty() && edges.back().first < 0) {
+    edges.pop_back();
+  }
+  return edges;
+}
+
 const SymGraph::Edge* SymGraph::Node::EdgeAt(int out_port) const {
   if (out_port < 0) {
     return nullptr;

@@ -5,6 +5,7 @@
 #include <array>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/symexec/model.h"
@@ -21,6 +22,11 @@ class SymGraph {
   // node and name tables once.
   void Reserve(size_t nodes);
   void Connect(int from, int out_port, int to, int in_port);
+  // Leaves out-port `out_port` of node `from` unconnected.
+  void Disconnect(int from, int out_port);
+  // Removes every node from id `nodes` on. Edges into them from the nodes
+  // that stay are the caller's to disconnect.
+  void Truncate(size_t nodes);
   // Gives node `id` another model, keeping its name and edges.
   void SetModel(int id, std::shared_ptr<SymbolicModel> model) {
     nodes_[static_cast<size_t>(id)].model = std::move(model);
@@ -32,6 +38,10 @@ class SymGraph {
   int FindNode(const std::string& name) const;
   const std::string& NodeName(int id) const { return (*names_)[static_cast<size_t>(id)]; }
   size_t node_count() const { return nodes_.size(); }
+  // Out-edges of node `id` in out-port order, as (to, in-port), up to its
+  // last connected port; an unconnected port before it reads (-1, 0). Two
+  // graphs wired alike give equal lists however their edges were stored.
+  std::vector<std::pair<int, int>> OutEdges(int id) const;
   // The name table (null while the graph is empty), shared with every packet
   // explored over this graph so they can render their hops after the graph
   // is gone. Adding a node to a graph whose table is shared copies the table

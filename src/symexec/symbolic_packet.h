@@ -33,6 +33,8 @@ inline constexpr VarId kNoVar = 0xFFFFFFFF;
 class VarAllocator {
  public:
   VarId Alloc() { return next_++; }
+  // Starts a new query: the next id is 0 again.
+  void Reset() { next_ = 0; }
 
  private:
   VarId next_ = 0;

@@ -170,7 +170,7 @@ class StatefulFirewallModel : public SymbolicModel {
 
  private:
   ValueSet allowed_protos_;
-  // Shared by every firewall of one graph.
+  // The VerificationGraph's list, shared by every firewall of one graph.
   std::shared_ptr<const std::vector<PinholeSet>> pinholes_;
 };
 
@@ -221,11 +221,7 @@ class PassthroughMiddleboxModel : public SymbolicModel {
 // to the module's entry node; module egress returns to the network side.
 class PlatformModel : public SymbolicModel {
  public:
-  struct ModulePort {
-    uint32_t addr;
-    int port;
-  };
-  PlatformModel(std::vector<ModulePort> modules, int n_links)
+  PlatformModel(std::shared_ptr<const std::vector<ModulePort>> modules, int n_links)
       : modules_(std::move(modules)), n_links_(n_links) {}
 
   void Apply(ModelContext* /*ctx*/, const SymbolicPacket& packet, int in_port,
@@ -236,7 +232,7 @@ class PlatformModel : public SymbolicModel {
       out->push_back({0, packet});
       return;
     }
-    for (const ModulePort& module : modules_) {
+    for (const ModulePort& module : *modules_) {
       SymbolicPacket branch = packet;
       if (branch.Constrain(HeaderField::kIpDst, ValueSet::Single(module.addr))) {
         out->push_back({module.port, std::move(branch)});
@@ -245,7 +241,8 @@ class PlatformModel : public SymbolicModel {
   }
 
  private:
-  std::vector<ModulePort> modules_;
+  // The VerificationGraph's list for this platform.
+  std::shared_ptr<const std::vector<ModulePort>> modules_;
   int n_links_;
 };
 
@@ -362,43 +359,24 @@ int Network::HopDistance(const std::string& from, const std::string& to) const {
   return -1;
 }
 
-symexec::SymGraph Network::BuildSymGraph(const std::vector<ModuleAttachment>& modules,
-                                         std::vector<PinholeSet> pinholes) const {
-  // The node each module attaches to (-1 when unknown) and its port there:
-  // the node's links come first, then one port per module in `modules`
-  // order.
-  struct Slot {
-    int node = -1;
-    int port = -1;
-  };
-  std::vector<Slot> slots(modules.size());
-  // Per-node module ports; left empty (no table at all) when no module is
-  // attached, the common case of checking the committed network alone.
-  std::vector<std::vector<PlatformModel::ModulePort>> attached;
-  if (!modules.empty()) {
-    attached.resize(nodes_.size());
-  }
-  for (size_t m = 0; m < modules.size(); ++m) {
-    auto it = by_name_.find(modules[m].platform);
-    if (it == by_name_.end()) {
-      continue;
-    }
-    std::vector<PlatformModel::ModulePort>& ports = attached[it->second];
-    slots[m] = {static_cast<int>(it->second),
-                static_cast<int>(nodes_[it->second].neighbors.size() + ports.size())};
-    ports.push_back({modules[m].addr.value(), slots[m].port});
-  }
-  auto shared_pinholes = std::make_shared<const std::vector<PinholeSet>>(std::move(pinholes));
-
-  symexec::SymGraph graph;
-  size_t graph_nodes = nodes_.size();
+symexec::SymGraph Network::BuildSymGraph(const std::vector<ModuleAttachment>& modules) const {
+  size_t module_nodes = 0;
   for (const ModuleAttachment& module : modules) {
-    graph_nodes += module.fragment != nullptr ? module.fragment->graph.node_count() : 0;
+    module_nodes += module.fragment != nullptr ? module.fragment->graph.node_count() : 0;
   }
-  graph.Reserve(graph_nodes);
+  VerificationGraph graph(*this, module_nodes);
+  for (const ModuleAttachment& module : modules) {
+    graph.Push(module);
+  }
+  return std::move(graph).TakeGraph();
+}
 
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    const Node& node = nodes_[i];
+VerificationGraph::VerificationGraph(const Network& network, size_t module_nodes)
+    : pinholes_(std::make_shared<std::vector<PinholeSet>>()) {
+  const std::vector<Node>& nodes = network.nodes_;
+  graph_.Reserve(nodes.size() + module_nodes);
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    const Node& node = nodes[i];
     std::shared_ptr<SymbolicModel> model;
     switch (node.kind) {
       case NodeKind::kInternet:
@@ -413,13 +391,13 @@ symexec::SymGraph Network::BuildSymGraph(const std::vector<ModuleAttachment>& mo
       case NodeKind::kRouter: {
         std::vector<RouterModel::PortRoute> routes;
         for (const RouteEntry& route : node.routes) {
-          int port = PortOf(node.name, route.next_hop);
+          int port = network.PortOf(node.name, route.next_hop);
           if (port >= 0) {
             routes.push_back({route.prefix, port, route.match});
           }
         }
         int default_port =
-            node.default_route.empty() ? -1 : PortOf(node.name, node.default_route);
+            node.default_route.empty() ? -1 : network.PortOf(node.name, node.default_route);
         model = std::make_shared<RouterModel>(std::move(routes), default_port);
         break;
       }
@@ -427,7 +405,7 @@ symexec::SymGraph Network::BuildSymGraph(const std::vector<ModuleAttachment>& mo
         switch (node.middlebox) {
           case MiddleboxKind::kStatefulFirewall:
             model = std::make_shared<StatefulFirewallModel>(node.allowed_outbound_protos,
-                                                            shared_pinholes);
+                                                            pinholes_);
             break;
           case MiddleboxKind::kHttpOptimizer:
             model = SharedModel<HttpOptimizerModel>();
@@ -438,47 +416,88 @@ symexec::SymGraph Network::BuildSymGraph(const std::vector<ModuleAttachment>& mo
             break;
         }
         break;
-      case NodeKind::kPlatform:
-        model = std::make_shared<PlatformModel>(
-            attached.empty() ? std::vector<PlatformModel::ModulePort>() : std::move(attached[i]),
-            static_cast<int>(node.neighbors.size()));
+      case NodeKind::kPlatform: {
+        Platform& platform = platforms_.emplace_back();
+        platform.node = static_cast<int>(i);
+        platform.links = static_cast<int>(node.neighbors.size());
+        platform.ports = std::make_shared<std::vector<ModulePort>>();
+        model = std::make_shared<PlatformModel>(platform.ports, platform.links);
         break;
+      }
     }
-    graph.AddNode(node.name, std::move(model));
+    graph_.AddNode(node.name, std::move(model));
   }
 
   // Wire links: port i on a node leads to the i-th neighbor; the reverse edge
   // enters the neighbor on the port that points back. Graph ids follow the
-  // order of nodes_.
-  for (size_t from = 0; from < nodes_.size(); ++from) {
-    const Node& node = nodes_[from];
+  // order of the network's nodes.
+  for (size_t from = 0; from < nodes.size(); ++from) {
+    const Node& node = nodes[from];
     for (size_t i = 0; i < node.neighbors.size(); ++i) {
-      int to = static_cast<int>(by_name_.at(node.neighbors[i]));
-      int back_port = PortOf(node.neighbors[i], node.name);
-      graph.Connect(static_cast<int>(from), static_cast<int>(i), to, back_port);
+      int to = static_cast<int>(network.by_name_.at(node.neighbors[i]));
+      int back_port = network.PortOf(node.neighbors[i], node.name);
+      graph_.Connect(static_cast<int>(from), static_cast<int>(i), to, back_port);
     }
   }
+}
 
-  // Merge each module and wire it to its port: traffic for the module enters
-  // its entry, and every module egress returns to the platform on that port.
-  for (size_t m = 0; m < modules.size(); ++m) {
-    const ModuleFragment* fragment = modules[m].fragment;
-    if (fragment == nullptr) {
-      continue;
-    }
-    int offset = graph.Merge(fragment->graph, modules[m].id);
-    const Slot& slot = slots[m];
-    if (slot.node < 0) {
-      continue;
-    }
-    if (fragment->entry >= 0) {
-      graph.Connect(slot.node, slot.port, offset + fragment->entry, 0);
-    }
-    for (int exit : fragment->exits) {
-      graph.Connect(offset + exit, 0, slot.node, slot.port);
+void VerificationGraph::Push(const ModuleAttachment& module) {
+  Pushed pushed{-1, -1, graph_.node_count(), false};
+  for (size_t p = 0; p < platforms_.size(); ++p) {
+    if (graph_.NodeName(platforms_[p].node) == module.platform) {
+      Platform& platform = platforms_[p];
+      pushed.platform = static_cast<int>(p);
+      pushed.port = platform.links + static_cast<int>(platform.ports->size());
+      platform.ports->push_back({module.addr.value(), pushed.port});
+      break;
     }
   }
-  return graph;
+  if (module.pinholes != nullptr && !module.pinholes->empty()) {
+    pinholes_->push_back(module.pinholes);
+    pushed.pinholes = true;
+  }
+  stack_.push_back(pushed);
+
+  // Merge the module and wire it to its port: traffic for the module enters
+  // its entry, and every module egress returns to the platform on that port.
+  const ModuleFragment* fragment = module.fragment;
+  if (fragment == nullptr) {
+    return;
+  }
+  int offset = graph_.Merge(fragment->graph, module.id);
+  if (pushed.platform < 0) {
+    return;
+  }
+  int node = platforms_[static_cast<size_t>(pushed.platform)].node;
+  if (fragment->entry >= 0) {
+    graph_.Connect(node, pushed.port, offset + fragment->entry, 0);
+  }
+  for (int exit : fragment->exits) {
+    graph_.Connect(offset + exit, 0, node, pushed.port);
+  }
+}
+
+void VerificationGraph::Pop() {
+  const Pushed& top = stack_.back();
+  if (top.platform >= 0) {
+    Platform& platform = platforms_[static_cast<size_t>(top.platform)];
+    platform.ports->pop_back();
+    graph_.Disconnect(platform.node, top.port);
+  }
+  if (top.pinholes) {
+    pinholes_->pop_back();
+  }
+  graph_.Truncate(top.first_node);
+  stack_.pop_back();
+}
+
+std::vector<ModulePort> VerificationGraph::ModulePorts(const std::string& platform) const {
+  for (const Platform& candidate : platforms_) {
+    if (graph_.NodeName(candidate.node) == platform) {
+      return *candidate.ports;
+    }
+  }
+  return {};
 }
 
 Network Network::MakeFigure3() {

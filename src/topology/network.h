@@ -74,8 +74,12 @@ struct ModuleFragment {
   std::vector<int> exits;  // every ToNetfront
 };
 
-// A module (hypothetically) deployed on `platform` at `addr`, as
-// Network::BuildSymGraph embeds it. Its nodes are named "<id>/<element>".
+// One deployment's firewall pinholes, shared by every verification graph
+// that includes the deployment.
+using PinholeSet = std::shared_ptr<const std::vector<FlowSpec>>;
+
+// A module (hypothetically) deployed on `platform` at `addr`, as a
+// verification graph embeds it. Its nodes are named "<id>/<element>".
 struct ModuleAttachment {
   std::string id;
   std::string platform;
@@ -83,14 +87,21 @@ struct ModuleAttachment {
   // Null: the platform still gets the module's port, but nothing is wired
   // to it.
   const ModuleFragment* fragment = nullptr;
+  // Inbound flows every stateful firewall admits while the module is
+  // attached: the ones the controller opens when a customer explicitly
+  // authorizes traffic to its registered addresses (§2.1). Null or empty
+  // when it opens none.
+  PinholeSet pinholes;
 };
 
-// One deployment's firewall pinholes, shared by every verification graph
-// built while the deployment is installed.
-using PinholeSet = std::shared_ptr<const std::vector<FlowSpec>>;
+// Where a platform's switch hands traffic for one attached module.
+struct ModulePort {
+  uint32_t addr;
+  int port;
+};
 
-// The network is immutable once built: the modules and firewall pinholes a
-// verification graph includes are arguments of BuildSymGraph.
+// The network is immutable once built: the modules a verification graph
+// includes, and their firewall pinholes, are pushed onto a VerificationGraph.
 class Network {
  public:
   // Adds a node; returns false if the name already exists.
@@ -116,18 +127,10 @@ class Network {
   // CDN/DNS use cases).
   int HopDistance(const std::string& from, const std::string& to) const;
 
-  // Builds the symbolic graph for the whole network; node i is nodes()[i]
-  // and keeps its name. Each platform's switch model forwards dst==addr of
-  // every module attached to it out of that module's port: the platform's
-  // links come first, then one port per module, in `modules` order. Each
-  // module's fragment is merged after the network's nodes and wired to its
-  // port, so the controller can test placements before committing (§4.3).
-  // Every stateful firewall admits inbound flows matching `pinholes`, in
-  // order: the ones the controller opens when a customer explicitly
-  // authorizes traffic to its registered addresses (§2.1). The firewalls
-  // share the sets; nothing is copied.
-  symexec::SymGraph BuildSymGraph(const std::vector<ModuleAttachment>& modules = {},
-                                  std::vector<PinholeSet> pinholes = {}) const;
+  // Builds the symbolic graph for the whole network with `modules` pushed
+  // onto it in order (see VerificationGraph); node i is nodes()[i] and keeps
+  // its name.
+  symexec::SymGraph BuildSymGraph(const std::vector<ModuleAttachment>& modules = {}) const;
 
   // --- Canned topologies -------------------------------------------------------
   // The paper's Figure 3: internet -- border router -- {path A: nat&fw;
@@ -144,10 +147,68 @@ class Network {
   static Network MakeMultiPop(int pops);
 
  private:
+  friend class VerificationGraph;
   Node* FindMutable(const std::string& name);
 
   std::vector<Node> nodes_;
   std::unordered_map<std::string, size_t> by_name_;
+};
+
+// The symbolic graph of a network with a stack of modules attached, kept
+// from one verification to the next so that the controller checks each
+// candidate placement by a push and a pop instead of a rebuild (§4.3).
+//
+// Node i is the network's node i. Push merges a module's fragment after
+// the nodes already there and wires it to the next port of its platform:
+// the platform's links come first, then one port per module, in push order.
+// The platform's switch forwards dst==addr of each of its modules out of
+// that module's port; every stateful firewall admits the pushed modules'
+// pinholes, in push order. Pop undoes the newest Push, so the graph after
+// any sequence of pushes and pops equals a fresh build of the modules left
+// on the stack, node ids and port numbers included: Network::BuildSymGraph
+// is a fresh graph and one push per module.
+class VerificationGraph {
+ public:
+  // `module_nodes`: room for that many module nodes beyond the network's.
+  explicit VerificationGraph(const Network& network, size_t module_nodes = 0);
+  // The graph's models refer to the port and pinhole lists kept here, so a
+  // copy would share them.
+  VerificationGraph(const VerificationGraph&) = delete;
+  VerificationGraph& operator=(const VerificationGraph&) = delete;
+
+  // Attaches `module` after the modules on the stack. The graph copies the
+  // fragment's nodes and shares the pinhole set.
+  void Push(const ModuleAttachment& module);
+  // Detaches the newest module.
+  void Pop();
+  size_t module_count() const { return stack_.size(); }
+
+  const symexec::SymGraph& graph() const { return graph_; }
+  // The graph, for a caller that keeps it after this object is gone.
+  symexec::SymGraph TakeGraph() && { return std::move(graph_); }
+  // The ports of the modules attached to `platform`, in push order; empty
+  // for a name that is not a platform.
+  std::vector<ModulePort> ModulePorts(const std::string& platform) const;
+
+ private:
+  struct Platform {
+    int node;
+    int links;
+    // Shared with the platform's switch model.
+    std::shared_ptr<std::vector<ModulePort>> ports;
+  };
+  struct Pushed {
+    int platform;  // index into platforms_; -1 when the module names no platform
+    int port;
+    size_t first_node;
+    bool pinholes;  // pushed a set onto pinholes_
+  };
+
+  symexec::SymGraph graph_;
+  std::vector<Platform> platforms_;
+  // Shared with every stateful firewall model.
+  std::shared_ptr<std::vector<PinholeSet>> pinholes_;
+  std::vector<Pushed> stack_;
 };
 
 }  // namespace innet::topology
