@@ -20,7 +20,6 @@ namespace {
 
 using namespace innet;
 using platform::InNetPlatform;
-using platform::VmCostModel;
 using platform::VmKind;
 
 constexpr int kClients = 2000;
@@ -46,7 +45,7 @@ Ipv4Address ClientAddr(int i) {
 Result Run(Strategy strategy) {
   Result result;
   sim::EventQueue clock;
-  InNetPlatform platform(&clock, VmCostModel{}, 64ull << 30);
+  InNetPlatform platform(&clock, 64ull << 30);
   std::string error;
 
   if (strategy == Strategy::kPreBoot) {

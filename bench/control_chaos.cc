@@ -295,8 +295,7 @@ obs::json::Value RunPartitionWindow(bool* all_converged) {
 
 obs::json::Value RunControllerCrash(bool* all_converged) {
   sim::EventQueue clock;
-  PlatformFleet fleet(&clock, platform::VmCostModel{},
-                      OrchestratorOptions{}.platform_memory_bytes);
+  PlatformFleet fleet(&clock, OrchestratorOptions{}.platform_memory_bytes);
   DeployJournal journal;
 
   size_t inflight_at_crash = 0;

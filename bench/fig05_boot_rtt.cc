@@ -37,7 +37,7 @@ struct PingExperiment {
 PingExperiment RunPings(VmKind kind) {
   PingExperiment result;
   sim::EventQueue clock;
-  InNetPlatform platform(&clock, platform::VmCostModel{}, 128ull << 30);
+  InNetPlatform platform(&clock, 128ull << 30);
   const Ipv4Address service = Ipv4Address::MustParse("172.16.3.10");
   platform.RegisterOnDemand(service, kFirewallConfig, kind, /*per_flow=*/true);
 
@@ -98,13 +98,12 @@ PingExperiment RunPings(VmKind kind) {
 int main() {
   bench::PrintHeader("Sec 6 prelude: guests per 128 GB server (memory bound)");
   {
-    platform::VmCostModel model;
     uint64_t box = 128ull << 30;
     std::printf("ClickOS (%llu MB/guest): %llu guests    Linux (%llu MB/guest): %llu guests\n",
-                static_cast<unsigned long long>(model.MemoryBytes(VmKind::kClickOs) >> 20),
-                static_cast<unsigned long long>(box / model.MemoryBytes(VmKind::kClickOs)),
-                static_cast<unsigned long long>(model.MemoryBytes(VmKind::kLinux) >> 20),
-                static_cast<unsigned long long>(box / model.MemoryBytes(VmKind::kLinux)));
+                static_cast<unsigned long long>(platform::MemoryBytes(VmKind::kClickOs) >> 20),
+                static_cast<unsigned long long>(box / platform::MemoryBytes(VmKind::kClickOs)),
+                static_cast<unsigned long long>(platform::MemoryBytes(VmKind::kLinux) >> 20),
+                static_cast<unsigned long long>(box / platform::MemoryBytes(VmKind::kLinux)));
     std::printf("(paper: 10,000 ClickOS instances vs ~200 stripped-down Linux VMs)\n");
   }
 

@@ -24,7 +24,7 @@ constexpr double kRateBps = 25e6;
 
 int main() {
   sim::EventQueue clock;
-  InNetPlatform platform(&clock, platform::VmCostModel{}, 16ull << 30);
+  InNetPlatform platform(&clock, 16ull << 30);
   const Ipv4Address service = Ipv4Address::MustParse("172.16.3.10");
   platform.RegisterOnDemand(service, kForwarderConfig, platform::VmKind::kClickOs,
                             /*per_flow=*/true);

@@ -31,7 +31,7 @@ int main() {
   }
   for (int existing : {0, 25, 50, 75, 100, 125, 150, 175, 200}) {
     sim::EventQueue clock;
-    VmManager vms(&clock, platform::VmCostModel{}, 8ull << 30);
+    VmManager vms(&clock, 8ull << 30);
     Vm* victim = nullptr;
     for (int i = 0; i <= existing; ++i) {
       Vm* vm = vms.Create(VmKind::kClickOs, config, nullptr, &error);

@@ -127,7 +127,7 @@ size_t RebalanceFleet(Fleet* fleet, scheduler::PlacementEngine* engine,
         }
       }
       scheduler::PlacementRequest needs;
-      needs.memory_bytes = src->vms().cost_model().MemoryBytes(VmKind::kClickOs);
+      needs.memory_bytes = platform::MemoryBytes(VmKind::kClickOs);
       std::vector<std::string> ranked = scheduler::RankPlatforms(engine->policy(), cool, needs);
       if (ranked.empty()) {
         src->CancelMigrationOut(tenant->vm_id);
@@ -159,8 +159,7 @@ obs::json::Value RunPolicy(scheduler::PlacementPolicyKind policy) {
   Fleet fleet;
   for (int i = 0; i < kPlatforms; ++i) {
     fleet.names.push_back("pop" + std::to_string(i));
-    fleet.boxes.push_back(std::make_unique<InNetPlatform>(
-        &fleet.clock, platform::VmCostModel{}, kPlatformMemory));
+    fleet.boxes.push_back(std::make_unique<InNetPlatform>(&fleet.clock, kPlatformMemory));
   }
   scheduler::PlacementEngine engine(
       [&fleet](const std::string& name, scheduler::PlatformResources* out) {
@@ -196,8 +195,7 @@ obs::json::Value RunPolicy(scheduler::PlacementPolicyKind policy) {
     tenant.index = i;
     tenant.kind = TenantKind(i);
     const std::string client = "tenant" + std::to_string(i);
-    const uint64_t need =
-        fleet.boxes[0]->vms().cost_model().MemoryBytes(tenant.kind);
+    const uint64_t need = platform::MemoryBytes(tenant.kind);
 
     scheduler::PlacementRequest request;
     request.memory_bytes = need;

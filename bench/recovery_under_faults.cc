@@ -61,7 +61,7 @@ RecoveryResult RunScenario(double crash_mean_uptime_s, double boot_failure_p) {
   plan.crash_mean_uptime_s = crash_mean_uptime_s;
   sim::FaultInjector injector(plan);
 
-  InNetPlatform platform(&clock, platform::VmCostModel{}, 8ull << 30);
+  InNetPlatform platform(&clock, 8ull << 30);
   platform.SetFaultInjector(&injector);
   platform.EnableWatchdog();
   platform.SetEgressHandler([&](Packet&) { ++result.delivered; });

@@ -3,7 +3,7 @@
 # metrics-documentation lint, the perf-regression gate (innet_benchdiff vs
 # the committed BENCH_*.json baselines, and Figure 10's metrics dump against a
 # fresh run), the wall-clock benchmark's own
-# correctness checks on its control workloads, the timeseries and
+# correctness checks on its control and data-plane workloads, the timeseries and
 # journey-dump determinism checks, and a JSON lint over every committed
 # BENCH_*.json telemetry file. Any failure fails the whole run.
 #
@@ -132,18 +132,19 @@ EOF
   fi
 fi
 
-step "wall-clock benchmark checks (perfbench deploy_churn + verify_deep, traced, 1 s each)"
-# The benchmark fails a run when a request's verdict or final placement is wrong
-# or its exact counts differ between passes. Its build tree lives under
-# build/; the counts file is removed first so a run never compares against
-# counts an older build recorded.
+step "wall-clock benchmark checks (perfbench control + data-plane workloads, traced, 1 s each)"
+# The benchmark fails a control run when a request's verdict or final
+# placement is wrong, and a data-plane run when a packet count is off or INT
+# flags a violation; either fails when its exact counts differ between
+# passes. Its build tree lives under build/; the counts file is removed first
+# so a run never compares against counts an older build recorded.
 perf_target=build/perfbench-ci
-for workload in deploy_churn verify_deep; do
+for workload in deploy_churn verify_deep dp_bare dp_observed; do
   rm -f "$perf_target/perfbench/exact_counts.json"
   perf_log="build/perfbench_$workload.log"
   if CARGO_TARGET_DIR="$perf_target" python3 perfbench/run.py --workload "$workload" \
       --seed 1001 --seconds 1 --trace 1 >"$perf_log" 2>&1; then
-    echo "ok: perfbench $workload passed its verdict, placement and exact-count checks"
+    echo "ok: perfbench $workload passed its checks"
   else
     tail -n 20 "$perf_log" >&2
     echo "ERROR: perfbench $workload failed its checks (log: $perf_log)" >&2

@@ -693,7 +693,6 @@ void DnsGeoServer::Push(int /*port*/, Packet& packet) {
     CountDrop();
     return;
   }
-  ++query_count_;
   Ipv4Address client = packet.ip_src();
   uint16_t client_port = packet.src_port();
   packet.set_ip_src(packet.ip_dst());
@@ -766,9 +765,6 @@ void ReverseProxy::Push(int /*port*/, Packet& packet) {
 
 void X86Vm::Push(int /*port*/, Packet& packet) { ForwardTo(0, packet); }
 
-void TransparentProxy::Push(int /*port*/, Packet& packet) {
-  ++proxied_count_;
-  ForwardTo(0, packet);
-}
+void TransparentProxy::Push(int /*port*/, Packet& packet) { ForwardTo(0, packet); }
 
 }  // namespace innet::click

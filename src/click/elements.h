@@ -233,7 +233,6 @@ class ChangeEnforcer : public Element {
   bool Configure(const std::string& args, std::string* error) override;
   void Push(int port, Packet& packet) override;
 
-  size_t authorized_peer_count() const { return peers_.size(); }
   uint64_t blocked_count() const { return blocked_; }
   const std::unordered_set<uint32_t>& whitelist() const { return whitelist_; }
 
@@ -342,7 +341,6 @@ class NatRewriter : public Element {
   std::string_view class_name() const override { return "NatRewriter"; }
   bool Configure(const std::string& args, std::string* error) override;
   void Push(int port, Packet& packet) override;
-  size_t mapping_count() const { return mappings_.size(); }
   Ipv4Address public_addr() const { return public_addr_; }
 
  private:
@@ -361,10 +359,6 @@ class DnsGeoServer : public Element {
  public:
   std::string_view class_name() const override { return "DnsGeoServer"; }
   void Push(int port, Packet& packet) override;
-  uint64_t query_count() const { return query_count_; }
-
- private:
-  uint64_t query_count_ = 0;
 };
 
 // ReverseProxy(SELF self, ORIGIN origin): serves cached responses back to the
@@ -403,10 +397,6 @@ class TransparentProxy : public Element {
  public:
   std::string_view class_name() const override { return "TransparentProxy"; }
   void Push(int port, Packet& packet) override;
-  uint64_t proxied_count() const { return proxied_count_; }
-
- private:
-  uint64_t proxied_count_ = 0;
 };
 
 }  // namespace innet::click

@@ -4,17 +4,13 @@
 #include <string_view>
 
 namespace innet::click {
-namespace {
 
-// Source/sink adapters sit outside the tenant's processing chain: they are
-// excluded from canonical chains on BOTH sides of attestation (the symexec
-// digest filters the same class set — see src/symexec/path_digest.cc), so
-// the two can never disagree about where a path starts. Discard belongs here
-// too: symbolically it never forwards, so it never appears in a path history.
 bool IsEndpointClass(std::string_view class_name) {
   return class_name == "FromNetfront" || class_name == "ToNetfront" ||
          class_name == "FromDevice" || class_name == "ToDevice" || class_name == "Discard";
 }
+
+namespace {
 
 // Fills the consolidated-tenant slot of a "t<i>_"-prefixed element name (the
 // prefix ConsolidateTenants gives each tenant's elements) and, when the
@@ -158,9 +154,15 @@ void Graph::InjectAt(Element& element, Packet& packet) {
   profiler_->FinishWalkInt(packet, now_ns);
 }
 
-void Graph::ExportMetrics(obs::MetricsRegistry* registry, const obs::Labels& base_labels) const {
+void Graph::ExportMetrics(obs::MetricsRegistry* registry, const obs::Labels& base_labels,
+                          const std::vector<std::string>* slot_tenants) const {
   for (const auto& element : elements_) {
     obs::Labels labels = base_labels;
+    if (slot_tenants != nullptr) {
+      // Shared glue elements have slot -1, which no tenant index matches.
+      auto slot = static_cast<size_t>(names_->elements[element->id()].tenant_slot);
+      labels.emplace_back("tenant", slot < slot_tenants->size() ? (*slot_tenants)[slot] : "");
+    }
     labels.emplace_back("element", element->name());
     labels.emplace_back("class", std::string(element->class_name()));
     registry->GetCounter("innet_element_packets_total", labels)->SetTo(element->packets());

@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -16,6 +17,13 @@
 #include "src/obs/metrics.h"
 
 namespace innet::click {
+
+// Source/sink adapters sit outside the tenant's processing chain: they are
+// excluded from canonical chains on BOTH sides of INT attestation (the
+// runtime's element table and the symexec path digest both ask this), so the
+// two can never disagree about where a path starts. Discard belongs here
+// too: symbolically it never forwards, so it never appears in a path history.
+bool IsEndpointClass(std::string_view class_name);
 
 class Graph {
  public:
@@ -53,9 +61,12 @@ class Graph {
 
   // Snapshots every element's packet/byte/drop/proc-time counters (and
   // per-output-port packet counts) into `registry` as innet_element_*_total
-  // counters labeled {element, class} + `base_labels` (Click read handlers,
-  // exported Prometheus-style).
-  void ExportMetrics(obs::MetricsRegistry* registry, const obs::Labels& base_labels = {}) const;
+  // counters labeled `base_labels` + {element, class} (Click read handlers,
+  // exported Prometheus-style). With `slot_tenants` (a consolidated guest's
+  // tenants in merge order), each element's labels also carry "tenant"
+  // before "element": the tenant of its t<i>_ slot, or "" for shared glue.
+  void ExportMetrics(obs::MetricsRegistry* registry, const obs::Labels& base_labels = {},
+                     const std::vector<std::string>* slot_tenants = nullptr) const;
 
   // Attaches a GraphProfiler (replacing any previous one): folded-stack
   // attribution for every packet, 1-in-N walk sampling per `config`. The

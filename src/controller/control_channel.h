@@ -178,7 +178,6 @@ class ControlChannel {
   // switches its channel to kRegion so inter-PoP links use the plan's
   // region_* fields and counters.
   void set_fault_scope(FaultScope scope) { scope_ = scope; }
-  FaultScope fault_scope() const { return scope_; }
 
   // True when messages are delivered synchronously inline: no fault plan for
   // this channel's scope and no active partitions.

@@ -20,6 +20,11 @@ using symexec::ValueSet;
 
 namespace {
 
+// Converts the verifier's deterministic work measures (engine steps, nodes
+// of each candidate verification graph) into simulated nanoseconds.
+constexpr uint64_t kVerifyNsPerEngineStep = 2000;  // 2 µs per symbolic-execution step
+constexpr uint64_t kVerifyNsPerGraphNode = 50000;  // 50 µs of model building per node
+
 double MillisSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
       .count();
@@ -180,15 +185,6 @@ void Controller::Commit(Deployment deployment) {
   by_module_.try_emplace(deployment.module_id, index);
   by_addr_.try_emplace(deployment.addr.value(), index);
   deployments_.push_back(std::move(deployment));
-}
-
-void Controller::Reindex() {
-  by_module_.clear();
-  by_addr_.clear();
-  for (size_t i = 0; i < deployments_.size(); ++i) {
-    by_module_.try_emplace(deployments_[i].module_id, i);
-    by_addr_.try_emplace(deployments_[i].addr.value(), i);
-  }
 }
 
 std::optional<Controller::Trial> Controller::Compile(const ClientRequest& request,
@@ -381,8 +377,8 @@ policy::NodeResolver Controller::MakeResolver(const Deployment* trial) const {
 }
 
 void Controller::RecordDeployMetrics(DeployOutcome* outcome, uint64_t graph_nodes) const {
-  outcome->sim_verify_ns = verify_cost_.ns_per_engine_step * outcome->engine_steps +
-                           verify_cost_.ns_per_graph_node * graph_nodes;
+  outcome->sim_verify_ns =
+      kVerifyNsPerEngineStep * outcome->engine_steps + kVerifyNsPerGraphNode * graph_nodes;
   // Instruments are resolved once, each on its first use (as the per-call
   // lookups created them), so metric dumps are unchanged.
   auto& registry = obs::Registry();
@@ -593,15 +589,27 @@ bool Controller::Kill(const std::string& module_id) {
   // Pop back to the killed module, then push the ones after it again: a
   // fresh build in commit order numbers their ports the same way. Killing
   // the newest deployment is one pop.
-  size_t index = it->second;
+  const size_t index = it->second;
+  by_module_.erase(it);
+  auto addr = by_addr_.find(deployments_[index].addr.value());
+  if (addr->second == index) {
+    by_addr_.erase(addr);
+  }
   while (graph_.module_count() > index) {
     graph_.Pop();
   }
   deployments_.erase(deployments_.begin() + static_cast<ptrdiff_t>(index));
+  // The later deployments move down one slot. The first of them at the
+  // killed address takes over its key, as a rebuild in commit order would.
   for (size_t i = index; i < deployments_.size(); ++i) {
-    graph_.Push(Attachment(deployments_[i]));
+    const Deployment& dep = deployments_[i];
+    graph_.Push(Attachment(dep));
+    by_module_[dep.module_id] = i;
+    auto [slot, inserted] = by_addr_.try_emplace(dep.addr.value(), i);
+    if (!inserted && slot->second == i + 1) {
+      slot->second = i;
+    }
   }
-  Reindex();
   return true;
 }
 

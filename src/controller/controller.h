@@ -75,17 +75,10 @@ struct DeployOutcome {
   double check_ms = 0;
   uint64_t engine_steps = 0;
   // Simulated verification latency derived from the deterministic work
-  // measures above via VerifyCostModel — this is what the registry's
+  // measures above (engine steps, graph nodes) — this is what the registry's
   // innet_controller_verify_latency_ms histogram observes, keeping metric
   // dumps byte-identical across runs of the same (config, seed).
   uint64_t sim_verify_ns = 0;
-};
-
-// Converts the verifier's deterministic work measures (engine steps, nodes
-// of each candidate verification graph) into simulated nanoseconds.
-struct VerifyCostModel {
-  uint64_t ns_per_engine_step = 2000;    // 2 µs per symbolic-execution step
-  uint64_t ns_per_graph_node = 50000;    // 50 µs of model building per node
 };
 
 class Controller {
@@ -141,9 +134,6 @@ class Controller {
   const Deployment* FindDeployment(const std::string& module_id) const;
   const topology::Network& network() const { return network_; }
 
-  void set_verify_cost_model(VerifyCostModel model) { verify_cost_ = model; }
-  const VerifyCostModel& verify_cost_model() const { return verify_cost_; }
-
   // Builds a fresh verification graph for the network plus all committed
   // deployments (and optionally one trial module after them). It equals
   // verification_graph() with the trial pushed. Exposed for tests and
@@ -193,8 +183,6 @@ class Controller {
                   DeployOutcome* outcome, uint64_t* graph_nodes, std::string* failure);
   // Records `deployment`, which CheckTrial left pushed onto graph_.
   void Commit(Deployment deployment);
-  // Rebuilds the module-id and address indexes from deployments_.
-  void Reindex();
   // Stamps sim_verify_ns, bumps the registry's request/latency/step
   // instruments, and emits the verify-finish trace event. Called on every
   // Deploy exit path.
@@ -211,7 +199,6 @@ class Controller {
   std::vector<policy::ReachSpec> operator_policies_;
   std::unordered_set<std::string> failed_platforms_;
   uint64_t next_module_seq_ = 1;
-  VerifyCostModel verify_cost_;
 };
 
 }  // namespace innet::controller

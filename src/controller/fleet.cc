@@ -11,19 +11,15 @@ using platform::InNetPlatform;
 using platform::Vm;
 using platform::VmState;
 
-PlatformFleet::PlatformFleet(sim::EventQueue* clock, platform::VmCostModel cost_model,
-                             uint64_t platform_memory_bytes)
-    : clock_(clock),
-      cost_model_(cost_model),
-      platform_memory_bytes_(platform_memory_bytes),
-      channel_(clock) {}
+PlatformFleet::PlatformFleet(sim::EventQueue* clock, uint64_t platform_memory_bytes)
+    : clock_(clock), platform_memory_bytes_(platform_memory_bytes), channel_(clock) {}
 
 InNetPlatform* PlatformFleet::AddPlatform(const std::string& name) {
   auto it = boxes_.find(name);
   if (it != boxes_.end()) {
     return it->second.get();
   }
-  auto box = std::make_unique<InNetPlatform>(clock_, cost_model_, platform_memory_bytes_);
+  auto box = std::make_unique<InNetPlatform>(clock_, platform_memory_bytes_);
   InNetPlatform* raw = box.get();
   boxes_.emplace(name, std::move(box));
   channel_.RegisterEndpoint(name, [this, name](const ControlRequest& request, RespondFn respond) {

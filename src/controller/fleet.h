@@ -21,8 +21,7 @@ namespace innet::controller {
 
 class PlatformFleet {
  public:
-  PlatformFleet(sim::EventQueue* clock, platform::VmCostModel cost_model,
-                uint64_t platform_memory_bytes);
+  PlatformFleet(sim::EventQueue* clock, uint64_t platform_memory_bytes);
 
   // Creates the platform's data-plane instance and registers its control
   // endpoint. Returns the existing instance when already present.
@@ -50,7 +49,6 @@ class PlatformFleet {
   void Dispatch(const std::string& name, const ControlRequest& request, RespondFn respond);
 
   sim::EventQueue* clock_;
-  platform::VmCostModel cost_model_;
   uint64_t platform_memory_bytes_;
   ControlChannel channel_;
   std::map<std::string, std::unique_ptr<platform::InNetPlatform>> boxes_;

@@ -20,6 +20,16 @@ using platform::VmState;
 
 namespace {
 
+// Post-placement confirmation probing: placed -> booted -> cut-over as
+// health probes observe the guest, re-probing up to kConfirmRounds times.
+constexpr sim::TimeNs kConfirmInterval = 50 * sim::kMillisecond;
+constexpr int kConfirmRounds = 10;
+
+// Every orchestrated module costs one ClickOS guest (consolidation makes the
+// marginal cost lower, but admission charges the worst case: the shared-VM
+// rebuild transiently needs a full extra guest).
+constexpr uint64_t kModuleMemoryBytes = platform::MemoryBytes(platform::VmKind::kClickOs);
+
 // A control op gave up after exhausting retries: leave a breadcrumb in the
 // platform's always-on flight recorder so a later post-mortem shows the
 // controller losing contact.
@@ -96,20 +106,18 @@ Orchestrator::Orchestrator(topology::Network network, sim::EventQueue* clock,
                            DeployJournal* journal)
     : controller_(std::move(network)),
       clock_(clock),
-      options_(options),
       engine_(
           [this](const std::string& name, scheduler::PlatformResources* out) {
             return ProbePlatform(name, out);
           },
           options.policy),
       owned_fleet_(fleet == nullptr
-                       ? std::make_unique<PlatformFleet>(clock, options.cost_model,
-                                                         options.platform_memory_bytes)
+                       ? std::make_unique<PlatformFleet>(clock, options.platform_memory_bytes)
                        : nullptr),
       owned_journal_(journal == nullptr ? std::make_unique<DeployJournal>() : nullptr),
       fleet_(fleet != nullptr ? fleet : owned_fleet_.get()),
       journal_(journal != nullptr ? journal : owned_journal_.get()),
-      client_(clock, &fleet_->channel(), options.control_retry),
+      client_(clock, &fleet_->channel(), ControlRetryPolicy{}),
       alive_(std::make_shared<char>(0)) {
   for (const topology::Node* node : controller_.network().Platforms()) {
     fleet_->AddPlatform(node->name);
@@ -141,7 +149,7 @@ Orchestrator::~Orchestrator() {
 std::shared_ptr<scheduler::ReservationGuard> Orchestrator::MakeChannelGuard(
     const std::string& client_id) {
   auto guard =
-      std::make_shared<scheduler::ReservationGuard>(&engine_, client_id, ModuleMemoryBytes());
+      std::make_shared<scheduler::ReservationGuard>(&engine_, client_id, kModuleMemoryBytes);
   std::erase_if(channel_guards_, [](const auto& weak) { return weak.expired(); });
   channel_guards_.push_back(guard);
   return guard;
@@ -239,7 +247,7 @@ void Orchestrator::SendCancelMigration(const std::string& platform_name,
 bool Orchestrator::Admit(DeployTask& task) {
   const std::string& client_id = task.request.client_id;
   scheduler::PlacementRequest needs;
-  needs.memory_bytes = ModuleMemoryBytes();
+  needs.memory_bytes = kModuleMemoryBytes;
   needs.pinned_platform = task.request.pinned_platform;
   scheduler::PlacementDecision decision = engine_.Decide(client_id, needs);
   if (task.client_facing && obs::Tracer().enabled()) {
@@ -434,7 +442,7 @@ void Orchestrator::PlaceDone(const std::shared_ptr<DeployTask>& ptr,
     journal_->Advance(task.journal_id, JournalState::kPlaced, now, note);
     journal_->Advance(task.journal_id, JournalState::kCutover, now);
   } else {
-    ScheduleConfirm(task.journal_id, options_.confirm_rounds);
+    ScheduleConfirm(task.journal_id, kConfirmRounds);
   }
 }
 
@@ -542,7 +550,7 @@ void Orchestrator::ScheduleConfirm(uint64_t journal_id, int rounds_left) {
     return;
   }
   std::weak_ptr<char> watch = alive_;
-  clock_->ScheduleAfter(options_.confirm_interval, [this, watch, journal_id, rounds_left] {
+  clock_->ScheduleAfter(kConfirmInterval, [this, watch, journal_id, rounds_left] {
     if (watch.expired()) {
       return;
     }
@@ -630,7 +638,7 @@ bool Orchestrator::Retire(const std::string& module_id, JournalState terminal,
       state.shared_vm = resp.vm_id;  // 0 once the last tenant left
     }
   }
-  engine_.ReleasePlacement(it->second.request.client_id, ModuleMemoryBytes());
+  engine_.ReleasePlacement(it->second.request.client_id, kModuleMemoryBytes);
   tenants_.erase(it);
   journal_->MarkModuleTerminal(module_id, terminal, clock_->now(), note);
   ClearModuleDigest(module_id);
@@ -938,7 +946,6 @@ RebalanceReport Orchestrator::Rebalance(double drain_above_utilization) {
     return res;
   };
 
-  const uint64_t per_module = ModuleMemoryBytes();
   for (const scheduler::PlatformResources& hot : snapshot) {
     if (!hot.available || hot.memory_total == 0 ||
         hot.utilization() <= drain_above_utilization) {
@@ -979,7 +986,7 @@ RebalanceReport Orchestrator::Rebalance(double drain_above_utilization) {
         candidates.push_back(std::move(res));
       }
       scheduler::PlacementRequest needs;
-      needs.memory_bytes = per_module;
+      needs.memory_bytes = kModuleMemoryBytes;
       std::vector<std::string> ranked =
           scheduler::RankPlatforms(engine_.policy(), candidates, needs);
       if (ranked.empty()) {
@@ -989,8 +996,8 @@ RebalanceReport Orchestrator::Rebalance(double drain_above_utilization) {
       if (started.started) {
         ++report.migrations_started;
         report.moves.emplace_back(module_id, ranked.front());
-        planned_delta[hot.name] -= static_cast<int64_t>(per_module);
-        planned_delta[ranked.front()] += static_cast<int64_t>(per_module);
+        planned_delta[hot.name] -= static_cast<int64_t>(kModuleMemoryBytes);
+        planned_delta[ranked.front()] += static_cast<int64_t>(kModuleMemoryBytes);
       }
     }
   }
@@ -1172,7 +1179,7 @@ RecoveryReport Orchestrator::RecoverFromJournal() {
         if (unacked_install) {
           journal_->Advance(id, JournalState::kPlaced, now, "found applied after crash");
         }
-        ScheduleConfirm(id, options_.confirm_rounds);
+        ScheduleConfirm(id, kConfirmRounds);
       }
       continue;
     }
@@ -1268,7 +1275,7 @@ ReconcileReport Orchestrator::ReconcilePlatform(const std::string& platform_name
   // unreachable.
   for (const JournalEntry& e : journal_->entries()) {
     if (e.platform == platform_name && Confirming(&e) && tenants_.count(e.module_id) != 0) {
-      ScheduleConfirm(e.id, options_.confirm_rounds);
+      ScheduleConfirm(e.id, kConfirmRounds);
       ++report.rearmed;
     }
   }

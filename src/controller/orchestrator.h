@@ -148,15 +148,8 @@ struct TenantAdopt {
 };
 
 struct OrchestratorOptions {
-  platform::VmCostModel cost_model;
   uint64_t platform_memory_bytes = 16ull << 30;
   scheduler::PlacementPolicyKind policy = scheduler::PlacementPolicyKind::kFirstFit;
-  // Retry schedule for channel-routed (asynchronous) control operations.
-  ControlRetryPolicy control_retry;
-  // Post-placement confirmation probing: placed -> booted -> cut-over as
-  // health probes observe the guest, re-probing up to confirm_rounds times.
-  sim::TimeNs confirm_interval = 50 * sim::kMillisecond;
-  int confirm_rounds = 10;
 };
 
 class Orchestrator {
@@ -166,10 +159,8 @@ class Orchestrator {
 
   // Creates one InNetPlatform per platform node in the network (the
   // orchestrator owns its fleet and journal: the common, crash-free setup).
-  Orchestrator(topology::Network network, sim::EventQueue* clock, OrchestratorOptions options);
   Orchestrator(topology::Network network, sim::EventQueue* clock,
-               platform::VmCostModel cost_model = {})
-      : Orchestrator(std::move(network), clock, WithCostModel(std::move(cost_model))) {}
+               OrchestratorOptions options = {});
   // Crash-recovery form: attaches to a fleet and journal that outlive the
   // orchestrator. Destroying an orchestrator and constructing a new one over
   // the same (fleet, journal) simulates a controller crash + restart; call
@@ -302,13 +293,6 @@ class Orchestrator {
       const std::string& module_id) const;
 
  private:
-  // Default options with only the guest cost model replaced.
-  static OrchestratorOptions WithCostModel(platform::VmCostModel cost_model) {
-    OrchestratorOptions options;
-    options.cost_model = std::move(cost_model);
-    return options;
-  }
-
   // One live module: its request (failover and migration re-verify from it),
   // where it runs, and the address + config a shared-VM rebuild needs.
   struct TenantRecord {
@@ -425,16 +409,8 @@ class Orchestrator {
   void ScheduleConfirm(uint64_t journal_id, int rounds_left);
   void ConfirmProbe(uint64_t journal_id, int rounds_left);
 
-  // Every orchestrated module costs one ClickOS guest (consolidation makes
-  // the marginal cost lower, but admission charges the worst case: the
-  // shared-VM rebuild transiently needs a full extra guest).
-  uint64_t ModuleMemoryBytes() const {
-    return options_.cost_model.MemoryBytes(platform::VmKind::kClickOs);
-  }
-
   Controller controller_;
   sim::EventQueue* clock_;
-  OrchestratorOptions options_;
   scheduler::PlacementEngine engine_;
   // Owned in the common setup; null when attached to an external fleet /
   // journal (the crash-recovery form).

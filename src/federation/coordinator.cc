@@ -13,6 +13,24 @@ using controller::ControlOp;
 using controller::ControlRequest;
 using controller::ControlResponse;
 
+namespace {
+
+// How often StartDigestPolling polls every region.
+constexpr sim::TimeNs kDigestPeriod = 500 * sim::kMillisecond;
+// Retry schedule for coordinator -> region ops (WAN links are slower than
+// the intra-PoP control plane, so timeouts are roomier).
+constexpr controller::ControlRetryPolicy kWanRetry{/*op_timeout=*/400 * sim::kMillisecond,
+                                                   /*backoff_base=*/100 * sim::kMillisecond,
+                                                   /*backoff_factor=*/2.0,
+                                                   /*backoff_cap=*/2 * sim::kSecond,
+                                                   /*max_attempts=*/5};
+// Modeled RTT matrix: client -> own region, and per step of
+// registration-order distance between regions.
+constexpr double kIntraRttMs = 2.0;
+constexpr double kInterRttStepMs = 20.0;
+
+}  // namespace
+
 // One federated deploy walking the ranked region list until a region accepts.
 struct DeployAttempt {
   FederatedRequest request;
@@ -22,14 +40,12 @@ struct DeployAttempt {
   FederationCoordinator::DeployCallback on_done;
 };
 
-FederationCoordinator::FederationCoordinator(sim::EventQueue* clock, CoordinatorOptions options)
+FederationCoordinator::FederationCoordinator(sim::EventQueue* clock)
     : clock_(clock),
-      options_(options),
       channel_(clock),
-      client_(clock, &channel_, options.retry),
+      client_(clock, &channel_, kWanRetry),
       alive_(std::make_shared<char>(0)) {
   channel_.set_fault_scope(controller::FaultScope::kRegion);
-  fleet_view_.set_staleness_window_ns(static_cast<uint64_t>(options_.staleness_window));
 }
 
 void FederationCoordinator::AddRegion(RegionController* region) {
@@ -46,19 +62,19 @@ void FederationCoordinator::AddRegion(RegionController* region) {
 
 double FederationCoordinator::ModelRtt(const std::string& from, const std::string& to) const {
   if (from == to) {
-    return options_.intra_rtt_ms;
+    return kIntraRttMs;
   }
   auto from_it = regions_.find(from);
   auto to_it = regions_.find(to);
   if (from_it == regions_.end() || to_it == regions_.end()) {
     // Unknown client population: flat one-step RTT, so ranking falls back to
     // load alone.
-    return options_.inter_rtt_step_ms;
+    return kInterRttStepMs;
   }
   size_t a = from_it->second.index;
   size_t b = to_it->second.index;
   size_t distance = a > b ? a - b : b - a;
-  return static_cast<double>(distance) * options_.inter_rtt_step_ms;
+  return static_cast<double>(distance) * kInterRttStepMs;
 }
 
 void FederationCoordinator::StartDigestPolling() {
@@ -72,7 +88,7 @@ void FederationCoordinator::StartDigestPolling() {
 
 void FederationCoordinator::SchedulePollTick() {
   std::weak_ptr<char> watch = alive_;
-  clock_->ScheduleAfter(options_.digest_period, [this, watch] {
+  clock_->ScheduleAfter(kDigestPeriod, [this, watch] {
     if (watch.expired()) {
       return;
     }
@@ -167,7 +183,7 @@ void FederationCoordinator::Deploy(const FederatedRequest& request, DeployCallba
     if (state.have_digest) {
       candidate.utilization = state.digest.utilization();
       candidate.degraded = state.digest.degraded;
-      candidate.stale = now - state.received_ns > static_cast<uint64_t>(options_.staleness_window);
+      candidate.stale = now - state.received_ns > obs::FleetView::kStalenessWindowNs;
     } else {
       candidate.stale = true;  // never heard from it: last resort only
     }

@@ -32,25 +32,6 @@
 
 namespace innet::federation {
 
-struct CoordinatorOptions {
-  // How often StartDigestPolling polls every region.
-  sim::TimeNs digest_period = 500 * sim::kMillisecond;
-  // A digest older than this is a stale belief: its region ranks after every
-  // fresh one during placement.
-  sim::TimeNs staleness_window = 2 * sim::kSecond;
-  // Retry schedule for coordinator -> region ops (WAN links are slower than
-  // the intra-PoP control plane, so timeouts are roomier).
-  controller::ControlRetryPolicy retry{/*op_timeout=*/400 * sim::kMillisecond,
-                                      /*backoff_base=*/100 * sim::kMillisecond,
-                                      /*backoff_factor=*/2.0,
-                                      /*backoff_cap=*/2 * sim::kSecond,
-                                      /*max_attempts=*/5};
-  // Modeled RTT matrix defaults: client -> own region, and per step of
-  // registration-order distance between regions.
-  double intra_rtt_ms = 2.0;
-  double inter_rtt_step_ms = 20.0;
-};
-
 // A tenant deploy plus the client population it should land near.
 struct FederatedRequest {
   controller::ClientRequest request;
@@ -87,10 +68,10 @@ class FederationCoordinator {
   using DeployCallback = std::function<void(const FederatedDeploy&)>;
   using MigrationCallback = std::function<void(const FederatedMigration&)>;
 
-  FederationCoordinator(sim::EventQueue* clock, CoordinatorOptions options = {});
+  explicit FederationCoordinator(sim::EventQueue* clock);
 
   // Registers a region; registration order defines the RTT matrix
-  // (|index distance| * inter_rtt_step_ms, intra_rtt_ms on the diagonal).
+  // (|index distance| * 20 ms, 2 ms on the diagonal).
   // The region must outlive the coordinator.
   void AddRegion(RegionController* region);
   double ModelRtt(const std::string& from, const std::string& to) const;
@@ -101,7 +82,7 @@ class FederationCoordinator {
   controller::ControlChannel& channel() { return channel_; }
   controller::ControlClient& client() { return client_; }
 
-  // Polls every registered region once now, then every digest_period.
+  // Polls every registered region once now, then every 500 ms.
   void StartDigestPolling();
   // One poll round (async under a faulty channel).
   void PollDigests();
@@ -145,7 +126,6 @@ class FederationCoordinator {
   const RegionDigest* ViewOf(const std::string& region) const;
   // Believed region of a module ("" when unknown).
   std::string BeliefOf(const std::string& module_id) const;
-  size_t belief_count() const { return beliefs_.size(); }
 
  private:
   struct RegionState {
@@ -163,7 +143,6 @@ class FederationCoordinator {
   void FinishMigration(const FederatedMigration& result, const MigrationCallback& on_done);
 
   sim::EventQueue* clock_;
-  CoordinatorOptions options_;
   controller::ControlChannel channel_;
   controller::ControlClient client_;
   uint64_t epoch_seq_ = 0;

@@ -149,11 +149,10 @@ bool RegionDigest::FromJson(const obs::json::Value& value, RegionDigest* out,
 }
 
 RegionController::RegionController(std::string name, topology::Network network,
-                                   sim::EventQueue* clock,
-                                   controller::OrchestratorOptions options)
+                                   sim::EventQueue* clock)
     : name_(std::move(name)),
       clock_(clock),
-      orch_(std::move(network), clock, options),
+      orch_(std::move(network), clock),
       alive_(std::make_shared<char>(0)) {
   obs::Registry().GetGauge("innet_region_degraded", {{"region", name_}})->Set(0);
 }

@@ -71,8 +71,7 @@ class RegionController {
  public:
   // The region owns its orchestrator (and through it a fleet + journal) for
   // `network`'s platforms. `name` is the region's federation-wide identity.
-  RegionController(std::string name, topology::Network network, sim::EventQueue* clock,
-                   controller::OrchestratorOptions options = {});
+  RegionController(std::string name, topology::Network network, sim::EventQueue* clock);
 
   const std::string& name() const { return name_; }
   controller::Orchestrator& orchestrator() { return orch_; }

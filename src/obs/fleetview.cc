@@ -3,6 +3,20 @@
 #include <algorithm>
 
 namespace innet::obs {
+namespace {
+
+// Two regions flagging the same metric within this window correlate into
+// one fleet-wide incident.
+constexpr uint64_t kCorrelationWindowNs = 5'000'000'000;  // 5 s
+
+// EWMA anomaly parameters, shared by every (region, metric) baseline.
+constexpr double kEwmaAlpha = 0.3;      // baseline update weight for non-deviant deltas
+constexpr double kDeviantFactor = 4.0;  // deviant when delta > factor * baseline + slack
+constexpr double kMinDelta = 8.0;       // the slack, against near-zero baselines
+constexpr int kSustainWindows = 2;      // consecutive deviant digests before flagging
+constexpr int kWarmupWindows = 4;       // digests observed before checks start
+
+}  // namespace
 
 void FleetView::Ingest(const std::string& region, uint64_t seq, uint64_t now_ns, bool degraded,
                        const std::map<std::string, uint64_t>& samples) {
@@ -36,18 +50,18 @@ void FleetView::ObserveDelta(const std::string& region, const std::string& metri
   ++track->delta_points;
   track->last_delta = delta;
   const double value = static_cast<double>(delta);
-  if (track->observed < params_.warmup_windows) {
+  if (track->observed < kWarmupWindows) {
     ++track->observed;
     track->ewma = track->observed == 1
                       ? value
-                      : params_.ewma_alpha * value + (1 - params_.ewma_alpha) * track->ewma;
+                      : kEwmaAlpha * value + (1 - kEwmaAlpha) * track->ewma;
     return;
   }
-  bool deviant = value > params_.factor * track->ewma + params_.min_delta;
+  bool deviant = value > kDeviantFactor * track->ewma + kMinDelta;
   if (deviant) {
     // The baseline freezes: a sustained burst cannot ratchet itself normal.
     ++track->deviant_streak;
-    if (track->deviant_streak >= params_.sustain_windows && !track->flagged) {
+    if (track->deviant_streak >= kSustainWindows && !track->flagged) {
       track->flagged = true;
       track->flag_ns = now_ns;
       track->flag_value = value;
@@ -59,7 +73,7 @@ void FleetView::ObserveDelta(const std::string& region, const std::string& metri
   track->deviant_streak = 0;
   track->flagged = false;  // episode over; the next burst flags again
   ++track->observed;
-  track->ewma = params_.ewma_alpha * value + (1 - params_.ewma_alpha) * track->ewma;
+  track->ewma = kEwmaAlpha * value + (1 - kEwmaAlpha) * track->ewma;
 }
 
 void FleetView::RaiseIncident(const std::string& region, const std::string& metric, Track* track,
@@ -81,7 +95,7 @@ void FleetView::RaiseIncident(const std::string& region, const std::string& metr
     if (it == other_state.tracks.end() || it->second.flag_ns == 0) {
       continue;
     }
-    if (now_ns - it->second.flag_ns <= correlation_window_ns_) {
+    if (now_ns - it->second.flag_ns <= kCorrelationWindowNs) {
       incident.regions.push_back(other_name);
     }
   }
@@ -103,7 +117,7 @@ std::vector<std::string> FleetView::AnomalousRegions(uint64_t now_ns) const {
   std::vector<std::string> out;
   for (const auto& [name, state] : regions_) {
     for (const auto& [metric, track] : state.tracks) {
-      bool recent = track.flag_ns != 0 && now_ns - track.flag_ns <= correlation_window_ns_;
+      bool recent = track.flag_ns != 0 && now_ns - track.flag_ns <= kCorrelationWindowNs;
       if (track.flagged || recent) {
         out.push_back(name);
         break;
@@ -127,8 +141,8 @@ uint64_t FleetView::FleetTotal(const std::string& metric) const {
 json::Value FleetView::ToJson(uint64_t now_ns) const {
   json::Value fleet = json::Value::Object();
   fleet.Set("generated_ns", now_ns);
-  fleet.Set("staleness_window_ns", staleness_window_ns_);
-  fleet.Set("correlation_window_ns", correlation_window_ns_);
+  fleet.Set("staleness_window_ns", kStalenessWindowNs);
+  fleet.Set("correlation_window_ns", kCorrelationWindowNs);
   fleet.Set("ingests", ingests_);
 
   std::vector<std::string> anomalous = AnomalousRegions(now_ns);
@@ -139,7 +153,7 @@ json::Value FleetView::ToJson(uint64_t now_ns) const {
     entry.Set("last_seq", state.last_seq);
     entry.Set("ingests", state.ingests);
     entry.Set("last_ingest_ns", state.last_ingest_ns);
-    entry.Set("stale", now_ns - state.last_ingest_ns > staleness_window_ns_);
+    entry.Set("stale", now_ns - state.last_ingest_ns > kStalenessWindowNs);
     entry.Set("degraded", state.degraded);
     entry.Set("anomalous",
               std::binary_search(anomalous.begin(), anomalous.end(), name));

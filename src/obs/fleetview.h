@@ -47,21 +47,9 @@ class FleetView {
   FleetView& operator=(const FleetView&) = delete;
 
   // A region whose last ingest is older than this is labeled stale in the
-  // dump (the coordinator passes its own staleness window).
-  void set_staleness_window_ns(uint64_t ns) { staleness_window_ns_ = ns; }
-  // Two regions flagging the same metric within this window correlate into
-  // one fleet-wide incident.
-  void set_correlation_window_ns(uint64_t ns) { correlation_window_ns_ = ns; }
-
-  // EWMA anomaly knobs, shared by every (region, metric) baseline.
-  struct AnomalyParams {
-    double ewma_alpha = 0.3;  // baseline update weight for non-deviant deltas
-    double factor = 4.0;      // deviant when delta > factor * baseline + min_delta
-    double min_delta = 8.0;   // absolute slack against near-zero baselines
-    int sustain_windows = 2;  // consecutive deviant digests before flagging
-    int warmup_windows = 4;   // digests observed before checks start
-  };
-  void set_anomaly_params(AnomalyParams params) { params_ = params; }
+  // dump; the coordinator ranks a region with a digest this old after every
+  // fresh one.
+  static constexpr uint64_t kStalenessWindowNs = 2'000'000'000;  // 2 s
 
   // Ingests one region's digest-carried cumulative samples. The caller must
   // already have discarded duplicates/reorders (the coordinator's seq guard
@@ -125,9 +113,6 @@ class FleetView {
 
   MetricsRegistry* registry_;
   EventTracer* tracer_;
-  uint64_t staleness_window_ns_ = 2'000'000'000;   // 2 s
-  uint64_t correlation_window_ns_ = 5'000'000'000; // 5 s
-  AnomalyParams params_;
   uint64_t ingests_ = 0;
   std::map<std::string, RegionState> regions_;
   std::vector<Incident> incidents_;

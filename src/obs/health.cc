@@ -15,6 +15,29 @@ const char* HealthStateName(HealthState state) {
 
 namespace {
 
+// One rung of the SLO ladder. A tenant is on the rung when ANY clause
+// crosses its threshold; drop rate is drops / (enqueued + drops).
+struct SloThresholds {
+  double boot_p99_ms;
+  double verify_p99_ms;
+  double drop_rate;
+  uint64_t restarts;
+  // Sustained-deviation flags from the AnomalyDetector (obs/timeseries.h).
+  // Anomalies are corroborating evidence, not raw SLO breaches, so the
+  // ladder is laxer than the restart clause: one flag degrades, a storm of
+  // them violates.
+  uint64_t anomalies;
+  // Path-conformance violations from the INT collector (obs/int_telemetry.h).
+  // A verified tenant should never leave its certified paths, so the ladder
+  // matches the anomaly clause: one deviation degrades, a pattern violates.
+  uint64_t path_violations;
+};
+constexpr SloThresholds kDegradedSlo{100.0, 50.0, 0.01, 1, 1, 1};
+constexpr SloThresholds kViolatedSlo{500.0, 500.0, 0.05, 3, 4, 4};
+// Consecutive EvaluateAll() passes below the current state's threshold
+// before the state steps back down.
+constexpr int kRecoverEvals = 3;
+
 // Same ladder as innet_vm_boot_latency_ms so per-tenant and aggregate boot
 // percentiles are comparable: 0.5ms .. ~4s.
 std::vector<double> BootBucketsMs() { return ExponentialBuckets(0.5, 2.0, 14); }
@@ -102,16 +125,15 @@ HealthState HealthMonitor::RawState(const Tenant& t) const {
   uint64_t restarts = t.restarts->value();
   uint64_t anomalies = t.anomalies->value();
   uint64_t path_violations = t.path_violations->value();
-  if (boot_p99 > slo_.boot_p99_violated_ms || verify_p99 > slo_.verify_p99_violated_ms ||
-      drop_rate > slo_.drop_rate_violated || restarts >= slo_.restarts_violated ||
-      anomalies >= slo_.anomalies_violated ||
-      path_violations >= slo_.path_violations_violated) {
+  auto crosses = [&](const SloThresholds& slo) {
+    return boot_p99 > slo.boot_p99_ms || verify_p99 > slo.verify_p99_ms ||
+           drop_rate > slo.drop_rate || restarts >= slo.restarts ||
+           anomalies >= slo.anomalies || path_violations >= slo.path_violations;
+  };
+  if (crosses(kViolatedSlo)) {
     return HealthState::kViolated;
   }
-  if (boot_p99 > slo_.boot_p99_degraded_ms || verify_p99 > slo_.verify_p99_degraded_ms ||
-      drop_rate > slo_.drop_rate_degraded || restarts >= slo_.restarts_degraded ||
-      anomalies >= slo_.anomalies_degraded ||
-      path_violations >= slo_.path_violations_degraded) {
+  if (crosses(kDegradedSlo)) {
     return HealthState::kDegraded;
   }
   return HealthState::kOk;
@@ -128,7 +150,7 @@ void HealthMonitor::EvaluateAll() {
       // Getting worse (or holding): adopt immediately, restart recovery.
       t.state = raw;
       t.clean_streak = 0;
-    } else if (++t.clean_streak >= slo_.recover_evals) {
+    } else if (++t.clean_streak >= kRecoverEvals) {
       t.state = raw;
       t.clean_streak = 0;
     }

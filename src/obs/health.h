@@ -10,9 +10,11 @@
 //   degraded  at least one SLO past its degraded threshold
 //   violated  at least one SLO past its violated threshold
 //
-// Transitions upward (toward violated) are immediate; transitions downward
-// require `recover_evals` consecutive cleaner evaluations (hysteresis), so a
-// tenant flapping around a threshold does not thrash the control loop.
+// The thresholds are fixed (health.cc): boot p99, verify p99, drop rate,
+// restarts, anomaly flags and path-conformance violations. Transitions
+// upward (toward violated) are immediate; transitions downward require three
+// consecutive cleaner evaluations (hysteresis), so a tenant flapping around a
+// threshold does not thrash the control loop.
 // Orchestrator::Rebalance() drains the least-healthy tenants first and the
 // VM watchdog restarts their crashed VMs first, closing the
 // observability→control loop.
@@ -38,33 +40,6 @@ enum class HealthState { kOk = 0, kDegraded = 1, kViolated = 2 };
 // Stable wire name ("ok", "degraded", "violated"), used in dumps and traces.
 const char* HealthStateName(HealthState state);
 
-// Declarative per-tenant SLO thresholds. A tenant is degraded/violated when
-// ANY clause crosses its threshold; drop rate is drops / (enqueued + drops).
-struct SloSpec {
-  double boot_p99_degraded_ms = 100.0;
-  double boot_p99_violated_ms = 500.0;
-  double verify_p99_degraded_ms = 50.0;
-  double verify_p99_violated_ms = 500.0;
-  double drop_rate_degraded = 0.01;
-  double drop_rate_violated = 0.05;
-  uint64_t restarts_degraded = 1;
-  uint64_t restarts_violated = 3;
-  // Sustained-deviation flags from the AnomalyDetector (obs/timeseries.h).
-  // Anomalies are corroborating evidence, not raw SLO breaches, so the
-  // defaults are laxer than the restart clause: one flag degrades, a storm
-  // of them violates.
-  uint64_t anomalies_degraded = 1;
-  uint64_t anomalies_violated = 4;
-  // Path-conformance violations from the INT collector (obs/int_telemetry.h).
-  // A verified tenant should never leave its certified paths, so the ladder
-  // matches the anomaly clause: one deviation degrades, a pattern violates.
-  uint64_t path_violations_degraded = 1;
-  uint64_t path_violations_violated = 4;
-  // Consecutive EvaluateAll() passes below the current state's threshold
-  // before the state steps back down.
-  int recover_evals = 3;
-};
-
 class HealthMonitor {
  public:
   // Instruments are created in `registry` (the global registry by default,
@@ -76,9 +51,6 @@ class HealthMonitor {
 
   void Enable(bool on = true) { enabled_ = on; }
   bool enabled() const { return enabled_; }
-
-  void set_slo(const SloSpec& slo) { slo_ = slo; }
-  const SloSpec& slo() const { return slo_; }
 
   // --- Observation feeds (no-ops while disabled or tenant empty) ------------
   void ObserveBootLatency(const std::string& tenant, double ms);
@@ -139,7 +111,6 @@ class HealthMonitor {
 
   bool enabled_ = false;
   MetricsRegistry* registry_;
-  SloSpec slo_;
   // std::map keeps EvaluateAll() and ToJson() in sorted-tenant order.
   std::map<std::string, Tenant> tenants_;
 };

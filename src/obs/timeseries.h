@@ -103,7 +103,6 @@ class TimeSeriesSampler {
   // Ring capacity applied to series created after the call (default 1024
   // windows ≈ 100 s at the default window).
   void set_ring_capacity(size_t capacity) { ring_capacity_ = capacity == 0 ? 1 : capacity; }
-  size_t ring_capacity() const { return ring_capacity_; }
 
   // Routes every sampled point through `detector` (not owned). Attach before
   // sampling starts so baselines see the whole run.

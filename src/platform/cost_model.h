@@ -10,6 +10,7 @@
 #ifndef SRC_PLATFORM_COST_MODEL_H_
 #define SRC_PLATFORM_COST_MODEL_H_
 
+#include <cstddef>
 #include <cstdint>
 
 #include "src/sim/event_queue.h"
@@ -18,38 +19,36 @@ namespace innet::platform {
 
 enum class VmKind { kClickOs, kLinux };
 
-struct VmCostModel {
-  double clickos_boot_base_ms = 28.0;
-  double clickos_boot_slope_ms = 0.6;   // per already-running VM
-  double linux_boot_base_ms = 700.0;
-  double linux_boot_slope_ms = 2.0;
-  double suspend_base_ms = 30.0;
-  double suspend_slope_ms = 0.3;        // per existing VM
-  double resume_base_ms = 40.0;
-  double resume_slope_ms = 0.3;
-  uint64_t clickos_memory_bytes = 8ull << 20;
-  uint64_t linux_memory_bytes = 512ull << 20;
+inline constexpr double kClickOsBootBaseMs = 28.0;
+inline constexpr double kClickOsBootSlopeMs = 0.6;  // per already-running VM
+inline constexpr double kLinuxBootBaseMs = 700.0;
+inline constexpr double kLinuxBootSlopeMs = 2.0;
+inline constexpr double kSuspendBaseMs = 30.0;
+inline constexpr double kSuspendSlopeMs = 0.3;  // per existing VM
+inline constexpr double kResumeBaseMs = 40.0;
+inline constexpr double kResumeSlopeMs = 0.3;
+inline constexpr uint64_t kClickOsMemoryBytes = 8ull << 20;
+inline constexpr uint64_t kLinuxMemoryBytes = 512ull << 20;
+// VmManager::RemainingCapacity divides by a guest's footprint.
+static_assert(kClickOsMemoryBytes != 0 && kLinuxMemoryBytes != 0,
+              "every guest kind must occupy memory");
 
-  sim::TimeNs BootTime(VmKind kind, size_t running_vms) const {
-    double ms = kind == VmKind::kClickOs
-                    ? clickos_boot_base_ms +
-                          clickos_boot_slope_ms * static_cast<double>(running_vms)
-                    : linux_boot_base_ms +
-                          linux_boot_slope_ms * static_cast<double>(running_vms);
-    return sim::FromMillis(ms);
-  }
-  sim::TimeNs SuspendTime(size_t existing_vms) const {
-    return sim::FromMillis(suspend_base_ms +
-                           suspend_slope_ms * static_cast<double>(existing_vms));
-  }
-  sim::TimeNs ResumeTime(size_t existing_vms) const {
-    return sim::FromMillis(resume_base_ms +
-                           resume_slope_ms * static_cast<double>(existing_vms));
-  }
-  uint64_t MemoryBytes(VmKind kind) const {
-    return kind == VmKind::kClickOs ? clickos_memory_bytes : linux_memory_bytes;
-  }
-};
+// Time for a `kind` guest to boot while `running_vms` others run.
+inline sim::TimeNs BootTime(VmKind kind, size_t running_vms) {
+  double ms = kind == VmKind::kClickOs
+                  ? kClickOsBootBaseMs + kClickOsBootSlopeMs * static_cast<double>(running_vms)
+                  : kLinuxBootBaseMs + kLinuxBootSlopeMs * static_cast<double>(running_vms);
+  return sim::FromMillis(ms);
+}
+inline sim::TimeNs SuspendTime(size_t existing_vms) {
+  return sim::FromMillis(kSuspendBaseMs + kSuspendSlopeMs * static_cast<double>(existing_vms));
+}
+inline sim::TimeNs ResumeTime(size_t existing_vms) {
+  return sim::FromMillis(kResumeBaseMs + kResumeSlopeMs * static_cast<double>(existing_vms));
+}
+inline constexpr uint64_t MemoryBytes(VmKind kind) {
+  return kind == VmKind::kClickOs ? kClickOsMemoryBytes : kLinuxMemoryBytes;
+}
 
 }  // namespace innet::platform
 

@@ -4,6 +4,26 @@
 #include "src/obs/trace.h"
 
 namespace innet::platform {
+namespace {
+
+// A live graph's per-element counters, as post-mortem bundles and the
+// periodic sweep capture record them.
+std::vector<obs::ElementCounterDelta> ElementCounters(const click::Graph& graph) {
+  std::vector<obs::ElementCounterDelta> counters;
+  counters.reserve(graph.elements().size());
+  for (const auto& element : graph.elements()) {
+    obs::ElementCounterDelta& delta = counters.emplace_back();
+    delta.element = element->name();
+    delta.element_class = std::string(element->class_name());
+    delta.packets = element->packets();
+    delta.bytes = element->bytes();
+    delta.drops = element->drops();
+    delta.proc_ns = element->proc_ns();
+  }
+  return counters;
+}
+
+}  // namespace
 
 Vm::VmId InNetPlatform::Install(Ipv4Address addr, const std::string& config_text,
                                 std::string* error, VmKind kind, bool sandbox,
@@ -545,30 +565,11 @@ void InNetPlatform::ExportMetrics(obs::MetricsRegistry* registry) const {
       vm->graph()->ExportMetrics(registry, base);
       continue;
     }
-    // The graph read each element's t<i>_ prefix into its tenant slot (-1
-    // for shared glue elements); slot i is the i-th tenant in merge order.
-    const std::vector<ConsolidatedTenant>& tenants = consolidated->second;
-    const obs::ElementNameTable& names = *vm->graph()->element_names();
-    for (const auto& element : vm->graph()->elements()) {
-      obs::Labels labels = base;
-      auto slot = static_cast<size_t>(names.elements[element->id()].tenant_slot);
-      labels.emplace_back("tenant", slot < tenants.size() ? tenants[slot].addr.ToString() : "");
-      labels.emplace_back("element", element->name());
-      labels.emplace_back("class", std::string(element->class_name()));
-      registry->GetCounter("innet_element_packets_total", labels)->SetTo(element->packets());
-      registry->GetCounter("innet_element_bytes_total", labels)->SetTo(element->bytes());
-      registry->GetCounter("innet_element_drops_total", labels)->SetTo(element->drops());
-      registry->GetCounter("innet_element_proc_ns_total", labels)->SetTo(element->proc_ns());
-      for (int port = 0; port < element->n_outputs(); ++port) {
-        obs::Labels port_labels = labels;
-        port_labels.emplace_back("port", std::to_string(port));
-        registry->GetCounter("innet_element_port_packets_total", port_labels)
-            ->SetTo(element->port_packets(port));
-      }
+    std::vector<std::string> slot_tenants;
+    for (const ConsolidatedTenant& tenant : consolidated->second) {
+      slot_tenants.push_back(tenant.addr.ToString());
     }
-    if (vm->graph()->profiler() != nullptr) {
-      vm->graph()->profiler()->ExportMetrics(registry, base);
-    }
+    vm->graph()->ExportMetrics(registry, base, &slot_tenants);
   }
 }
 
@@ -612,16 +613,7 @@ void InNetPlatform::TakePostmortem(obs::EventKind trigger, Vm::VmId vm_id,
     }
     bundle.span = vm->trace_span();
     if (vm->graph() != nullptr) {
-      for (const auto& element : vm->graph()->elements()) {
-        obs::ElementCounterDelta delta;
-        delta.element = element->name();
-        delta.element_class = std::string(element->class_name());
-        delta.packets = element->packets();
-        delta.bytes = element->bytes();
-        delta.drops = element->drops();
-        delta.proc_ns = element->proc_ns();
-        bundle.elements.push_back(std::move(delta));
-      }
+      bundle.elements = ElementCounters(*vm->graph());
     }
   }
   if (bundle.elements.empty()) {
@@ -649,18 +641,7 @@ void InNetPlatform::SnapshotElementCounters() {
     if (vm == nullptr || vm->graph() == nullptr) {
       continue;
     }
-    std::vector<obs::ElementCounterDelta> elements;
-    for (const auto& element : vm->graph()->elements()) {
-      obs::ElementCounterDelta delta;
-      delta.element = element->name();
-      delta.element_class = std::string(element->class_name());
-      delta.packets = element->packets();
-      delta.bytes = element->bytes();
-      delta.drops = element->drops();
-      delta.proc_ns = element->proc_ns();
-      elements.push_back(std::move(delta));
-    }
-    flight_.NotePeriodicElements("vm:" + std::to_string(id), std::move(elements));
+    flight_.NotePeriodicElements("vm:" + std::to_string(id), ElementCounters(*vm->graph()));
   }
 }
 

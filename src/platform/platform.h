@@ -37,9 +37,8 @@ class InNetPlatform {
  public:
   using EgressHandler = std::function<void(Packet&)>;
 
-  InNetPlatform(sim::EventQueue* clock, VmCostModel cost_model = {},
-                uint64_t total_memory_bytes = 16ull << 30)
-      : clock_(clock), vms_(clock, cost_model, total_memory_bytes), switch_(&vms_) {
+  explicit InNetPlatform(sim::EventQueue* clock, uint64_t total_memory_bytes = 16ull << 30)
+      : clock_(clock), vms_(clock, total_memory_bytes), switch_(&vms_) {
     switch_.SetMissHandler([this](Packet& packet) { OnMiss(packet); });
     switch_.SetStalledHandler(
         [this](Packet& packet, Vm::VmId vm_id) { OnStalled(packet, vm_id); });
@@ -143,9 +142,9 @@ class InNetPlatform {
   }
 
   // Arms the crash watchdog (periodic health sweep + backoff restart).
-  Watchdog* EnableWatchdog(WatchdogConfig config = {}) {
+  Watchdog* EnableWatchdog() {
     if (watchdog_ == nullptr) {
-      watchdog_ = std::make_unique<Watchdog>(clock_, this, config);
+      watchdog_ = std::make_unique<Watchdog>(clock_, this);
     }
     watchdog_->Start();
     return watchdog_.get();

@@ -21,12 +21,10 @@ class SoftwareSwitch {
 
   // Static rule: all traffic to `dst` goes to VM `vm`.
   void AddAddressRule(Ipv4Address dst, Vm::VmId vm) { address_rules_[dst.value()] = vm; }
-  void RemoveAddressRule(Ipv4Address dst) { address_rules_.erase(dst.value()); }
 
   // Exact-flow rule (5-tuple key), installed by the switch controller after
   // booting a per-flow VM.
   void AddFlowRule(uint64_t flow_key, Vm::VmId vm) { flow_rules_[flow_key] = vm; }
-  void RemoveFlowRule(uint64_t flow_key) { flow_rules_.erase(flow_key); }
 
   // Removes every rule (address and flow) pointing at `vm` — used when a
   // guest is retired so a later tenant at the same address cannot inherit

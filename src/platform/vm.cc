@@ -61,7 +61,7 @@ void VmManager::ScheduleBootCompletion(Vm* vm, ReadyCallback on_ready) {
   // transition): the Xen toolstack and backend switch touch all of them
   // (Figure 5's slope). Suspended-to-disk and crashed guests do not
   // participate.
-  sim::TimeNs boot = cost_model_.BootTime(vm->kind_, non_suspended_count());
+  sim::TimeNs boot = BootTime(vm->kind_, non_suspended_count());
   clock_->ScheduleAfter(
       boot, [this, id = vm->id_, epoch = vm->epoch_, will_fail, boot, cb = std::move(on_ready)] {
         Vm* target = Find(id);
@@ -176,7 +176,7 @@ std::shared_ptr<const click::ConfigGraph> ParseGuestConfig(const std::string& te
 
 Vm* VmManager::Create(VmKind kind, std::shared_ptr<const click::ConfigGraph> config,
                       ReadyCallback on_ready, std::string* error) {
-  uint64_t needed = cost_model_.MemoryBytes(kind);
+  uint64_t needed = MemoryBytes(kind);
   if (memory_used_ + needed > memory_total_) {
     *error = "platform out of guest memory";
     return nullptr;
@@ -221,7 +221,7 @@ bool VmManager::Restart(Vm::VmId id, ReadyCallback on_ready, std::string* error)
     }
     return false;
   }
-  uint64_t needed = cost_model_.MemoryBytes(vm->kind_);
+  uint64_t needed = MemoryBytes(vm->kind_);
   if (memory_used_ + needed > memory_total_) {
     if (error != nullptr) {
       *error = "platform out of guest memory";
@@ -272,7 +272,7 @@ bool VmManager::Crash(Vm::VmId id) {
     default:
       return false;  // suspended-to-disk guests hold no RAM and cannot crash
   }
-  memory_used_ -= cost_model_.MemoryBytes(vm->kind_);
+  memory_used_ -= MemoryBytes(vm->kind_);
   vm->state_ = VmState::kCrashed;
   ++vm->epoch_;
   ++crash_count_;
@@ -296,7 +296,7 @@ bool VmManager::Suspend(Vm::VmId id, std::function<void()> done) {
   }
   vm->state_ = VmState::kSuspending;
   ++vm->epoch_;
-  const sim::TimeNs latency = cost_model_.SuspendTime(vm_count());
+  const sim::TimeNs latency = SuspendTime(vm_count());
   // The completion runs from the event queue with an empty span stack, so
   // capture the initiator's scope (e.g. a migration span) now.
   uint64_t parent = obs::Tracer().enabled() ? obs::Tracer().current_span() : 0;
@@ -308,7 +308,7 @@ bool VmManager::Suspend(Vm::VmId id, std::function<void()> done) {
       target->state_ = VmState::kSuspended;
       ++target->epoch_;
       // Suspend-to-disk releases the guest's RAM.
-      memory_used_ -= cost_model_.MemoryBytes(target->kind_);
+      memory_used_ -= MemoryBytes(target->kind_);
       obs::Registry().GetCounter("innet_vm_suspends_total")->Increment();
       obs::Registry()
           .GetHistogram("innet_vm_suspend_latency_ms", {}, LatencyBucketsMs())
@@ -330,14 +330,14 @@ bool VmManager::Resume(Vm::VmId id, std::function<void()> done) {
   if (vm == nullptr || vm->state_ != VmState::kSuspended) {
     return false;
   }
-  uint64_t needed = cost_model_.MemoryBytes(vm->kind_);
+  uint64_t needed = MemoryBytes(vm->kind_);
   if (memory_used_ + needed > memory_total_) {
     return false;  // no RAM to restore into; the guest stays parked
   }
   memory_used_ += needed;
   vm->state_ = VmState::kResuming;
   ++vm->epoch_;
-  const sim::TimeNs latency = cost_model_.ResumeTime(vm_count());
+  const sim::TimeNs latency = ResumeTime(vm_count());
   uint64_t parent = obs::Tracer().enabled() ? obs::Tracer().current_span() : 0;
   clock_->ScheduleAfter(latency, [this, id, latency, parent, epoch = vm->epoch_,
                                   cb = std::move(done)] {
@@ -390,7 +390,7 @@ Vm* VmManager::ImportSnapshot(VmSnapshot* snapshot, ReadyCallback on_ready, std:
     }
     return nullptr;
   }
-  uint64_t needed = cost_model_.MemoryBytes(snapshot->kind);
+  uint64_t needed = MemoryBytes(snapshot->kind);
   if (memory_used_ + needed > memory_total_) {
     if (error != nullptr) {
       *error = "platform out of guest memory";
@@ -415,7 +415,7 @@ Vm* VmManager::ImportSnapshot(VmSnapshot* snapshot, ReadyCallback on_ready, std:
   // the new id (fresh folded chains, correctly-prefixed walk targets).
   MaybeAttachProfiler(raw);
   obs::Registry().GetCounter("innet_vm_migrate_imports_total")->Increment();
-  const sim::TimeNs latency = cost_model_.ResumeTime(vm_count());
+  const sim::TimeNs latency = ResumeTime(vm_count());
   uint64_t parent = obs::Tracer().enabled() ? obs::Tracer().current_span() : 0;
   clock_->ScheduleAfter(
       latency,
@@ -452,7 +452,7 @@ bool VmManager::Destroy(Vm::VmId id) {
   }
   VmState state = it->second->state_;
   if (state != VmState::kSuspended && state != VmState::kCrashed) {
-    memory_used_ -= cost_model_.MemoryBytes(it->second->kind_);  // others hold none
+    memory_used_ -= MemoryBytes(it->second->kind_);  // others hold none
   }
   it->second->state_ = VmState::kDestroyed;
   ++it->second->epoch_;

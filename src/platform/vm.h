@@ -12,7 +12,6 @@
 #define SRC_PLATFORM_VM_H_
 
 #include <functional>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -131,8 +130,8 @@ class VmManager {
   // runtime crash), before any restart is attempted.
   using CrashObserver = std::function<void(Vm*)>;
 
-  VmManager(sim::EventQueue* clock, VmCostModel cost_model, uint64_t total_memory_bytes)
-      : clock_(clock), cost_model_(cost_model), memory_total_(total_memory_bytes) {}
+  VmManager(sim::EventQueue* clock, uint64_t total_memory_bytes)
+      : clock_(clock), memory_total_(total_memory_bytes) {}
 
   // Starts booting a VM running `config`; `on_ready` fires when the guest is
   // up (after BootTime). The guest keeps `config` for restarts. Returns
@@ -196,7 +195,6 @@ class VmManager {
   // additionally activates in-band telemetry on a deterministic 1-in-N of
   // walks (same seeded contract as trace sampling, independent stream).
   void EnableProfiling(uint32_t sample_n, uint64_t seed, uint32_t int_sample_n = 0);
-  bool profiling_enabled() const { return profile_enabled_; }
 
   // Maps (guest, tenant slot) to the tenant key INT postcards are attributed
   // under. Slot >= 0 is a consolidated guest's "t<i>_" element prefix; -1
@@ -228,17 +226,10 @@ class VmManager {
   uint64_t memory_used() const { return memory_used_; }
   uint64_t memory_total() const { return memory_total_; }
   uint64_t crash_count() const { return crash_count_; }
-  // How many more VMs of `kind` fit in memory. A zero-cost model means the
-  // kind is free: effectively unlimited capacity (not a division by zero).
+  // How many more VMs of `kind` fit in memory.
   uint64_t RemainingCapacity(VmKind kind) const {
-    uint64_t per_vm = cost_model_.MemoryBytes(kind);
-    if (per_vm == 0) {
-      return std::numeric_limits<uint64_t>::max();
-    }
-    return (memory_total_ - memory_used_) / per_vm;
+    return (memory_total_ - memory_used_) / MemoryBytes(kind);
   }
-
-  const VmCostModel& cost_model() const { return cost_model_; }
 
  private:
   // Schedules the boot-completion event for a guest entering kBooting:
@@ -254,7 +245,6 @@ class VmManager {
   void MaybeAttachProfiler(Vm* vm);
 
   sim::EventQueue* clock_;
-  VmCostModel cost_model_;
   uint64_t memory_total_;
   uint64_t memory_used_ = 0;
   uint64_t crash_count_ = 0;

@@ -9,9 +9,23 @@
 #include "src/platform/platform.h"
 
 namespace innet::platform {
+namespace {
 
-Watchdog::Watchdog(sim::EventQueue* clock, InNetPlatform* platform, WatchdogConfig config)
-    : clock_(clock), platform_(platform), config_(config) {
+// How often the sweep inspects guest health.
+constexpr sim::TimeNs kSweepInterval = 25 * sim::kMillisecond;
+// Restart backoff: the delay before attempt n is
+//   min(kBackoffCap, kBackoffBase * kBackoffFactor^n),  n = 0, 1, ...
+constexpr sim::TimeNs kBackoffBase = 10 * sim::kMillisecond;
+constexpr double kBackoffFactor = 2.0;
+constexpr sim::TimeNs kBackoffCap = 2 * sim::kSecond;
+// Failed restart attempts tolerated before the guest is retired (rules
+// removed, buffered packets dropped).
+constexpr int kMaxRetries = 6;
+
+}  // namespace
+
+Watchdog::Watchdog(sim::EventQueue* clock, InNetPlatform* platform)
+    : clock_(clock), platform_(platform) {
   // Per-instance labels keep stats() per-watchdog even though the registry is
   // process-wide (tests build many platforms in one process).
   static uint64_t next_instance = 0;
@@ -29,13 +43,12 @@ void Watchdog::Start() {
     return;
   }
   running_ = true;
-  clock_->ScheduleAfter(config_.sweep_interval, [this] { Sweep(); });
+  clock_->ScheduleAfter(kSweepInterval, [this] { Sweep(); });
 }
 
-sim::TimeNs Watchdog::BackoffDelay(int attempt) const {
-  double delay = static_cast<double>(config_.backoff_base) *
-                 std::pow(config_.backoff_factor, attempt);
-  double cap = static_cast<double>(config_.backoff_cap);
+sim::TimeNs Watchdog::BackoffDelay(int attempt) {
+  double delay = static_cast<double>(kBackoffBase) * std::pow(kBackoffFactor, attempt);
+  double cap = static_cast<double>(kBackoffCap);
   return static_cast<sim::TimeNs>(delay < cap ? delay : cap);
 }
 
@@ -62,9 +75,6 @@ void Watchdog::OnRestartComplete(Vm::VmId id) {
 }
 
 void Watchdog::Sweep() {
-  if (!running_) {
-    return;
-  }
   // Capture every live graph's element counters first, so a postmortem taken
   // later this sweep (or any time after a graph is torn down) can fall back
   // to counters at most one sweep interval stale.
@@ -97,7 +107,7 @@ void Watchdog::Sweep() {
       ctr_restart_failures_->Increment();
       pending.next_try = clock_->now() + BackoffDelay(pending.attempt);
     }
-    if (pending.attempt > config_.max_retries) {
+    if (pending.attempt > kMaxRetries) {
       ctr_gave_up_->Increment();
       if (obs::Tracer().enabled()) {
         obs::Tracer().Record(clock_->now(), obs::EventKind::kWatchdogGiveUp, "vm:" + std::to_string(id));
@@ -119,7 +129,7 @@ void Watchdog::Sweep() {
       // Immediate failure (memory exhausted): count it and back off.
       ++pending.attempt;
       ctr_restart_failures_->Increment();
-      if (pending.attempt > config_.max_retries) {
+      if (pending.attempt > kMaxRetries) {
         ctr_gave_up_->Increment();
         if (obs::Tracer().enabled()) {
           obs::Tracer().Record(clock_->now(), obs::EventKind::kWatchdogGiveUp, "vm:" + std::to_string(id));
@@ -132,7 +142,7 @@ void Watchdog::Sweep() {
       pending.next_try = clock_->now() + BackoffDelay(pending.attempt);
     }
   }
-  clock_->ScheduleAfter(config_.sweep_interval, [this] { Sweep(); });
+  clock_->ScheduleAfter(kSweepInterval, [this] { Sweep(); });
 }
 
 }  // namespace innet::platform

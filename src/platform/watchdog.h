@@ -6,9 +6,11 @@
 // switch rules and flushes the buffer, so surviving flows continue with
 // packet loss bounded by the buffer cap.
 //
-// All timing comes from the event queue, the backoff schedule from the
-// config, and the fault stream from the platform's seeded injector — one
-// seed reproduces the exact recovery timeline.
+// The sweep runs every 25 ms; restart attempt n waits
+// min(2 s, 10 ms * 2^n); a guest whose restart fails a seventh time is
+// retired (rules removed, buffered packets dropped). All timing comes from
+// the event queue and the fault stream from the platform's seeded injector —
+// one seed reproduces the exact recovery timeline.
 #ifndef SRC_PLATFORM_WATCHDOG_H_
 #define SRC_PLATFORM_WATCHDOG_H_
 
@@ -23,19 +25,6 @@ namespace innet::platform {
 
 class InNetPlatform;
 
-struct WatchdogConfig {
-  // How often the sweep inspects guest health.
-  sim::TimeNs sweep_interval = sim::FromMillis(25);
-  // Restart backoff: delay before attempt n is
-  //   min(backoff_cap, backoff_base * backoff_factor^n),  n = 0, 1, ...
-  sim::TimeNs backoff_base = sim::FromMillis(10);
-  double backoff_factor = 2.0;
-  sim::TimeNs backoff_cap = sim::FromSeconds(2);
-  // Failed restart attempts tolerated before the guest is retired (rules
-  // removed, buffered packets dropped).
-  int max_retries = 6;
-};
-
 struct WatchdogStats {
   uint64_t crashes_observed = 0;   // distinct crash episodes seen by the sweep
   uint64_t restarts = 0;           // restarts that reached running again
@@ -46,19 +35,14 @@ struct WatchdogStats {
 
 class Watchdog {
  public:
-  Watchdog(sim::EventQueue* clock, InNetPlatform* platform, WatchdogConfig config);
+  Watchdog(sim::EventQueue* clock, InNetPlatform* platform);
 
   // Arms the periodic sweep. Idempotent.
   void Start();
-  // Disarms it (pending sweep events become no-ops).
-  void Stop() { running_ = false; }
-  bool running() const { return running_; }
-
-  const WatchdogConfig& config() const { return config_; }
 
   // Delay before restart attempt `attempt` (0-based). Exposed so tests can
   // assert the schedule directly.
-  sim::TimeNs BackoffDelay(int attempt) const;
+  static sim::TimeNs BackoffDelay(int attempt);
 
   // Snapshot of the counters. The authoritative values live in the metrics
   // registry as innet_watchdog_*_total{instance="N"}; this is a thin wrapper
@@ -83,7 +67,6 @@ class Watchdog {
 
   sim::EventQueue* clock_;
   InNetPlatform* platform_;
-  WatchdogConfig config_;
   bool running_ = false;
   std::unordered_map<Vm::VmId, Pending> pending_;
   std::string instance_;

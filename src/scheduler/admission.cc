@@ -4,7 +4,7 @@ namespace innet::scheduler {
 
 TenantQuota AdmissionController::QuotaFor(const std::string& client_id) const {
   auto it = quotas_.find(client_id);
-  return it == quotas_.end() ? default_quota_ : it->second;
+  return it == quotas_.end() ? TenantQuota{} : it->second;  // unset: unlimited
 }
 
 AdmissionController::Usage AdmissionController::UsageFor(const std::string& client_id) const {

@@ -19,7 +19,6 @@ struct TenantQuota {
 
 class AdmissionController {
  public:
-  void SetDefaultQuota(TenantQuota quota) { default_quota_ = quota; }
   void SetQuota(const std::string& client_id, TenantQuota quota) {
     quotas_[client_id] = quota;
   }
@@ -42,7 +41,6 @@ class AdmissionController {
  private:
   TenantQuota QuotaFor(const std::string& client_id) const;
 
-  TenantQuota default_quota_;
   std::unordered_map<std::string, TenantQuota> quotas_;
   std::unordered_map<std::string, Usage> usage_;
 };

@@ -33,7 +33,6 @@ class PlacementEngine {
   ResourceLedger& ledger() { return ledger_; }
   AdmissionController& admission() { return admission_; }
   PlacementPolicyKind policy() const { return policy_; }
-  void set_policy(PlacementPolicyKind policy) { policy_ = policy; }
 
   // Quota check, then headroom filter + policy ranking over a fresh ledger
   // snapshot. Bumps innet_scheduler_admission_total{outcome=...}. A pinned

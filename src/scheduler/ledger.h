@@ -60,8 +60,6 @@ class ResourceLedger {
   // snapshot (headroom 0 / utilization 1 for unavailable platforms).
   void ExportHeadroomGauges() const;
 
-  size_t platform_count() const { return entries_.size(); }
-
  private:
   struct Entry {
     std::string name;

@@ -17,7 +17,6 @@ TimeNs FaultInjector::NextCrashDelay() {
   if (plan_.crash_mean_uptime_s <= 0.0) {
     return 0;
   }
-  ++crashes_scheduled_;
   TimeNs delay = FromSeconds(rng_.Exponential(plan_.crash_mean_uptime_s));
   // A zero delay would crash the VM in the same event that made it running;
   // round up so the crash is always a distinct, later event.
@@ -33,27 +32,15 @@ bool FaultInjector::ShouldDropPacket() {
 }
 
 bool FaultInjector::ShouldDropControl() {
-  if (plan_.control_loss_p <= 0.0 || !rng_.Bernoulli(plan_.control_loss_p)) {
-    return false;
-  }
-  ++control_dropped_;
-  return true;
+  return plan_.control_loss_p > 0.0 && rng_.Bernoulli(plan_.control_loss_p);
 }
 
 bool FaultInjector::ShouldDuplicateControl() {
-  if (plan_.control_dup_p <= 0.0 || !rng_.Bernoulli(plan_.control_dup_p)) {
-    return false;
-  }
-  ++control_duplicated_;
-  return true;
+  return plan_.control_dup_p > 0.0 && rng_.Bernoulli(plan_.control_dup_p);
 }
 
 bool FaultInjector::ShouldReorderControl() {
-  if (plan_.control_reorder_p <= 0.0 || !rng_.Bernoulli(plan_.control_reorder_p)) {
-    return false;
-  }
-  ++control_reordered_;
-  return true;
+  return plan_.control_reorder_p > 0.0 && rng_.Bernoulli(plan_.control_reorder_p);
 }
 
 TimeNs FaultInjector::ControlDelay() {
@@ -74,11 +61,7 @@ TimeNs FaultInjector::ControlReorderPenalty() {
 }
 
 bool FaultInjector::ShouldDropRegion() {
-  if (plan_.region_loss_p <= 0.0 || !rng_.Bernoulli(plan_.region_loss_p)) {
-    return false;
-  }
-  ++region_dropped_;
-  return true;
+  return plan_.region_loss_p > 0.0 && rng_.Bernoulli(plan_.region_loss_p);
 }
 
 bool FaultInjector::ShouldDuplicateRegion() {
@@ -90,11 +73,7 @@ bool FaultInjector::ShouldDuplicateRegion() {
 }
 
 bool FaultInjector::ShouldReorderRegion() {
-  if (plan_.region_reorder_p <= 0.0 || !rng_.Bernoulli(plan_.region_reorder_p)) {
-    return false;
-  }
-  ++region_reordered_;
-  return true;
+  return plan_.region_reorder_p > 0.0 && rng_.Bernoulli(plan_.region_reorder_p);
 }
 
 TimeNs FaultInjector::RegionDelay() {

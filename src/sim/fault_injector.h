@@ -90,7 +90,7 @@ class FaultInjector {
 
   // --- Region (inter-PoP) channel faults ------------------------------------
   // Same contract as the control-plane methods, driven by the region_* plan
-  // fields and counted separately.
+  // fields.
   bool HasRegionFaults() const { return plan_.HasRegionFaults(); }
   bool ShouldDropRegion();
   bool ShouldDuplicateRegion();
@@ -99,27 +99,15 @@ class FaultInjector {
   TimeNs RegionReorderPenalty();
 
   uint64_t boot_failures_injected() const { return boot_failures_injected_; }
-  uint64_t crashes_scheduled() const { return crashes_scheduled_; }
   uint64_t packets_dropped() const { return packets_dropped_; }
-  uint64_t control_dropped() const { return control_dropped_; }
-  uint64_t control_duplicated() const { return control_duplicated_; }
-  uint64_t control_reordered() const { return control_reordered_; }
-  uint64_t region_dropped() const { return region_dropped_; }
   uint64_t region_duplicated() const { return region_duplicated_; }
-  uint64_t region_reordered() const { return region_reordered_; }
 
  private:
   FaultPlan plan_;
   Rng rng_;
   uint64_t boot_failures_injected_ = 0;
-  uint64_t crashes_scheduled_ = 0;
   uint64_t packets_dropped_ = 0;
-  uint64_t control_dropped_ = 0;
-  uint64_t control_duplicated_ = 0;
-  uint64_t control_reordered_ = 0;
-  uint64_t region_dropped_ = 0;
   uint64_t region_duplicated_ = 0;
-  uint64_t region_reordered_ = 0;
 };
 
 }  // namespace innet::sim

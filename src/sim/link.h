@@ -30,7 +30,6 @@ class Link {
   bool Send(uint64_t bytes, std::function<void()> on_delivered);
 
   // Bytes currently queued or in flight on the sender side.
-  uint64_t backlog_bytes() const { return backlog_bytes_; }
   uint64_t delivered_count() const { return delivered_count_; }
   uint64_t dropped_count() const { return dropped_count_; }
 

@@ -4,17 +4,11 @@
 #include <string>
 #include <vector>
 
+#include "src/click/graph.h"
 #include "src/symexec/symbolic_packet.h"
 
 namespace innet::symexec {
 namespace {
-
-// Must mirror the runtime exclusion set in src/click/profiler.cc — the two
-// sides hash the same canonical form or attestation is meaningless.
-bool IsEndpointClass(const std::string& class_name) {
-  return class_name == "FromNetfront" || class_name == "ToNetfront" ||
-         class_name == "FromDevice" || class_name == "ToDevice" || class_name == "Discard";
-}
 
 // Hashes every prefix of `packet`'s canonical element chain into
 // `prefixes`, including the empty one (a packet dropped before reaching any
@@ -52,7 +46,7 @@ obs::IntPathDigest ComputePathDigest(const click::ConfigGraph& config,
   std::vector<bool> endpoint;
   endpoint.reserve(config.elements.size());
   for (const click::ElementDecl& decl : config.elements) {
-    endpoint.push_back(IsEndpointClass(decl.class_name));
+    endpoint.push_back(click::IsEndpointClass(decl.class_name));
   }
   // ToNetfront is a delivery sink in the explored model, so "delivered"
   // means "left the module through a declared egress" — the exact event the

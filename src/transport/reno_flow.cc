@@ -209,7 +209,6 @@ void TcpTunnelChannel::Send(uint64_t /*bytes*/, std::function<void()> on_deliver
   // Finite socket buffer: pending_ counts segments accepted but not yet
   // delivered in order at the far end. A backed-up tunnel drops at ingress.
   if (pending_.size() >= buffer_segments_) {
-    ++ingress_drops_;
     return;  // the inner transport sees this as loss
   }
   // One upper-layer segment rides as one tunnel segment (same MSS).

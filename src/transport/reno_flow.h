@@ -79,13 +79,8 @@ class RenoFlow {
   uint64_t rto_count() const { return rto_fires_; }
   uint64_t fast_retransmit_count() const { return fast_retransmits_; }
   // Debug/diagnostic accessors.
-  uint64_t next_seq() const { return next_seq_; }
   uint64_t inflight() const { return inflight_; }
   uint64_t available() const { return available_; }
-  bool rto_armed() const { return rto_armed_; }
-  double rto_sec() const { return rto_sec_; }
-  int dup_acks() const { return dup_acks_; }
-  bool in_recovery() const { return in_recovery_; }
 
   double GoodputBps(sim::TimeNs elapsed) const {
     return elapsed == 0 ? 0.0
@@ -155,14 +150,12 @@ class TcpTunnelChannel : public PacketChannel {
   void Send(uint64_t bytes, std::function<void()> on_delivered) override;
 
   RenoFlow& tunnel_flow() { return flow_; }
-  uint64_t ingress_drops() const { return ingress_drops_; }
 
  private:
   RenoFlow flow_;
   std::deque<std::function<void()>> pending_;  // per-segment delivery callbacks
   uint64_t delivered_prefix_ = 0;
   uint64_t buffer_segments_;
-  uint64_t ingress_drops_ = 0;
 };
 
 }  // namespace innet::transport

@@ -179,8 +179,7 @@ TEST(ControlClient, RetriesThenGivesUpAgainstPartition) {
 
 TEST(PlatformReplace, DedupMemoryResetLetsPreFailureTokenReexecute) {
   sim::EventQueue clock;
-  PlatformFleet fleet(&clock, platform::VmCostModel{},
-                      OrchestratorOptions{}.platform_memory_bytes);
+  PlatformFleet fleet(&clock, OrchestratorOptions{}.platform_memory_bytes);
   fleet.AddPlatform("box");
   const uint64_t replaced_before =
       obs::Registry().GetCounter("innet_platform_replaced_total")->value();
@@ -312,7 +311,7 @@ TEST(ChannelDeploy, HeavyDuplicationNeverDoublePlaces) {
 class CrashRecovery : public ::testing::Test {
  protected:
   CrashRecovery()
-      : fleet_(&clock_, platform::VmCostModel{}, OrchestratorOptions{}.platform_memory_bytes) {}
+      : fleet_(&clock_, OrchestratorOptions{}.platform_memory_bytes) {}
 
   sim::EventQueue clock_;
   PlatformFleet fleet_;

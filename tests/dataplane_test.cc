@@ -25,7 +25,6 @@ using click::GraphProfilerConfig;
 using platform::InNetPlatform;
 using platform::TenantConfig;
 using platform::Vm;
-using platform::WatchdogConfig;
 
 constexpr const char* kChainConfig =
     "FromNetfront() -> IPFilter(allow udp) -> IPRewriter(pattern - - 10.0.9.1 - 0 0) "
@@ -321,9 +320,7 @@ TEST(FlightRecorder, CrashSnapshotsElementCountersBeforeGraphTeardown) {
 TEST(FlightRecorder, WatchdogGiveUpReusesLastSnapshotAfterGraphIsGone) {
   sim::EventQueue clock;
   InNetPlatform box(&clock);
-  WatchdogConfig config;
-  config.max_retries = 1;
-  box.EnableWatchdog(config);
+  box.EnableWatchdog();
   std::string error;
   Vm::VmId id = box.Install(Ipv4Address::MustParse("172.16.3.10"), kChainConfig, &error);
   ASSERT_NE(id, 0u) << error;
@@ -388,8 +385,7 @@ TEST(FlightRecorder, PeriodicCaptureBackfillsTargetsWithoutBundles) {
 TEST(FlightRecorder, PostmortemAfterTeardownServesPeriodicSweepCounters) {
   sim::EventQueue clock;
   InNetPlatform box(&clock);
-  WatchdogConfig config;
-  box.EnableWatchdog(config);  // sweeps every 25ms -> periodic captures
+  box.EnableWatchdog();  // sweeps every 25ms -> periodic captures
   std::string error;
   Vm::VmId id = box.Install(Ipv4Address::MustParse("172.16.3.10"), kChainConfig, &error);
   ASSERT_NE(id, 0u) << error;

@@ -333,7 +333,7 @@ TEST(DeployGolden, StatefulMigrationFailures) {
   sim::EventQueue clock;
   ObsGuard guard(&clock);
   OrchestratorOptions options;
-  options.platform_memory_bytes = 2 * options.cost_model.MemoryBytes(platform::VmKind::kClickOs);
+  options.platform_memory_bytes = 2 * platform::MemoryBytes(platform::VmKind::kClickOs);
   Orchestrator orch(topology::Network::MakeFigure3(), &clock, options);
   auto meter = orch.Deploy(MeterRequest("meter", "10.10.0.5", "10.10.0.0/24"));
   ASSERT_TRUE(meter.outcome.accepted) << meter.outcome.reason;
@@ -414,8 +414,7 @@ TEST(DeployGolden, PlatformFailover) {
 TEST(DeployGolden, CrashRecovery) {
   sim::EventQueue clock;
   ObsGuard guard(&clock);
-  PlatformFleet fleet(&clock, platform::VmCostModel{},
-                      OrchestratorOptions{}.platform_memory_bytes);
+  PlatformFleet fleet(&clock, OrchestratorOptions{}.platform_memory_bytes);
   DeployJournal journal;
   {
     Orchestrator orch(topology::Network::MakeFigure3(), &clock, OrchestratorOptions{}, &fleet,
@@ -509,9 +508,9 @@ std::string CrashMidMigration(CrashPoint point, bool traffic = false) {
   sim::FaultInjector faults(plan);
   OrchestratorOptions options;
   if (point == CrashPoint::kReadopted) {  // room for two guests per platform
-    options.platform_memory_bytes = 2 * options.cost_model.MemoryBytes(platform::VmKind::kClickOs);
+    options.platform_memory_bytes = 2 * platform::MemoryBytes(platform::VmKind::kClickOs);
   }
-  PlatformFleet fleet(&clock, platform::VmCostModel{}, options.platform_memory_bytes);
+  PlatformFleet fleet(&clock, options.platform_memory_bytes);
   DeployJournal journal;
   std::string target;
   uint64_t migration = 0;
@@ -627,8 +626,7 @@ TEST(DeployGolden, CrashAfterMigrationsWithoutExport) {
   clock.RunUntil(clock.now() + sim::FromSeconds(1));
   ASSERT_TRUE(exported.has_value() && exported->ok && exported->moved != nullptr);
 
-  PlatformFleet fleet(&clock, platform::VmCostModel{},
-                      OrchestratorOptions{}.platform_memory_bytes);
+  PlatformFleet fleet(&clock, OrchestratorOptions{}.platform_memory_bytes);
   DeployJournal journal;
   {
     Orchestrator orch(topology::Network::MakeFigure3(), &clock, OrchestratorOptions{}, &fleet,

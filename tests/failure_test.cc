@@ -11,7 +11,6 @@
 #include "src/symexec/click_models.h"
 #include "src/topology/network.h"
 #include <algorithm>
-#include <limits>
 #include <set>
 
 namespace innet {
@@ -24,7 +23,6 @@ using controller::DeployOutcome;
 using controller::RequesterClass;
 using platform::InNetPlatform;
 using platform::Vm;
-using platform::VmCostModel;
 using platform::VmKind;
 using platform::VmState;
 
@@ -43,8 +41,7 @@ std::shared_ptr<const click::ConfigGraph> ForwardConfig() {
 
 TEST(Failure, OnDemandBootFailsWhenMemoryExhausted) {
   sim::EventQueue clock;
-  VmCostModel model;
-  InNetPlatform platform(&clock, model, 2 * model.MemoryBytes(VmKind::kClickOs));
+  InNetPlatform platform(&clock, 2 * platform::MemoryBytes(VmKind::kClickOs));
   platform.RegisterOnDemand(Ipv4Address::MustParse("172.16.3.10"),
                             "FromNetfront() -> ToNetfront();");
   int egressed = 0;
@@ -75,7 +72,7 @@ TEST(Failure, DestroyWhileBootingNeverRuns) {
 
 TEST(Failure, DestroyWhileSuspendingIsSafe) {
   sim::EventQueue clock;
-  platform::VmManager vms(&clock, VmCostModel{}, 1ull << 30);
+  platform::VmManager vms(&clock, 1ull << 30);
   std::string error;
   Vm* vm = vms.Create(VmKind::kClickOs, ForwardConfig(), nullptr, &error);
   ASSERT_NE(vm, nullptr);
@@ -93,7 +90,7 @@ TEST(Failure, DestroyWhileBootingCancelsOnReadyDespiteLaterBoots) {
   // second guest is booting in the same state at the same time — the
   // completion event must not attach to the wrong (or freed) guest.
   sim::EventQueue clock;
-  platform::VmManager vms(&clock, VmCostModel{}, 1ull << 30);
+  platform::VmManager vms(&clock, 1ull << 30);
   std::string error;
   bool first_ready = false;
   bool second_ready = false;
@@ -107,20 +104,7 @@ TEST(Failure, DestroyWhileBootingCancelsOnReadyDespiteLaterBoots) {
   clock.RunUntil(sim::FromSeconds(1));
   EXPECT_FALSE(first_ready);
   EXPECT_TRUE(second_ready);
-  EXPECT_EQ(vms.memory_used(), vms.cost_model().MemoryBytes(VmKind::kClickOs));
-}
-
-TEST(Failure, RemainingCapacityGuardsZeroCostModel) {
-  // A custom cost model with a free VM kind must not divide by zero.
-  sim::EventQueue clock;
-  VmCostModel model;
-  model.clickos_memory_bytes = 0;
-  platform::VmManager vms(&clock, model, 1ull << 30);
-  EXPECT_EQ(vms.RemainingCapacity(VmKind::kClickOs), std::numeric_limits<uint64_t>::max());
-  std::string error;
-  Vm* vm = vms.Create(VmKind::kClickOs, ForwardConfig(), nullptr, &error);
-  ASSERT_NE(vm, nullptr) << error;
-  EXPECT_EQ(vms.memory_used(), 0u);
+  EXPECT_EQ(vms.memory_used(), platform::MemoryBytes(VmKind::kClickOs));
 }
 
 // --- Crashes ----------------------------------------------------------------------
@@ -130,7 +114,7 @@ TEST(Failure, CrashDuringBootReleasesMemoryAndSkipsOnReady) {
   sim::FaultPlan plan;
   plan.boot_failure_p = 1.0;  // every boot dies
   sim::FaultInjector injector(plan);
-  platform::VmManager vms(&clock, VmCostModel{}, 1ull << 30);
+  platform::VmManager vms(&clock, 1ull << 30);
   vms.SetFaultInjector(&injector);
   std::string error;
   bool became_ready = false;
@@ -147,7 +131,7 @@ TEST(Failure, CrashDuringBootReleasesMemoryAndSkipsOnReady) {
 
 TEST(Failure, CrashDuringResumeDoesNotRevive) {
   sim::EventQueue clock;
-  platform::VmManager vms(&clock, VmCostModel{}, 1ull << 30);
+  platform::VmManager vms(&clock, 1ull << 30);
   std::string error;
   Vm* vm = vms.Create(VmKind::kClickOs, ForwardConfig(), nullptr, &error);
   ASSERT_NE(vm, nullptr);
@@ -176,7 +160,7 @@ TEST(Failure, CrashDuringResumeDoesNotRevive) {
 
 TEST(Failure, CrashDuringSuspendKeepsAccountingConsistent) {
   sim::EventQueue clock;
-  platform::VmManager vms(&clock, VmCostModel{}, 1ull << 30);
+  platform::VmManager vms(&clock, 1ull << 30);
   std::string error;
   Vm* vm = vms.Create(VmKind::kClickOs, ForwardConfig(), nullptr, &error);
   ASSERT_NE(vm, nullptr);
@@ -219,7 +203,7 @@ TEST(Failure, UninstallClearsStaleBuffersBeforeReinstall) {
 
 TEST(Failure, ResumeOfDestroyedVmRejected) {
   sim::EventQueue clock;
-  platform::VmManager vms(&clock, VmCostModel{}, 1ull << 30);
+  platform::VmManager vms(&clock, 1ull << 30);
   std::string error;
   Vm* vm = vms.Create(VmKind::kClickOs, ForwardConfig(), nullptr, &error);
   ASSERT_NE(vm, nullptr);

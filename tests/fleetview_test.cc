@@ -183,7 +183,6 @@ TEST_F(FleetViewTest, AnomalousRegionsExpireWithTheWindow) {
 }
 
 TEST_F(FleetViewTest, StalenessAndDegradedLabelsInDump) {
-  view_.set_staleness_window_ns(2 * kSecond);
   view_.Ingest("east", 1, 1 * kSecond, false, Sample(1));
   view_.Ingest("west", 1, 5 * kSecond, true, Sample(1));
   json::Value dump = view_.ToJson(5 * kSecond);

@@ -95,25 +95,6 @@ TEST(Health, DropRateClauseAndHysteresisOnRecovery) {
   EXPECT_EQ(monitor.CurrentState("bursty"), HealthState::kViolated);
 }
 
-TEST(Health, CustomSloSpecIsHonored) {
-  MetricsRegistry registry;
-  HealthMonitor monitor(&registry);
-  monitor.Enable();
-  SloSpec slo;
-  slo.restarts_degraded = 5;
-  slo.restarts_violated = 10;
-  monitor.set_slo(slo);
-
-  for (int i = 0; i < 4; ++i) {
-    monitor.CountRestart("sturdy");
-  }
-  monitor.EvaluateAll();
-  EXPECT_EQ(monitor.CurrentState("sturdy"), HealthState::kOk);  // 4 < 5
-  monitor.CountRestart("sturdy");
-  monitor.EvaluateAll();
-  EXPECT_EQ(monitor.CurrentState("sturdy"), HealthState::kDegraded);
-}
-
 TEST(Health, ReportIsSortedAndByteStable) {
   MetricsRegistry registry;
   HealthMonitor monitor(&registry);

@@ -114,7 +114,7 @@ TEST(IdleSuspendMany, ParksAFleetOfIdleTenants) {
   // 50 installed tenants, only 5 active: the other 45 end up suspended — the
   // §5 scaling story for stateful processing.
   sim::EventQueue clock;
-  InNetPlatform platform(&clock, VmCostModel{}, 8ull << 30);
+  InNetPlatform platform(&clock, 8ull << 30);
   std::string error;
   for (int i = 0; i < 50; ++i) {
     Ipv4Address addr(Ipv4Address::MustParse("172.16.3.10").value() +

@@ -44,33 +44,30 @@ std::shared_ptr<const click::ConfigGraph> Parsed(const char* text) {
 // --- Cost model ------------------------------------------------------------------
 
 TEST(VmCostModel, ClickOsBootsOrdersOfMagnitudeFasterThanLinux) {
-  VmCostModel model;
-  EXPECT_LT(model.BootTime(VmKind::kClickOs, 0), sim::FromMillis(50));
-  EXPECT_GE(model.BootTime(VmKind::kLinux, 0), sim::FromMillis(500));
+  EXPECT_LT(BootTime(VmKind::kClickOs, 0), sim::FromMillis(50));
+  EXPECT_GE(BootTime(VmKind::kLinux, 0), sim::FromMillis(500));
 }
 
 TEST(VmCostModel, BootDegradesWithRunningVms) {
-  VmCostModel model;
-  EXPECT_GT(model.BootTime(VmKind::kClickOs, 100), model.BootTime(VmKind::kClickOs, 0));
+  EXPECT_GT(BootTime(VmKind::kClickOs, 100), BootTime(VmKind::kClickOs, 0));
   // Roughly 100 ms around 100 running VMs (Figure 5's right edge).
-  double ms_at_100 = sim::ToMillis(model.BootTime(VmKind::kClickOs, 100));
+  double ms_at_100 = sim::ToMillis(BootTime(VmKind::kClickOs, 100));
   EXPECT_GT(ms_at_100, 60);
   EXPECT_LT(ms_at_100, 140);
 }
 
 TEST(VmCostModel, MemoryCapacityMatchesPaper) {
   // §6: 128 GB box -> 10,000 ClickOS guests vs ~200 stripped-down Linux VMs.
-  VmCostModel model;
   uint64_t box = 128ull << 30;
-  EXPECT_GE(box / model.MemoryBytes(VmKind::kClickOs), 10000u);
-  EXPECT_LE(box / model.MemoryBytes(VmKind::kLinux), 256u);
+  EXPECT_GE(box / MemoryBytes(VmKind::kClickOs), 10000u);
+  EXPECT_LE(box / MemoryBytes(VmKind::kLinux), 256u);
 }
 
 // --- VmManager --------------------------------------------------------------------
 
 TEST(VmManager, BootCompletesAfterBootTime) {
   sim::EventQueue clock;
-  VmManager vms(&clock, VmCostModel{}, 1ull << 30);
+  VmManager vms(&clock, 1ull << 30);
   std::string error;
   bool ready = false;
   Vm* vm = vms.Create(VmKind::kClickOs, Parsed(kForwarderConfig), [&](Vm*) { ready = true; }, &error);
@@ -85,7 +82,7 @@ TEST(VmManager, BootCompletesAfterBootTime) {
 
 TEST(VmManager, RejectsInvalidConfig) {
   sim::EventQueue clock;
-  VmManager vms(&clock, VmCostModel{}, 1ull << 30);
+  VmManager vms(&clock, 1ull << 30);
   std::string error;
   EXPECT_EQ(vms.Create(VmKind::kClickOs, Parsed("Bogus();"), nullptr, &error), nullptr);
   EXPECT_FALSE(error.empty());
@@ -93,8 +90,7 @@ TEST(VmManager, RejectsInvalidConfig) {
 
 TEST(VmManager, MemoryExhaustion) {
   sim::EventQueue clock;
-  VmCostModel model;
-  VmManager vms(&clock, model, 3 * model.MemoryBytes(VmKind::kClickOs));
+  VmManager vms(&clock, 3 * MemoryBytes(VmKind::kClickOs));
   std::string error;
   for (int i = 0; i < 3; ++i) {
     EXPECT_NE(vms.Create(VmKind::kClickOs, Parsed(kForwarderConfig), nullptr, &error), nullptr);
@@ -106,8 +102,7 @@ TEST(VmManager, MemoryExhaustion) {
 
 TEST(VmManager, DestroyReleasesMemory) {
   sim::EventQueue clock;
-  VmCostModel model;
-  VmManager vms(&clock, model, 1 * model.MemoryBytes(VmKind::kClickOs));
+  VmManager vms(&clock, 1 * MemoryBytes(VmKind::kClickOs));
   std::string error;
   Vm* vm = vms.Create(VmKind::kClickOs, Parsed(kForwarderConfig), nullptr, &error);
   ASSERT_NE(vm, nullptr);
@@ -118,7 +113,7 @@ TEST(VmManager, DestroyReleasesMemory) {
 
 TEST(VmManager, SuspendResumeCycle) {
   sim::EventQueue clock;
-  VmManager vms(&clock, VmCostModel{}, 1ull << 30);
+  VmManager vms(&clock, 1ull << 30);
   std::string error;
   Vm* vm = vms.Create(VmKind::kClickOs, Parsed(kForwarderConfig), nullptr, &error);
   ASSERT_NE(vm, nullptr);
@@ -142,7 +137,7 @@ TEST(VmManager, SuspendResumeCycle) {
 
 TEST(VmManager, SuspendedVmDropsTraffic) {
   sim::EventQueue clock;
-  VmManager vms(&clock, VmCostModel{}, 1ull << 30);
+  VmManager vms(&clock, 1ull << 30);
   std::string error;
   Vm* vm = vms.Create(VmKind::kClickOs, Parsed(kForwarderConfig), nullptr, &error);
   ASSERT_NE(vm, nullptr);
@@ -560,8 +555,8 @@ TEST(ConsolidatedGuest, CrashedGuestRestartsWithTheSameElementNames) {
 
 TEST(VmManager, SnapshotExportImportRoundTripsAGuest) {
   sim::EventQueue clock;
-  VmManager source(&clock, VmCostModel{}, 1ull << 30);
-  VmManager target(&clock, VmCostModel{}, 1ull << 30);
+  VmManager source(&clock, 1ull << 30);
+  VmManager target(&clock, 1ull << 30);
   std::string error;
   Vm* vm = source.Create(VmKind::kClickOs, Parsed(kForwarderConfig), nullptr, &error);
   ASSERT_NE(vm, nullptr) << error;

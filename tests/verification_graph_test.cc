@@ -161,6 +161,48 @@ struct Killed {
   Ipv4Address addr;
 };
 
+// A controller that committed `controller`'s deployments afresh, in commit
+// order, must index them the same way: every module id finds the same
+// deployment, a killed one is found on both or on neither, and every address (on a
+// shared one, the first deployment in commit order) resolves to the same
+// nodes.
+void ExpectSameIndexesAsRebuilt(const Controller& controller,
+                                const std::vector<ClientRequest>& requests,
+                                const std::vector<Killed>& killed,
+                                const std::string& step) {
+  Controller rebuilt(topology::Network::MakeFigure3());
+  for (const Deployment& dep : controller.deployments()) {
+    auto request = std::find_if(requests.begin(), requests.end(), [&](const ClientRequest& r) {
+      return r.client_id == dep.client_id;
+    });
+    ASSERT_NE(request, requests.end()) << step << ", " << dep.module_id;
+    std::string error;
+    ASSERT_TRUE(
+        rebuilt.RestoreDeployment(*request, dep.module_id, dep.platform, dep.addr, false, &error))
+        << step << ", " << dep.module_id << ": " << error;
+  }
+  const Deployment* kept_base = controller.deployments().data();
+  const Deployment* rebuilt_base = rebuilt.deployments().data();
+  policy::NodeResolver kept_resolver = controller.MakeResolver(nullptr);
+  policy::NodeResolver rebuilt_resolver = rebuilt.MakeResolver(nullptr);
+  for (const Deployment& dep : controller.deployments()) {
+    const Deployment* kept = controller.FindDeployment(dep.module_id);
+    const Deployment* fresh = rebuilt.FindDeployment(dep.module_id);
+    ASSERT_NE(kept, nullptr) << step << ", " << dep.module_id;
+    ASSERT_NE(fresh, nullptr) << step << ", " << dep.module_id;
+    EXPECT_EQ(kept - kept_base, fresh - rebuilt_base) << step << ", " << dep.module_id;
+    const std::string addr = dep.addr.ToString();
+    EXPECT_EQ(kept_resolver(addr), rebuilt_resolver(addr)) << step << ", " << addr;
+  }
+  for (const Killed& k : killed) {
+    EXPECT_EQ(controller.FindDeployment(k.module_id) == nullptr,
+              rebuilt.FindDeployment(k.module_id) == nullptr)
+        << step << ", " << k.module_id;
+    const std::string addr = k.addr.ToString();
+    EXPECT_EQ(kept_resolver(addr), rebuilt_resolver(addr)) << step << ", " << addr;
+  }
+}
+
 // What the sequences did, so the test can tell they covered every kind of
 // operation.
 struct Coverage {
@@ -213,6 +255,7 @@ void RunSequence(uint64_t seed, Coverage* coverage) {
       step += " kill " + dep.module_id;
       ASSERT_TRUE(controller.Kill(record.module_id)) << step;
       killed.push_back(std::move(record));
+      ExpectSameIndexesAsRebuilt(controller, requests, killed, step);
     } else if (kind == 8 && !killed.empty()) {
       Killed record = killed[rng.NextBelow(killed.size())];
       bool reverify = rng.Bernoulli(0.5);

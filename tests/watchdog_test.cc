@@ -16,11 +16,9 @@ namespace {
 
 using platform::InNetPlatform;
 using platform::Vm;
-using platform::VmCostModel;
 using platform::VmKind;
 using platform::VmState;
 using platform::Watchdog;
-using platform::WatchdogConfig;
 
 constexpr const char* kEchoConfig = "FromNetfront() -> ToNetfront();";
 
@@ -144,24 +142,19 @@ TEST(Watchdog, SuspendedGuestIsInvisibleToTheWatchdog) {
 TEST(Watchdog, BackoffScheduleIsExponentialAndCapped) {
   sim::EventQueue clock;
   InNetPlatform platform(&clock);
-  WatchdogConfig config;
-  config.backoff_base = sim::FromMillis(10);
-  config.backoff_factor = 2.0;
-  config.backoff_cap = sim::FromMillis(70);
-  Watchdog* watchdog = platform.EnableWatchdog(config);
+  Watchdog* watchdog = platform.EnableWatchdog();
   EXPECT_EQ(watchdog->BackoffDelay(0), sim::FromMillis(10));
   EXPECT_EQ(watchdog->BackoffDelay(1), sim::FromMillis(20));
   EXPECT_EQ(watchdog->BackoffDelay(2), sim::FromMillis(40));
-  EXPECT_EQ(watchdog->BackoffDelay(3), sim::FromMillis(70));   // capped
-  EXPECT_EQ(watchdog->BackoffDelay(30), sim::FromMillis(70));  // stays capped
+  EXPECT_EQ(watchdog->BackoffDelay(7), sim::FromMillis(1280));
+  EXPECT_EQ(watchdog->BackoffDelay(8), sim::FromSeconds(2));   // capped
+  EXPECT_EQ(watchdog->BackoffDelay(30), sim::FromSeconds(2));  // stays capped
 }
 
 TEST(Watchdog, GivesUpAfterMaxRetriesAndRetiresGuest) {
   sim::EventQueue clock;
   InNetPlatform platform(&clock);
-  WatchdogConfig config;
-  config.max_retries = 2;
-  platform.EnableWatchdog(config);
+  platform.EnableWatchdog();
   std::string error;
   Ipv4Address addr = Ipv4Address::MustParse("172.16.3.10");
   Vm::VmId id = platform.Install(addr, kEchoConfig, &error);
@@ -180,7 +173,7 @@ TEST(Watchdog, GivesUpAfterMaxRetriesAndRetiresGuest) {
   auto stats = platform.watchdog()->stats();
   EXPECT_EQ(stats.crashes_observed, 1u);
   EXPECT_EQ(stats.restarts, 0u);
-  EXPECT_EQ(stats.restart_failures, 3u);  // max_retries + 1 failed attempts
+  EXPECT_EQ(stats.restart_failures, 7u);  // 6 tolerated failures + the one that retires it
   EXPECT_EQ(stats.gave_up, 1u);
 
   // Rules are gone: traffic for the address no longer stalls, it misses.
