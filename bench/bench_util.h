@@ -8,50 +8,31 @@
 #include <string>
 #include <vector>
 
-#include "src/obs/benchdiff.h"
 #include "src/obs/json.h"
 #include "src/obs/metrics.h"
 
 namespace innet::bench {
 
-// Collects a bench's headline metrics into the standardized `series` section
-// that tools/innet_benchdiff and the CI regression gate consume. Only feed it
-// values derived from the simulated clock or deterministic work counts —
-// wall-clock timings vary host to host and would make the gate flake.
+// Collects a bench's headline metrics into the `series` section of its
+// snapshot. Only feed it values derived from the simulated clock or
+// deterministic work counts: the committed snapshots are compared byte for
+// byte, and wall-clock timings vary from run to run.
 class BenchSeries {
  public:
-  BenchSeries& Higher(const std::string& metric, double value, double tolerance_pct,
-                      const std::string& unit) {
-    return Add(metric, value, "higher_is_better", tolerance_pct, unit);
-  }
-  BenchSeries& Lower(const std::string& metric, double value, double tolerance_pct,
-                     const std::string& unit) {
-    return Add(metric, value, "lower_is_better", tolerance_pct, unit);
-  }
-
-  // The JSON array for results.Set("series", ...).
-  obs::json::Value ToJson() const {
-    obs::json::Value out = obs::json::Value::Array();
-    for (const obs::BenchSeriesEntry& entry : entries_) {
-      out.Push(obs::BenchSeriesEntryJson(entry));
-    }
-    return out;
-  }
-
- private:
-  BenchSeries& Add(const std::string& metric, double value, const std::string& direction,
-                   double tolerance_pct, const std::string& unit) {
-    obs::BenchSeriesEntry entry;
-    entry.metric = metric;
-    entry.value = value;
-    entry.direction = direction;
-    entry.tolerance_pct = tolerance_pct;
-    entry.unit = unit;
-    entries_.push_back(std::move(entry));
+  BenchSeries& Add(const std::string& metric, double value, const std::string& unit) {
+    obs::json::Value entry = obs::json::Value::Object();
+    entry.Set("metric", metric);
+    entry.Set("value", value);
+    entry.Set("unit", unit);
+    entries_.Push(std::move(entry));
     return *this;
   }
 
-  std::vector<obs::BenchSeriesEntry> entries_;
+  // The JSON array for results.Set("series", ...).
+  const obs::json::Value& ToJson() const { return entries_; }
+
+ private:
+  obs::json::Value entries_ = obs::json::Value::Array();
 };
 
 class WallTimer {

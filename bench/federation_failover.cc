@@ -19,7 +19,7 @@
 // Fixed seed, simulated clock: the JSON snapshot, the Perfetto trace, and
 // the fleet observability dump (--fleet-obs-out, default
 // BENCH_federation_failover_fleet.json) are byte-identical across runs
-// (scripts/ci.sh runs it twice and diffs all of them).
+// (its ctest case runs it twice and compares all of them).
 #include <cstdio>
 #include <cstring>
 #include <optional>
@@ -272,25 +272,23 @@ int main(int argc, char** argv) {
               federation_tenants, stale_beliefs, regions_degraded,
               converged ? "CONVERGED" : "CONVERGENCE FAILURE");
 
-  // Headline series for the regression gate: all seeded deterministic
-  // outcomes, zero tolerance.
+  // Headline series: all seeded deterministic outcomes.
   bench::BenchSeries series;
-  series.Higher("converged", converged ? 1.0 : 0.0, 0.0, "bool");
-  series.Higher("steady_accepted", steady.accepted, 0.0, "tenants");
-  series.Higher("dark_accepted", dark.accepted, 0.0, "tenants");
-  series.Higher("dark_failed_over", dark.failed_over, 0.0, "tenants");
-  series.Lower("rejected", steady.rejected + dark.rejected, 0.0, "tenants");
-  series.Lower("stale_beliefs_after_heal", static_cast<double>(stale_beliefs), 0.0, "beliefs");
-  series.Higher("reconcile_stale_dropped", static_cast<double>(reconcile_stale_dropped), 0.0,
-                "beliefs");
-  series.Higher("migrations_completed", migrations_completed, 0.0, "count");
-  series.Higher("degraded_windows_observed", degraded_observed, 0.0, "regions");
-  series.Higher("migration_trace_connected", migration_trace_connected ? 1.0 : 0.0, 0.0, "bool");
-  series.Lower("trace_orphan_spans", static_cast<double>(orphan_spans), 0.0, "spans");
-  series.Higher("fleet_regions_tracked",
-                static_cast<double>(coordinator.fleet_view().region_count()), 0.0, "regions");
-  series.Lower("fleet_incidents_total",
-               static_cast<double>(coordinator.fleet_view().incidents().size()), 0.0, "incidents");
+  series.Add("converged", converged ? 1.0 : 0.0, "bool");
+  series.Add("steady_accepted", steady.accepted, "tenants");
+  series.Add("dark_accepted", dark.accepted, "tenants");
+  series.Add("dark_failed_over", dark.failed_over, "tenants");
+  series.Add("rejected", steady.rejected + dark.rejected, "tenants");
+  series.Add("stale_beliefs_after_heal", static_cast<double>(stale_beliefs), "beliefs");
+  series.Add("reconcile_stale_dropped", static_cast<double>(reconcile_stale_dropped), "beliefs");
+  series.Add("migrations_completed", migrations_completed, "count");
+  series.Add("degraded_windows_observed", degraded_observed, "regions");
+  series.Add("migration_trace_connected", migration_trace_connected ? 1.0 : 0.0, "bool");
+  series.Add("trace_orphan_spans", static_cast<double>(orphan_spans), "spans");
+  series.Add("fleet_regions_tracked",
+             static_cast<double>(coordinator.fleet_view().region_count()), "regions");
+  series.Add("fleet_incidents_total",
+             static_cast<double>(coordinator.fleet_view().incidents().size()), "incidents");
 
   obs::json::Value results = obs::json::Value::Object();
   results.Set("seed", kSeed);
@@ -318,7 +316,7 @@ int main(int argc, char** argv) {
 
   // Companion artifacts: the merged Perfetto trace (load the migration's
   // tree in ui.perfetto.dev — see README) and the coordinator's fleet
-  // observability dump. Both deterministic; ci.sh diffs them across runs.
+  // observability dump. Both deterministic; ctest compares them across runs.
   bool artifacts_ok =
       obs::Tracer().WritePerfettoFile("BENCH_federation_failover_trace.json") &&
       coordinator.fleet_view().WriteJsonFile(fleet_out, clock.now());

@@ -199,7 +199,7 @@ int main() {
   obs::Tracer().ExportMetrics(&obs::Registry());
 
   // Per-hop latency totals for the two tenant elements, straight from the
-  // counters the collector folds — the regression gate pins them exactly.
+  // counters the collector folds — the snapshot pins them exactly.
   uint64_t filter_hop_ns =
       obs::Registry().GetCounter("innet_int_hop_ns_total", {{"element", "filter"}})->value();
   uint64_t rewriter_hop_ns =
@@ -209,12 +209,12 @@ int main() {
               static_cast<unsigned long long>(rewriter_hop_ns));
 
   bench::BenchSeries series;
-  series.Higher("clean_postcards", static_cast<double>(clean_postcards), 0.0, "postcards");
-  series.Lower("clean_violations", static_cast<double>(clean_violations), 0.0, "violations");
-  series.Higher("violations_detected", static_cast<double>(total_violations), 0.0, "violations");
-  series.Lower("detect_ms", static_cast<double>(detect_ns) / 1e6, 0.0, "ms");
-  series.Higher("filter_hop_ns", static_cast<double>(filter_hop_ns), 0.0, "ns");
-  series.Higher("rewriter_hop_ns", static_cast<double>(rewriter_hop_ns), 0.0, "ns");
+  series.Add("clean_postcards", static_cast<double>(clean_postcards), "postcards");
+  series.Add("clean_violations", static_cast<double>(clean_violations), "violations");
+  series.Add("violations_detected", static_cast<double>(total_violations), "violations");
+  series.Add("detect_ms", static_cast<double>(detect_ns) / 1e6, "ms");
+  series.Add("filter_hop_ns", static_cast<double>(filter_hop_ns), "ns");
+  series.Add("rewriter_hop_ns", static_cast<double>(rewriter_hop_ns), "ns");
 
   obs::json::Value results = obs::json::Value::Object();
   results.Set("series", series.ToJson());

@@ -276,18 +276,15 @@ int main() {
               "utilization (it spreads) and need no migrations; first_fit and bin_pack\n"
               "fill platform-by-platform and pay for it in the drain pass.\n");
 
-  // Headline series for the CI regression gate (innet_benchdiff): all values
-  // are deterministic placement outcomes, so the tolerances are tight —
+  // Headline series: all values are deterministic placement outcomes, so
   // any drift is a behavior change, not noise.
   bench::BenchSeries series;
   for (size_t i = 0; i < rows.size(); ++i) {
     const obs::json::Value& row = rows.at(i);
     const std::string& policy = row.Find("policy")->string_value();
-    series.Higher(policy + "_accepted", row.Find("accepted")->number(), 0.0, "tenants");
-    series.Lower(policy + "_max_util", row.Find("max_memory_utilization")->number(), 0.0,
-                 "ratio");
-    series.Lower(policy + "_migrations", row.Find("migrations_performed")->number(), 0.0,
-                 "count");
+    series.Add(policy + "_accepted", row.Find("accepted")->number(), "tenants");
+    series.Add(policy + "_max_util", row.Find("max_memory_utilization")->number(), "ratio");
+    series.Add(policy + "_migrations", row.Find("migrations_performed")->number(), "count");
   }
 
   obs::json::Value results = obs::json::Value::Object();

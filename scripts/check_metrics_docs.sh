@@ -32,7 +32,7 @@ done < <(grep -rhoE '"innet_[a-z0-9_]+"' src tools bench | tr -d '"' | sort -u)
 # Reverse direction: every backticked innet_* name DESIGN.md documents as a
 # metric must still be registered in code. Tool binaries share the prefix, so
 # they are allowlisted by name.
-tool_names='^innet_(run|top|check|benchdiff)$'
+tool_names='^innet_(run|top|check)$'
 while IFS= read -r name; do
   if echo "$name" | grep -qE "$tool_names"; then
     continue
