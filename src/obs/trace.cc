@@ -73,7 +73,7 @@ uint64_t EventTracer::Record(uint64_t time_ns, EventKind kind, EventText target,
   // The id is allocated before the capacity check: a dropped event still
   // consumes its id, so the links of surviving children keep pointing at the
   // same (now truncated) span instead of silently re-binding to a later one.
-  uint64_t span = span_namespace_ | next_span_id_++;
+  uint64_t span = next_span_id_++;
   if (parent == 0) {
     parent = current_span();
   }
@@ -103,24 +103,8 @@ json::Value EventTracer::ToJson() const {
   }
   json::Value root = json::Value::Object();
   root.Set("dropped", dropped_);
-  if (span_namespace_ != 0) {
-    // Merged multi-region dumps need to know which region minted which ids.
-    root.Set("span_namespace", span_namespace_ >> kSpanNamespaceShift);
-  }
   root.Set("events", std::move(list));
   return root;
-}
-
-uint64_t EventTracer::NamespaceForName(const std::string& name) {
-  // FNV-1a, folded to 8 bits; 0 (the un-namespaced default) maps to 1 so a
-  // named tracer always leaves the colliding id space.
-  uint64_t hash = 1469598103934665603ull;
-  for (unsigned char c : name) {
-    hash ^= c;
-    hash *= 1099511628211ull;
-  }
-  uint64_t folded = (hash ^ (hash >> 8) ^ (hash >> 16) ^ (hash >> 24)) & 0xff;
-  return folded == 0 ? 1 : folded;
 }
 
 bool EventTracer::WriteJsonFile(const std::string& path) const {

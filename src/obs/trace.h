@@ -170,27 +170,8 @@ class EventTracer {
   size_t capacity() const { return capacity_; }
   uint64_t dropped() const { return dropped_; }
 
-  // --- Span-id namespacing --------------------------------------------------
-  // Every tracer mints span ids from its own monotonic sequence starting at
-  // 1, so two independently created tracers (one per region controller in a
-  // real multi-PoP deployment) produce colliding ids and a merged dump turns
-  // into one tangled tree. SetSpanNamespace stamps the sequence into the top
-  // bits: ids become (namespace << 56) | seq, unique across tracers as long
-  // as each picks a distinct namespace. Namespace 0 (the default, and the
-  // process-wide Global() tracer) leaves ids unchanged, so single-tracer
-  // dumps and all pre-existing parent links are untouched.
-  static constexpr int kSpanNamespaceShift = 56;
-  void SetSpanNamespace(uint64_t ns) { span_namespace_ = ns << kSpanNamespaceShift; }
-  uint64_t span_namespace() const { return span_namespace_ >> kSpanNamespaceShift; }
-  // Deterministic 8-bit namespace for a region name (FNV-1a folded), so
-  // every controller of the same region picks the same prefix without any
-  // coordination. 0 is reserved for the un-namespaced default.
-  static uint64_t NamespaceForName(const std::string& name);
-
   const std::vector<TraceEvent>& events() const { return events_; }
   void Clear() {
-    // The namespace survives: clearing a region's ring must not silently
-    // drop it back into the colliding id space.
     events_.clear();
     dropped_ = 0;
     next_span_id_ = 1;
@@ -220,7 +201,6 @@ class EventTracer {
   bool enabled_ = false;
   size_t capacity_ = 1u << 20;
   uint64_t dropped_ = 0;
-  uint64_t span_namespace_ = 0;  // pre-shifted; OR'd into every minted id
   uint64_t next_span_id_ = 1;
   std::vector<TraceEvent> events_;
   std::vector<uint64_t> span_stack_;

@@ -1,7 +1,6 @@
 // Tests for the observability layer: registry determinism, histogram
 // bucketing, tracer bounds, JSON round-trips, and the sim::Samples cache.
 #include <limits>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -569,68 +568,6 @@ TEST(Tracer, DroppedEventsStillConsumeSpanIdsAndExportToMetrics) {
   EXPECT_EQ(tracer.Record(9, EventKind::kVmCrash, "vm:1"), 1u);  // ids restart
   tracer.ExportMetrics(&registry);
   EXPECT_EQ(registry.GetCounter("innet_trace_dropped_total")->value(), 0u);
-}
-
-TEST(Tracer, SpanNamespacesKeepMergedDumpsCollisionFree) {
-  // Two independently created tracers (one per region controller in a real
-  // multi-PoP deployment) mint ids from the same sequence; without
-  // namespacing a merged dump collides on span 1, 2, 3, ...
-  EventTracer east;
-  EventTracer west;
-  east.Enable();
-  west.Enable();
-  east.SetSpanNamespace(EventTracer::NamespaceForName("east"));
-  west.SetSpanNamespace(EventTracer::NamespaceForName("west"));
-
-  std::set<uint64_t> merged;
-  for (int i = 0; i < 3; ++i) {
-    merged.insert(east.Record(1, EventKind::kDeployRequest, "client:a"));
-    merged.insert(west.Record(1, EventKind::kDeployRequest, "client:b"));
-  }
-  EXPECT_EQ(merged.size(), 6u) << "merged multi-region dump must have unique span ids";
-
-  // Parent links stay namespace-local: an inner event parents to its own
-  // tracer's namespaced id, so each region's trees survive the merge intact.
-  east.PushSpan(*merged.begin());
-  uint64_t child = east.Record(2, EventKind::kAdmission, "client:a");
-  EXPECT_EQ(east.events().back().span, child);
-  EXPECT_EQ(child >> EventTracer::kSpanNamespaceShift,
-            EventTracer::NamespaceForName("east"));
-}
-
-TEST(Tracer, SpanNamespaceSurvivesClearAndShowsInDump) {
-  EventTracer tracer;
-  tracer.Enable();
-  tracer.SetSpanNamespace(EventTracer::NamespaceForName("central"));
-  tracer.Record(1, EventKind::kVmBootStart, "vm:1");
-  tracer.Clear();
-  tracer.Record(2, EventKind::kVmBootStart, "vm:2");
-  // Clearing the ring must not silently drop the tracer back into the
-  // colliding id space.
-  EXPECT_EQ(tracer.events()[0].span >> EventTracer::kSpanNamespaceShift,
-            EventTracer::NamespaceForName("central"));
-  json::Value dump = tracer.ToJson();
-  const json::Value* ns = dump.Find("span_namespace");
-  ASSERT_NE(ns, nullptr);
-  EXPECT_EQ(static_cast<uint64_t>(ns->int_number()),
-            EventTracer::NamespaceForName("central"));
-
-  // The default (namespace 0) tracer keeps the historical dump shape.
-  EventTracer plain;
-  plain.Enable();
-  plain.Record(1, EventKind::kVmBootStart, "vm:1");
-  EXPECT_EQ(plain.events()[0].span, 1u);
-  EXPECT_EQ(plain.ToJson().Find("span_namespace"), nullptr);
-}
-
-TEST(Tracer, NamespaceForNameIsDeterministicAndNeverZero) {
-  EXPECT_EQ(EventTracer::NamespaceForName("east"), EventTracer::NamespaceForName("east"));
-  EXPECT_NE(EventTracer::NamespaceForName(""), 0u);
-  for (const char* name : {"east", "west", "central", "eu-frankfurt", "ap-tokyo"}) {
-    uint64_t ns = EventTracer::NamespaceForName(name);
-    EXPECT_NE(ns, 0u) << name;
-    EXPECT_LE(ns, 0xffu) << name;
-  }
 }
 
 TEST(Tracer, PerfettoExportFoldsSpansIntoCompleteSlices) {
