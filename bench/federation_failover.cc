@@ -108,7 +108,7 @@ int main(int argc, char** argv) {
   for (const char* name : kRegions) {
     regions.push_back(std::make_unique<RegionController>(
         name, topology::Network::MakeMultiPop(kPopsPerRegion), &clock));
-    regions.back()->EnableDegradedMonitor(2 * sim::kSecond);
+    regions.back()->EnableDegradedMonitor();
   }
   FederationCoordinator coordinator(&clock);
   for (auto& region : regions) {

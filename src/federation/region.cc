@@ -16,6 +16,14 @@ using controller::ControlRequest;
 using controller::ControlResponse;
 using controller::RespondFn;
 
+namespace {
+
+// Coordinator silence after which a region flags itself degraded. The
+// monitor checks twice per threshold.
+constexpr sim::TimeNs kSilenceThreshold = 2 * sim::kSecond;
+
+}  // namespace
+
 obs::json::Value ClientRequestToJson(const ClientRequest& request) {
   obs::json::Value v = obs::json::Value::Object();
   v.Set("client_id", request.client_id);
@@ -284,23 +292,17 @@ void RegionController::HandleRegionOp(const ControlRequest& request, RespondFn r
   respond(std::move(response));
 }
 
-void RegionController::EnableDegradedMonitor(sim::TimeNs silence_threshold) {
-  silence_threshold_ = silence_threshold;
+void RegionController::EnableDegradedMonitor() {
+  if (degraded_monitor_) {
+    return;
+  }
+  degraded_monitor_ = true;
   last_contact_ns_ = clock_->now();
-  std::weak_ptr<char> watch = alive_;
-  clock_->ScheduleAfter(silence_threshold_ / 2, [this, watch] {
-    if (watch.expired()) {
-      return;
-    }
-    DegradedTick();
-  });
+  DegradedTick();
 }
 
 void RegionController::DegradedTick() {
-  if (silence_threshold_ == 0) {
-    return;
-  }
-  if (clock_->now() - last_contact_ns_ >= silence_threshold_) {
+  if (clock_->now() - last_contact_ns_ >= kSilenceThreshold) {
     if (!degraded_) {
       EnterDegraded();
     }
@@ -312,7 +314,7 @@ void RegionController::DegradedTick() {
         ->Increment();
   }
   std::weak_ptr<char> watch = alive_;
-  clock_->ScheduleAfter(silence_threshold_ / 2, [this, watch] {
+  clock_->ScheduleAfter(kSilenceThreshold / 2, [this, watch] {
     if (watch.expired()) {
       return;
     }

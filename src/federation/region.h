@@ -85,9 +85,10 @@ class RegionController {
   void HandleRegionOp(const controller::ControlRequest& request, controller::RespondFn respond);
 
   // Arms the degraded-mode monitor: when no coordinator contact arrives for
-  // `silence_threshold`, the region flags itself degraded (trace + gauge)
+  // two simulated seconds, the region flags itself degraded (trace + gauge)
   // and counts the digest updates it would have pushed. Contact clears it.
-  void EnableDegradedMonitor(sim::TimeNs silence_threshold);
+  // Arming an armed monitor does nothing.
+  void EnableDegradedMonitor();
   void NoteCoordinatorContact();
 
   bool degraded() const { return degraded_; }
@@ -102,7 +103,7 @@ class RegionController {
   sim::EventQueue* clock_;
   controller::Orchestrator orch_;
   uint64_t digest_seq_ = 0;
-  sim::TimeNs silence_threshold_ = 0;  // 0 = monitor disabled
+  bool degraded_monitor_ = false;
   sim::TimeNs last_contact_ns_ = 0;
   bool degraded_ = false;
   uint64_t queued_digests_ = 0;

@@ -215,7 +215,7 @@ TEST(Federation, PartitionedAffinityRegionFailsOverToSurvivor) {
 TEST(Federation, RegionEntersAndClearsDegradedModeOnCoordinatorSilence) {
   sim::EventQueue clock;
   RegionController region = MakeRegion("solo", &clock);
-  region.EnableDegradedMonitor(2 * sim::kSecond);
+  region.EnableDegradedMonitor();
   EXPECT_FALSE(region.degraded());
 
   // Silence: the region flags itself degraded and queues digest updates,
