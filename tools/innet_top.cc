@@ -7,7 +7,6 @@
 //   innet_top --postmortem FILE
 //   innet_top --timeseries FILE
 //   innet_top --int FILE
-//   innet_top --run CONFIG [--placement-policy first_fit|least_loaded|bin_pack]
 //
 // Offline mode reads a metrics dump (either the registry's native
 // {"metrics": [...]} shape, or a bench snapshot whose results embed one under
@@ -31,18 +30,15 @@
 // the symbolic engine never produced for that tenant's config. Degrades to a
 // "no data" note on missing, truncated, or pre-INT dumps.
 //
-// Live mode (--run) performs one full-stack orchestrated deploy of CONFIG on
-// the Figure 3 topology — admission, placement, verification, ClickOS boot,
-// a few probe packets — and renders the same tables from the fresh registry.
+// To inspect a config run, dump it with innet_run --metrics-out/--trace-out/
+// --health-out and pass the files here.
 //
-// All output derives from the dump contents (or the simulated clock in live
-// mode): the same input always renders byte-identical tables. A missing,
+// All output derives from the dump contents: the same input always renders
+// byte-identical tables. A missing,
 // truncated, or shape-mismatched dump degrades to a per-section "no data"
 // line — partial telemetry never turns into an error or garbage rows.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <set>
@@ -50,14 +46,8 @@
 #include <string>
 #include <vector>
 
-#include "src/controller/orchestrator.h"
-#include "src/obs/health.h"
 #include "src/obs/json.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
-#include "src/platform/platform.h"
-#include "src/sim/event_queue.h"
-#include "src/topology/network.h"
 
 namespace {
 
@@ -977,65 +967,6 @@ int RenderFromFiles(const std::string& metrics_path, const std::string& trace_pa
   return 0;
 }
 
-int RunLive(const std::string& config_path, const std::string& placement_policy) {
-  std::string config_text;
-  std::string error;
-  if (!ReadFile(config_path, &config_text, &error)) {
-    std::fprintf(stderr, "%s\n", error.c_str());
-    return 1;
-  }
-  scheduler::PlacementPolicyKind policy = scheduler::PlacementPolicyKind::kFirstFit;
-  if (!placement_policy.empty() && !scheduler::ParsePlacementPolicy(placement_policy, &policy)) {
-    std::fprintf(stderr, "unknown placement policy '%s'\n", placement_policy.c_str());
-    return 2;
-  }
-
-  sim::EventQueue clock;
-  obs::Tracer().Enable();
-  obs::Tracer().SetTimeSource([&clock] { return clock.now(); });
-  obs::Health().Enable();
-
-  controller::OrchestratorOptions options;
-  options.policy = policy;
-  controller::Orchestrator orch(topology::Network::MakeFigure3(), &clock, options);
-  controller::ClientRequest request;
-  request.client_id = "top";
-  request.requester = controller::RequesterClass::kOperator;
-  request.click_config = config_text;
-  controller::OrchestratedDeploy deployed = orch.Deploy(request);
-  if (!deployed.outcome.accepted) {
-    std::fprintf(stderr, "deploy rejected: %s\n", deployed.outcome.reason.c_str());
-    return 1;
-  }
-  clock.RunUntil(clock.now() + sim::FromSeconds(2));
-  platform::InNetPlatform* box = orch.platform(deployed.outcome.platform);
-  for (int i = 0; i < 8; ++i) {
-    Packet probe = Packet::MakeUdp(Ipv4Address::MustParse("10.0.0.1"),
-                                   deployed.outcome.module_addr, 1234, 80, 32);
-    box->HandlePacket(probe);
-  }
-  clock.RunUntil(clock.now() + sim::FromSeconds(1));
-  box->ExportMetrics(&obs::Registry());
-  orch.engine().ledger().ExportHeadroomGauges();
-  obs::Health().EvaluateAll();
-  obs::Tracer().ExportMetrics(&obs::Registry());
-
-  std::vector<Instrument> instruments;
-  {
-    obs::json::Value dump = obs::Registry().ToJson();
-    instruments = ParseInstruments(*dump.Find("metrics"));
-  }
-  std::printf("innet_top — live run of %s -> %s (%zu instruments)\n\n", config_path.c_str(),
-              deployed.outcome.platform.c_str(), instruments.size());
-  RenderTenants(instruments, nullptr);
-  RenderPlatforms(instruments);
-  RenderControlPlane(instruments);
-  RenderRegions(instruments);
-  RenderTotals(instruments);
-  RenderTraceSummary(obs::Tracer().ToJson());
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1046,8 +977,6 @@ int main(int argc, char** argv) {
   std::string timeseries_path;
   std::string fleet_path;
   std::string int_path;
-  std::string run_config;
-  std::string placement_policy;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--metrics" && i + 1 < argc) {
@@ -1064,10 +993,6 @@ int main(int argc, char** argv) {
       fleet_path = argv[++i];
     } else if (arg == "--int" && i + 1 < argc) {
       int_path = argv[++i];
-    } else if (arg == "--run" && i + 1 < argc) {
-      run_config = argv[++i];
-    } else if (arg == "--placement-policy" && i + 1 < argc) {
-      placement_policy = argv[++i];
     } else {
       std::fprintf(stderr,
                    "usage: %s --metrics FILE [--trace FILE] [--health FILE] "
@@ -1075,20 +1000,15 @@ int main(int argc, char** argv) {
                    "       %s --postmortem FILE\n"
                    "       %s --timeseries FILE\n"
                    "       %s --fleet FILE\n"
-                   "       %s --int FILE\n"
-                   "       %s --run CONFIG [--placement-policy POLICY]\n",
-                   argv[0], argv[0], argv[0], argv[0], argv[0], argv[0]);
+                   "       %s --int FILE\n",
+                   argv[0], argv[0], argv[0], argv[0], argv[0]);
       return 2;
     }
-  }
-  if (!run_config.empty()) {
-    return RunLive(run_config, placement_policy);
   }
   if (metrics_path.empty() && postmortem_path.empty() && timeseries_path.empty() &&
       fleet_path.empty() && int_path.empty()) {
     std::fprintf(stderr,
-                 "one of --metrics, --postmortem, --timeseries, --fleet, --int, or --run is "
-                 "required\n");
+                 "one of --metrics, --postmortem, --timeseries, --fleet, or --int is required\n");
     return 2;
   }
   return RenderFromFiles(metrics_path, trace_path, health_path, postmortem_path,
