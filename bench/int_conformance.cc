@@ -14,9 +14,8 @@
 // one time-series sampling window of the mutation.
 //
 // Emits BENCH_int_conformance.json: clean/violation phase counters, per-hop
-// latency series for the regression gate, the collector dump, the health
-// report, and the windowed time series. Byte-deterministic: everything rides
-// the sim clock.
+// latency series, the collector dump, the health report, and the windowed
+// time series. Byte-deterministic: everything rides the sim clock.
 #include <cstdio>
 #include <string>
 #include <vector>
