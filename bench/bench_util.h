@@ -6,7 +6,6 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "src/obs/json.h"
 #include "src/obs/metrics.h"
