@@ -8,7 +8,7 @@
 //   innet_top --timeseries FILE
 //   innet_top --int FILE
 //
-// Offline mode reads a metrics dump (either the registry's native
+// --metrics reads a metrics dump (either the registry's native
 // {"metrics": [...]} shape, or a bench snapshot whose results embed one under
 // results.metrics, e.g. BENCH_placement_scaling.json) and renders per-tenant
 // health/latency/drop rows, per-platform utilization rows, and the fleet
@@ -34,9 +34,9 @@
 // --health-out and pass the files here.
 //
 // All output derives from the dump contents: the same input always renders
-// byte-identical tables. A missing,
-// truncated, or shape-mismatched dump degrades to a per-section "no data"
-// line — partial telemetry never turns into an error or garbage rows.
+// byte-identical tables. A missing, truncated, or shape-mismatched dump
+// degrades to a per-section "no data" line — partial telemetry never turns
+// into an error or garbage rows.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
