@@ -78,8 +78,8 @@ int main() {
   note.SetPayload("you have mail");
   std::printf("t=0 s: notification sent to the module (%s)\n", note.Describe().c_str());
   graph->InjectAtSource(note);
-  std::printf("        ... batcher holds it (queue=%zu) ...\n",
-              graph->FindAs<click::TimedUnqueue>("batcher")->queued());
+  std::printf("        ... batcher holds it (queue=%llu) ...\n",
+              static_cast<unsigned long long>(graph->Find("batcher")->queue_depth()));
   clock.RunUntil(sim::FromSeconds(121));
   std::printf("done: %llu packet(s) delivered to the client\n",
               static_cast<unsigned long long>(egress->packet_count()));

@@ -13,10 +13,11 @@
 // the body with element names prefixed "<instance>." and the body's
 // input/output pseudo-ports spliced onto the instance's connections.
 //
-// The parser produces a pure AST (ConfigGraph); instantiation against the
-// element registry happens in src/click/graph.h. The same AST feeds the
-// symbolic model builder in src/symexec/, which is what lets the controller
-// analyze a configuration without running it.
+// The parser produces a pure AST (ConfigGraph). Both the runtime graph
+// (src/click/graph.h) and the symbolic model builder (src/symexec/) create its
+// elements through the registry; the model builder then runs each element's
+// Apply in place of its Push, which lets the controller analyze a
+// configuration without running it.
 #ifndef SRC_CLICK_CONFIG_PARSER_H_
 #define SRC_CLICK_CONFIG_PARSER_H_
 

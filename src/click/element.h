@@ -4,6 +4,10 @@
 // The engine is push-based: upstream elements call Output(port).Push(packet),
 // and packets are modified in place. Elements that hold packets (queues,
 // batchers) copy them; Packet is a value type.
+//
+// Every element is also its own symbolic model (src/symexec/model.h): the
+// controller verifies a configuration by running each element's Apply, the
+// abstract transfer function of its Push, over symbolic packets.
 #ifndef SRC_CLICK_ELEMENT_H_
 #define SRC_CLICK_ELEMENT_H_
 
@@ -15,11 +19,16 @@
 
 #include "src/netcore/packet.h"
 #include "src/sim/event_queue.h"
+#include "src/symexec/model.h"
 
 namespace innet::click {
 
 class Element;
 class GraphProfiler;
+
+using symexec::ModelContext;
+using symexec::SymbolicPacket;
+using symexec::Transitions;
 
 // Where an element's output port points.
 struct PortTarget {
@@ -44,10 +53,11 @@ struct ElementContext {
   PacketTraceHook trace;
 };
 
-class Element {
+// Apply (from SymbolicModel) reads only what Configure parsed, never the
+// state Push keeps, so one configured element serves both the runtime graph
+// and the symbolic graph.
+class Element : public symexec::SymbolicModel {
  public:
-  virtual ~Element() = default;
-
   // Class name, e.g. "IPFilter".
   virtual std::string_view class_name() const = 0;
 

@@ -9,6 +9,11 @@
 namespace innet::click {
 namespace {
 
+using symexec::ElseBranch;
+using symexec::EmitFlowSpecBranches;
+using symexec::SymbolicValue;
+using symexec::ValueSet;
+
 std::string Trim(const std::string& s) {
   size_t b = s.find_first_not_of(" \t\n\r");
   if (b == std::string::npos) {
@@ -77,6 +82,11 @@ bool ParsePort(const std::string& s, uint16_t* out) {
 
 void FromNetfront::Push(int /*port*/, Packet& packet) { ForwardTo(0, packet); }
 
+void FromNetfront::Apply(ModelContext* /*ctx*/, const SymbolicPacket& packet, int /*in_port*/,
+                         Transitions* out) {
+  out->push_back({0, packet});
+}
+
 void ToNetfront::Push(int /*port*/, Packet& packet) {
   ++packet_count_;
   byte_count_ += packet.length();
@@ -90,7 +100,15 @@ void ToNetfront::Push(int /*port*/, Packet& packet) {
   }
 }
 
+void ToNetfront::Apply(ModelContext* /*ctx*/, const SymbolicPacket& packet, int /*in_port*/,
+                       Transitions* out) {
+  out->push_back({symexec::kPortDeliver, packet});
+}
+
 void Discard::Push(int /*port*/, Packet& /*packet*/) { ++packet_count_; }
+
+void Discard::Apply(ModelContext* /*ctx*/, const SymbolicPacket& /*packet*/, int /*in_port*/,
+                    Transitions* /*out*/) {}
 
 // --- Pass-through utilities -------------------------------------------------------
 
@@ -98,6 +116,11 @@ void Counter::Push(int /*port*/, Packet& packet) {
   ++packet_count_;
   byte_count_ += packet.length();
   ForwardTo(0, packet);
+}
+
+void Counter::Apply(ModelContext* /*ctx*/, const SymbolicPacket& packet, int /*in_port*/,
+                    Transitions* out) {
+  out->push_back({0, packet});
 }
 
 bool Tee::Configure(const std::string& args, std::string* error) {
@@ -125,6 +148,13 @@ void Tee::Push(int /*port*/, Packet& packet) {
     ForwardTo(i, copy);
   }
   ForwardTo(0, packet);
+}
+
+void Tee::Apply(ModelContext* /*ctx*/, const SymbolicPacket& packet, int /*in_port*/,
+                Transitions* out) {
+  for (int i = 0; i < n_outputs(); ++i) {
+    out->push_back({i, packet});
+  }
 }
 
 // --- Classification ---------------------------------------------------------------
@@ -178,6 +208,20 @@ void IPFilter::Push(int /*port*/, Packet& packet) {
   CountDrop();  // Click's IPFilter drops unmatched packets.
 }
 
+void IPFilter::Apply(ModelContext* ctx, const SymbolicPacket& packet, int /*in_port*/,
+                     Transitions* out) {
+  SymbolicPacket remaining = packet;
+  for (const Rule& rule : rules_) {
+    if (!remaining.feasible()) {
+      break;
+    }
+    if (rule.allow) {
+      EmitFlowSpecBranches(ctx, remaining, rule.spec, 0, out);
+    }
+    remaining = ElseBranch(remaining, rule.spec);
+  }
+}
+
 bool IPClassifier::Configure(const std::string& args, std::string* error) {
   for (const std::string& pattern_text : SplitArgs(args)) {
     if (pattern_text == "-") {
@@ -207,6 +251,11 @@ void IPClassifier::Push(int /*port*/, Packet& packet) {
     }
   }
   CountDrop();
+}
+
+void IPClassifier::Apply(ModelContext* ctx, const SymbolicPacket& packet, int /*in_port*/,
+                         Transitions* out) {
+  symexec::EmitClassifierBranches(ctx, packet, patterns_, out);
 }
 
 // --- Header rewriting ---------------------------------------------------------------
@@ -268,6 +317,24 @@ void IPRewriter::Push(int /*port*/, Packet& packet) {
   ForwardTo(0, packet);
 }
 
+void IPRewriter::Apply(ModelContext* /*ctx*/, const SymbolicPacket& packet, int /*in_port*/,
+                       Transitions* out) {
+  SymbolicPacket next = packet;
+  if (new_src_) {
+    next.SetConst(HeaderField::kIpSrc, new_src_->value());
+  }
+  if (new_dst_) {
+    next.SetConst(HeaderField::kIpDst, new_dst_->value());
+  }
+  if (new_sport_) {
+    next.SetConst(HeaderField::kSrcPort, *new_sport_);
+  }
+  if (new_dport_) {
+    next.SetConst(HeaderField::kDstPort, *new_dport_);
+  }
+  out->push_back({0, std::move(next)});
+}
+
 bool SetIPSrc::Configure(const std::string& args, std::string* error) {
   auto addr = Ipv4Address::Parse(Trim(args));
   if (!addr) {
@@ -282,6 +349,13 @@ void SetIPSrc::Push(int /*port*/, Packet& packet) {
   packet.set_ip_src(addr_);
   packet.RefreshChecksums();
   ForwardTo(0, packet);
+}
+
+void SetIPSrc::Apply(ModelContext* /*ctx*/, const SymbolicPacket& packet, int /*in_port*/,
+                     Transitions* out) {
+  SymbolicPacket next = packet;
+  next.SetConst(HeaderField::kIpSrc, addr_.value());
+  out->push_back({0, std::move(next)});
 }
 
 bool SetIPDst::Configure(const std::string& args, std::string* error) {
@@ -300,6 +374,13 @@ void SetIPDst::Push(int /*port*/, Packet& packet) {
   ForwardTo(0, packet);
 }
 
+void SetIPDst::Apply(ModelContext* /*ctx*/, const SymbolicPacket& packet, int /*in_port*/,
+                     Transitions* out) {
+  SymbolicPacket next = packet;
+  next.SetConst(HeaderField::kIpDst, addr_.value());
+  out->push_back({0, std::move(next)});
+}
+
 void DecIPTTL::Push(int /*port*/, Packet& packet) {
   if (!packet.DecrementTtl()) {
     CountDrop();
@@ -309,12 +390,26 @@ void DecIPTTL::Push(int /*port*/, Packet& packet) {
   ForwardTo(0, packet);
 }
 
+void DecIPTTL::Apply(ModelContext* ctx, const SymbolicPacket& packet, int /*in_port*/,
+                     Transitions* out) {
+  SymbolicPacket next = packet;
+  // We do not model arithmetic; a decrement is a redefinition, which is all
+  // invariant checking needs.
+  next.SetFresh(HeaderField::kTtl, ctx->vars);
+  out->push_back({0, std::move(next)});
+}
+
 void CheckIPHeader::Push(int /*port*/, Packet& packet) {
   if (!packet.VerifyIpChecksum()) {
     CountDrop();
     return;
   }
   ForwardTo(0, packet);
+}
+
+void CheckIPHeader::Apply(ModelContext* /*ctx*/, const SymbolicPacket& packet, int /*in_port*/,
+                          Transitions* out) {
+  out->push_back({0, packet});
 }
 
 // --- Queueing / batching --------------------------------------------------------------
@@ -368,6 +463,13 @@ void TimedUnqueue::Push(int /*port*/, Packet& packet) {
   }
 }
 
+void TimedUnqueue::Apply(ModelContext* /*ctx*/, const SymbolicPacket& packet, int /*in_port*/,
+                         Transitions* out) {
+  // A batcher delays but never rewrites, so header and payload invariants
+  // hold across it.
+  out->push_back({0, packet});
+}
+
 void TimedUnqueue::Fire() {
   for (int i = 0; i < burst_ && !queue_.empty(); ++i) {
     Packet packet = std::move(queue_.front());
@@ -411,6 +513,11 @@ void Queue::Push(int /*port*/, Packet& packet) {
   --depth_;
 }
 
+void Queue::Apply(ModelContext* /*ctx*/, const SymbolicPacket& packet, int /*in_port*/,
+                  Transitions* out) {
+  out->push_back({0, packet});
+}
+
 // --- Stateful / security -----------------------------------------------------------
 
 bool ChangeEnforcer::Configure(const std::string& args, std::string* error) {
@@ -429,7 +536,7 @@ bool ChangeEnforcer::Configure(const std::string& args, std::string* error) {
           *error = "ChangeEnforcer: bad whitelist address '" + words[i] + "'";
           return false;
         }
-        whitelist_.insert(addr->value());
+        whitelist_ = whitelist_.Union(ValueSet::Single(addr->value()));
       }
     } else if (words[0] == "TIMEOUT" && words.size() == 2) {
       try {
@@ -457,7 +564,7 @@ void ChangeEnforcer::Push(int port, Packet& packet) {
   }
   // Outbound: enforce default-off.
   uint32_t dst = packet.ip_dst().value();
-  if (whitelist_.count(dst) != 0) {
+  if (whitelist_.Contains(dst)) {
     ForwardTo(1, packet);
     return;
   }
@@ -470,9 +577,37 @@ void ChangeEnforcer::Push(int port, Packet& packet) {
   CountDrop();
 }
 
+void ChangeEnforcer::Apply(ModelContext* /*ctx*/, const SymbolicPacket& packet, int in_port,
+                           Transitions* out) {
+  if (in_port == 0) {
+    out->push_back({0, packet});  // inbound records state; folded into the flow
+    return;
+  }
+  // Outbound branch A: destination in the whitelist.
+  if (!whitelist_.IsEmpty()) {
+    SymbolicPacket branch = packet;
+    if (branch.Constrain(HeaderField::kIpDst, whitelist_)) {
+      out->push_back({1, std::move(branch)});
+    }
+  }
+  // Outbound branch B: response to an authorized peer — the destination is
+  // the value the ingress source carried (implicit authorization).
+  if (packet.ingress_var(HeaderField::kIpSrc) != symexec::kNoVar) {
+    SymbolicPacket branch = packet;
+    branch.SetValue(HeaderField::kIpDst,
+                    SymbolicValue::Var(packet.ingress_var(HeaderField::kIpSrc)));
+    out->push_back({1, std::move(branch)});
+  }
+}
+
 void FlowMeter::Push(int /*port*/, Packet& packet) {
   ++flows_[packet.FlowKey()];
   ForwardTo(0, packet);
+}
+
+void FlowMeter::Apply(ModelContext* /*ctx*/, const SymbolicPacket& packet, int /*in_port*/,
+                      Transitions* out) {
+  out->push_back({0, packet});
 }
 
 bool RateLimiter::Configure(const std::string& args, std::string* error) {
@@ -510,6 +645,12 @@ void RateLimiter::Push(int /*port*/, Packet& packet) {
   }
 }
 
+void RateLimiter::Apply(ModelContext* /*ctx*/, const SymbolicPacket& packet, int /*in_port*/,
+                        Transitions* out) {
+  // Any packet may conform; a drop is no new path.
+  out->push_back({0, packet});
+}
+
 // --- Middlebox building blocks --------------------------------------------------------
 
 bool ContentMatch::Configure(const std::string& args, std::string* error) {
@@ -532,6 +673,13 @@ void ContentMatch::Push(int /*port*/, Packet& packet) {
   } else {
     ForwardTo(0, packet);
   }
+}
+
+void ContentMatch::Apply(ModelContext* /*ctx*/, const SymbolicPacket& packet, int /*in_port*/,
+                         Transitions* out) {
+  // The payload is opaque: both outcomes are possible.
+  out->push_back({0, packet});
+  out->push_back({1, packet});
 }
 
 bool UDPTunnelEncap::Configure(const std::string& args, std::string* error) {
@@ -566,6 +714,18 @@ void UDPTunnelEncap::Push(int /*port*/, Packet& packet) {
   ForwardTo(0, outer);
 }
 
+void UDPTunnelEncap::Apply(ModelContext* ctx, const SymbolicPacket& packet, int /*in_port*/,
+                           Transitions* out) {
+  SymbolicPacket next = packet;
+  next.SetConst(HeaderField::kIpSrc, src_.value());
+  next.SetConst(HeaderField::kIpDst, dst_.value());
+  next.SetConst(HeaderField::kProto, kProtoUdp);
+  next.SetConst(HeaderField::kSrcPort, port_);
+  next.SetConst(HeaderField::kDstPort, port_);
+  next.SetFresh(HeaderField::kPayload, ctx->vars);  // inner packet rides inside
+  out->push_back({0, std::move(next)});
+}
+
 void UDPTunnelDecap::Push(int /*port*/, Packet& packet) {
   if (packet.protocol() != kProtoUdp || packet.payload_length() < kIpHeaderLen) {
     CountDrop();
@@ -585,6 +745,24 @@ void UDPTunnelDecap::Push(int /*port*/, Packet& packet) {
   }
   inner.set_timestamp_ns(packet.timestamp_ns());
   ForwardTo(0, inner);
+}
+
+void UDPTunnelDecap::Apply(ModelContext* ctx, const SymbolicPacket& packet, int /*in_port*/,
+                           Transitions* out) {
+  SymbolicPacket next = packet;
+  if (!next.Constrain(HeaderField::kProto, ValueSet::Single(kProtoUdp))) {
+    return;
+  }
+  // Everything about the inner packet is decided at runtime by the tunnel
+  // payload — fresh unknowns. This is precisely why Table 1 gives tunnels a
+  // sandbox verdict for third parties.
+  next.SetFresh(HeaderField::kIpSrc, ctx->vars);
+  next.SetFresh(HeaderField::kIpDst, ctx->vars);
+  next.SetFresh(HeaderField::kProto, ctx->vars);
+  next.SetFresh(HeaderField::kSrcPort, ctx->vars);
+  next.SetFresh(HeaderField::kDstPort, ctx->vars);
+  next.SetFresh(HeaderField::kPayload, ctx->vars);
+  out->push_back({0, std::move(next)});
 }
 
 bool LinearIPLookup::Configure(const std::string& args, std::string* error) {
@@ -620,22 +798,40 @@ bool LinearIPLookup::Configure(const std::string& args, std::string* error) {
     max_port = std::max(max_port, route.out_port);
   }
   SetPorts(1, max_port + 1);
+  std::stable_sort(routes_.begin(), routes_.end(), [](const Route& a, const Route& b) {
+    return a.prefix.length() > b.prefix.length();
+  });
   return true;
 }
 
 void LinearIPLookup::Push(int /*port*/, Packet& packet) {
-  const Route* best = nullptr;
   for (const Route& route : routes_) {
-    if (route.prefix.Contains(packet.ip_dst()) &&
-        (best == nullptr || route.prefix.length() > best->prefix.length())) {
-      best = &route;
+    if (route.prefix.Contains(packet.ip_dst())) {
+      ForwardTo(route.out_port, packet);
+      return;
     }
   }
-  if (best == nullptr) {
-    CountDrop();
-    return;
+  CountDrop();
+}
+
+void LinearIPLookup::Apply(ModelContext* /*ctx*/, const SymbolicPacket& packet, int /*in_port*/,
+                           Transitions* out) {
+  // Subtracting each route in longest-first order implements LPM.
+  ValueSet remaining = packet.PossibleValues(HeaderField::kIpDst);
+  for (const Route& route : routes_) {
+    ValueSet range = ValueSet::FromPrefix(route.prefix);
+    ValueSet matched = remaining.Intersect(range);
+    if (!matched.IsEmpty()) {
+      SymbolicPacket branch = packet;
+      if (branch.Constrain(HeaderField::kIpDst, matched)) {
+        out->push_back({route.out_port, std::move(branch)});
+      }
+    }
+    remaining = remaining.Subtract(range);
+    if (remaining.IsEmpty()) {
+      break;
+    }
   }
-  ForwardTo(best->out_port, packet);
 }
 
 bool NatRewriter::Configure(const std::string& args, std::string* error) {
@@ -686,6 +882,23 @@ void NatRewriter::Push(int port, Packet& packet) {
   ForwardTo(1, packet);
 }
 
+void NatRewriter::Apply(ModelContext* ctx, const SymbolicPacket& packet, int in_port,
+                        Transitions* out) {
+  SymbolicPacket next = packet;
+  if (in_port == 0) {
+    // Outbound: source-NAT to the public address.
+    next.SetConst(HeaderField::kIpSrc, public_addr_.value());
+    next.SetFresh(HeaderField::kSrcPort, ctx->vars);
+    out->push_back({0, std::move(next)});
+    return;
+  }
+  // Inbound: the restored destination comes from NAT state, unknown at
+  // install time.
+  next.SetFresh(HeaderField::kIpDst, ctx->vars);
+  next.SetFresh(HeaderField::kDstPort, ctx->vars);
+  out->push_back({1, std::move(next)});
+}
+
 // --- Stock processing modules -----------------------------------------------------------
 
 void DnsGeoServer::Push(int /*port*/, Packet& packet) {
@@ -701,6 +914,25 @@ void DnsGeoServer::Push(int /*port*/, Packet& packet) {
   packet.set_dst_port(client_port);
   packet.RefreshChecksums();
   ForwardTo(0, packet);
+}
+
+void DnsGeoServer::Apply(ModelContext* /*ctx*/, const SymbolicPacket& packet, int /*in_port*/,
+                         Transitions* out) {
+  SymbolicPacket next = packet;
+  if (!next.Constrain(HeaderField::kProto, ValueSet::Single(kProtoUdp)) ||
+      !next.Constrain(HeaderField::kDstPort, ValueSet::Single(53))) {
+    return;
+  }
+  // Respond to the requester: swap addresses and ports.
+  SymbolicValue old_src = next.value(HeaderField::kIpSrc);
+  SymbolicValue old_dst = next.value(HeaderField::kIpDst);
+  SymbolicValue old_sport = next.value(HeaderField::kSrcPort);
+  next.SetValue(HeaderField::kIpSrc, old_dst);
+  next.SetValue(HeaderField::kIpDst, old_src);
+  next.SetConst(HeaderField::kSrcPort, 53);
+  next.SetValue(HeaderField::kDstPort, old_sport);
+  // The answer payload is generated by the server.
+  out->push_back({0, std::move(next)});
 }
 
 bool ReverseProxy::Configure(const std::string& args, std::string* error) {
@@ -763,8 +995,55 @@ void ReverseProxy::Push(int /*port*/, Packet& packet) {
   ForwardTo(1, packet);
 }
 
+void ReverseProxy::Apply(ModelContext* ctx, const SymbolicPacket& packet, int /*in_port*/,
+                         Transitions* out) {
+  // Hit: reply to the requester as ourselves.
+  {
+    SymbolicPacket hit = packet;
+    SymbolicValue requester = hit.value(HeaderField::kIpSrc);
+    SymbolicValue req_port = hit.value(HeaderField::kSrcPort);
+    hit.SetConst(HeaderField::kIpSrc, self_.value());
+    hit.SetValue(HeaderField::kIpDst, requester);
+    hit.SetConst(HeaderField::kSrcPort, 80);
+    hit.SetValue(HeaderField::kDstPort, req_port);
+    hit.SetFresh(HeaderField::kPayload, ctx->vars);
+    out->push_back({0, std::move(hit)});
+  }
+  // Miss: fetch from the whitelisted origin, as ourselves.
+  {
+    SymbolicPacket miss = packet;
+    miss.SetConst(HeaderField::kIpSrc, self_.value());
+    miss.SetConst(HeaderField::kIpDst, origin_.value());
+    miss.SetConst(HeaderField::kDstPort, 80);
+    out->push_back({1, std::move(miss)});
+  }
+}
+
 void X86Vm::Push(int /*port*/, Packet& packet) { ForwardTo(0, packet); }
 
+void X86Vm::Apply(ModelContext* ctx, const SymbolicPacket& packet, int /*in_port*/,
+                  Transitions* out) {
+  // An arbitrary x86 VM: every field may be anything on egress.
+  SymbolicPacket next = packet;
+  next.SetFresh(HeaderField::kIpSrc, ctx->vars);
+  next.SetFresh(HeaderField::kIpDst, ctx->vars);
+  next.SetFresh(HeaderField::kProto, ctx->vars);
+  next.SetFresh(HeaderField::kTtl, ctx->vars);
+  next.SetFresh(HeaderField::kSrcPort, ctx->vars);
+  next.SetFresh(HeaderField::kDstPort, ctx->vars);
+  next.SetFresh(HeaderField::kPayload, ctx->vars);
+  out->push_back({0, std::move(next)});
+}
+
 void TransparentProxy::Push(int /*port*/, Packet& packet) { ForwardTo(0, packet); }
+
+void TransparentProxy::Apply(ModelContext* ctx, const SymbolicPacket& packet, int /*in_port*/,
+                             Transitions* out) {
+  // Transit traffic passes with original addressing; the proxy may rewrite
+  // the application payload.
+  SymbolicPacket next = packet;
+  next.SetFresh(HeaderField::kPayload, ctx->vars);
+  out->push_back({0, std::move(next)});
+}
 
 }  // namespace innet::click

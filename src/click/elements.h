@@ -1,6 +1,6 @@
-// The built-in element library. Every class here has a matching symbolic
-// model in src/symexec/click_models.cc; the controller only admits
-// configurations whose classes appear in both.
+// The built-in element library. Each class defines its runtime Push and its
+// symbolic Apply side by side (elements.cc); Apply is pure virtual in the
+// base, so a class without a model does not compile.
 #ifndef SRC_CLICK_ELEMENTS_H_
 #define SRC_CLICK_ELEMENTS_H_
 
@@ -9,7 +9,6 @@
 #include <functional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/click/element.h"
@@ -26,6 +25,7 @@ class FromNetfront : public Element {
   FromNetfront() { SetPorts(1, 1); }
   std::string_view class_name() const override { return "FromNetfront"; }
   void Push(int port, Packet& packet) override;
+  void Apply(ModelContext*, const SymbolicPacket&, int, Transitions*) override;
 };
 
 // Egress to the platform's virtual NIC. Counts traffic; the platform attaches
@@ -36,6 +36,7 @@ class ToNetfront : public Element {
   ToNetfront() { SetPorts(1, 0); }
   std::string_view class_name() const override { return "ToNetfront"; }
   void Push(int port, Packet& packet) override;
+  void Apply(ModelContext*, const SymbolicPacket&, int, Transitions*) override;
 
   void set_handler(Handler handler) { handler_ = std::move(handler); }
   uint64_t packet_count() const { return packet_count_; }
@@ -52,6 +53,7 @@ class Discard : public Element {
   Discard() { SetPorts(1, 0); }
   std::string_view class_name() const override { return "Discard"; }
   void Push(int port, Packet& packet) override;
+  void Apply(ModelContext*, const SymbolicPacket&, int, Transitions*) override;
   uint64_t packet_count() const { return packet_count_; }
 
  private:
@@ -64,6 +66,7 @@ class Counter : public Element {
  public:
   std::string_view class_name() const override { return "Counter"; }
   void Push(int port, Packet& packet) override;
+  void Apply(ModelContext*, const SymbolicPacket&, int, Transitions*) override;
   uint64_t packet_count() const { return packet_count_; }
   uint64_t byte_count() const { return byte_count_; }
 
@@ -78,6 +81,7 @@ class Tee : public Element {
   std::string_view class_name() const override { return "Tee"; }
   bool Configure(const std::string& args, std::string* error) override;
   void Push(int port, Packet& packet) override;
+  void Apply(ModelContext*, const SymbolicPacket&, int, Transitions*) override;
 };
 
 // --- Classification -----------------------------------------------------------
@@ -89,12 +93,12 @@ class IPFilter : public Element {
   std::string_view class_name() const override { return "IPFilter"; }
   bool Configure(const std::string& args, std::string* error) override;
   void Push(int port, Packet& packet) override;
+  void Apply(ModelContext*, const SymbolicPacket&, int, Transitions*) override;
 
   struct Rule {
     bool allow;
     FlowSpec spec;  // wildcard spec encodes "all"
   };
-  const std::vector<Rule>& rules() const { return rules_; }
 
  private:
   std::vector<Rule> rules_;
@@ -107,7 +111,7 @@ class IPClassifier : public Element {
   std::string_view class_name() const override { return "IPClassifier"; }
   bool Configure(const std::string& args, std::string* error) override;
   void Push(int port, Packet& packet) override;
-  const std::vector<FlowSpec>& patterns() const { return patterns_; }
+  void Apply(ModelContext*, const SymbolicPacket&, int, Transitions*) override;
 
  private:
   std::vector<FlowSpec> patterns_;
@@ -130,11 +134,7 @@ class IPRewriter : public Element {
   std::string_view class_name() const override { return "IPRewriter"; }
   bool Configure(const std::string& args, std::string* error) override;
   void Push(int port, Packet& packet) override;
-
-  const std::optional<Ipv4Address>& new_src() const { return new_src_; }
-  const std::optional<Ipv4Address>& new_dst() const { return new_dst_; }
-  const std::optional<uint16_t>& new_sport() const { return new_sport_; }
-  const std::optional<uint16_t>& new_dport() const { return new_dport_; }
+  void Apply(ModelContext*, const SymbolicPacket&, int, Transitions*) override;
 
  private:
   std::optional<Ipv4Address> new_src_;
@@ -148,7 +148,7 @@ class SetIPSrc : public Element {
   std::string_view class_name() const override { return "SetIPSrc"; }
   bool Configure(const std::string& args, std::string* error) override;
   void Push(int port, Packet& packet) override;
-  Ipv4Address addr() const { return addr_; }
+  void Apply(ModelContext*, const SymbolicPacket&, int, Transitions*) override;
 
  private:
   Ipv4Address addr_;
@@ -159,7 +159,7 @@ class SetIPDst : public Element {
   std::string_view class_name() const override { return "SetIPDst"; }
   bool Configure(const std::string& args, std::string* error) override;
   void Push(int port, Packet& packet) override;
-  Ipv4Address addr() const { return addr_; }
+  void Apply(ModelContext*, const SymbolicPacket&, int, Transitions*) override;
 
  private:
   Ipv4Address addr_;
@@ -169,12 +169,14 @@ class DecIPTTL : public Element {
  public:
   std::string_view class_name() const override { return "DecIPTTL"; }
   void Push(int port, Packet& packet) override;
+  void Apply(ModelContext*, const SymbolicPacket&, int, Transitions*) override;
 };
 
 class CheckIPHeader : public Element {
  public:
   std::string_view class_name() const override { return "CheckIPHeader"; }
   void Push(int port, Packet& packet) override;
+  void Apply(ModelContext*, const SymbolicPacket&, int, Transitions*) override;
 };
 
 // --- Queueing / batching --------------------------------------------------------
@@ -188,10 +190,7 @@ class TimedUnqueue : public Element {
   bool Configure(const std::string& args, std::string* error) override;
   void Initialize(ElementContext* context) override;
   void Push(int port, Packet& packet) override;
-
-  double interval_sec() const { return interval_sec_; }
-  int burst() const { return burst_; }
-  size_t queued() const { return queue_.size(); }
+  void Apply(ModelContext*, const SymbolicPacket&, int, Transitions*) override;
   uint64_t queue_depth() const override { return queue_.size(); }
 
  private:
@@ -211,6 +210,7 @@ class Queue : public Element {
   std::string_view class_name() const override { return "Queue"; }
   bool Configure(const std::string& args, std::string* error) override;
   void Push(int port, Packet& packet) override;
+  void Apply(ModelContext*, const SymbolicPacket&, int, Transitions*) override;
   uint64_t queue_depth() const override { return depth_; }
 
  private:
@@ -232,13 +232,13 @@ class ChangeEnforcer : public Element {
   std::string_view class_name() const override { return "ChangeEnforcer"; }
   bool Configure(const std::string& args, std::string* error) override;
   void Push(int port, Packet& packet) override;
+  void Apply(ModelContext*, const SymbolicPacket&, int, Transitions*) override;
 
   uint64_t blocked_count() const { return blocked_; }
-  const std::unordered_set<uint32_t>& whitelist() const { return whitelist_; }
 
  private:
   std::unordered_map<uint32_t, uint64_t> peers_;  // addr -> last-seen ns
-  std::unordered_set<uint32_t> whitelist_;
+  symexec::ValueSet whitelist_;
   uint64_t timeout_ns_ = 60ull * 1'000'000'000ull;
   uint64_t blocked_ = 0;
 };
@@ -249,6 +249,7 @@ class FlowMeter : public Element {
  public:
   std::string_view class_name() const override { return "FlowMeter"; }
   void Push(int port, Packet& packet) override;
+  void Apply(ModelContext*, const SymbolicPacket&, int, Transitions*) override;
   size_t flow_count() const { return flows_.size(); }
 
  private:
@@ -262,6 +263,7 @@ class RateLimiter : public Element {
   std::string_view class_name() const override { return "RateLimiter"; }
   bool Configure(const std::string& args, std::string* error) override;
   void Push(int port, Packet& packet) override;
+  void Apply(ModelContext*, const SymbolicPacket&, int, Transitions*) override;
 
  private:
   double rate_bps_ = 1e9;
@@ -280,6 +282,7 @@ class ContentMatch : public Element {
   std::string_view class_name() const override { return "ContentMatch"; }
   bool Configure(const std::string& args, std::string* error) override;
   void Push(int port, Packet& packet) override;
+  void Apply(ModelContext*, const SymbolicPacket&, int, Transitions*) override;
   uint64_t match_count() const { return match_count_; }
 
  private:
@@ -294,10 +297,7 @@ class UDPTunnelEncap : public Element {
   std::string_view class_name() const override { return "UDPTunnelEncap"; }
   bool Configure(const std::string& args, std::string* error) override;
   void Push(int port, Packet& packet) override;
-
-  Ipv4Address src() const { return src_; }
-  Ipv4Address dst() const { return dst_; }
-  uint16_t tunnel_port() const { return port_; }
+  void Apply(ModelContext*, const SymbolicPacket&, int, Transitions*) override;
 
  private:
   Ipv4Address src_;
@@ -312,6 +312,7 @@ class UDPTunnelDecap : public Element {
  public:
   std::string_view class_name() const override { return "UDPTunnelDecap"; }
   void Push(int port, Packet& packet) override;
+  void Apply(ModelContext*, const SymbolicPacket&, int, Transitions*) override;
 };
 
 // LinearIPLookup(prefix out, prefix out, ...): longest-prefix routing onto N
@@ -321,14 +322,17 @@ class LinearIPLookup : public Element {
   std::string_view class_name() const override { return "LinearIPLookup"; }
   bool Configure(const std::string& args, std::string* error) override;
   void Push(int port, Packet& packet) override;
+  void Apply(ModelContext*, const SymbolicPacket&, int, Transitions*) override;
 
   struct Route {
     Ipv4Prefix prefix;
     int out_port;
   };
-  const std::vector<Route>& routes() const { return routes_; }
 
  private:
+  // Longest prefix first, equal lengths in configuration order: Push takes
+  // the first route that contains the destination, and Apply subtracts each
+  // route from the destinations left, in this one order.
   std::vector<Route> routes_;
 };
 
@@ -341,7 +345,7 @@ class NatRewriter : public Element {
   std::string_view class_name() const override { return "NatRewriter"; }
   bool Configure(const std::string& args, std::string* error) override;
   void Push(int port, Packet& packet) override;
-  Ipv4Address public_addr() const { return public_addr_; }
+  void Apply(ModelContext*, const SymbolicPacket&, int, Transitions*) override;
 
  private:
   Ipv4Address public_addr_;
@@ -359,6 +363,7 @@ class DnsGeoServer : public Element {
  public:
   std::string_view class_name() const override { return "DnsGeoServer"; }
   void Push(int port, Packet& packet) override;
+  void Apply(ModelContext*, const SymbolicPacket&, int, Transitions*) override;
 };
 
 // ReverseProxy(SELF self, ORIGIN origin): serves cached responses back to the
@@ -370,9 +375,7 @@ class ReverseProxy : public Element {
   std::string_view class_name() const override { return "ReverseProxy"; }
   bool Configure(const std::string& args, std::string* error) override;
   void Push(int port, Packet& packet) override;
-
-  Ipv4Address self() const { return self_; }
-  Ipv4Address origin() const { return origin_; }
+  void Apply(ModelContext*, const SymbolicPacket&, int, Transitions*) override;
 
  private:
   Ipv4Address self_;
@@ -388,6 +391,7 @@ class X86Vm : public Element {
  public:
   std::string_view class_name() const override { return "X86Vm"; }
   void Push(int port, Packet& packet) override;
+  void Apply(ModelContext*, const SymbolicPacket&, int, Transitions*) override;
 };
 
 // TransparentProxy(): intercepts transit traffic and may rewrite payloads
@@ -397,6 +401,7 @@ class TransparentProxy : public Element {
  public:
   std::string_view class_name() const override { return "TransparentProxy"; }
   void Push(int port, Packet& packet) override;
+  void Apply(ModelContext*, const SymbolicPacket&, int, Transitions*) override;
 };
 
 }  // namespace innet::click

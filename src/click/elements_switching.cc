@@ -6,6 +6,9 @@
 namespace innet::click {
 namespace {
 
+using symexec::SymbolicValue;
+using symexec::ValueSet;
+
 bool ParseSmallInt(const std::string& text, int lo, int hi, int* out) {
   if (text.empty()) {
     return false;
@@ -45,6 +48,13 @@ void Paint::Push(int /*port*/, Packet& packet) {
   ForwardTo(0, packet);
 }
 
+void Paint::Apply(ModelContext* /*ctx*/, const SymbolicPacket& packet, int /*in_port*/,
+                  Transitions* out) {
+  SymbolicPacket next = packet;
+  next.SetConst(HeaderField::kPaint, color_);
+  out->push_back({0, std::move(next)});
+}
+
 bool PaintSwitch::Configure(const std::string& args, std::string* error) {
   int n = 0;
   if (!ParseSmallInt(Trimmed(args), 1, 256, &n)) {
@@ -63,6 +73,16 @@ void PaintSwitch::Push(int /*port*/, Packet& packet) {
   ForwardTo(packet.paint(), packet);
 }
 
+void PaintSwitch::Apply(ModelContext* /*ctx*/, const SymbolicPacket& packet, int /*in_port*/,
+                        Transitions* out) {
+  for (int i = 0; i < n_outputs(); ++i) {
+    SymbolicPacket branch = packet;
+    if (branch.Constrain(HeaderField::kPaint, ValueSet::Single(static_cast<uint64_t>(i)))) {
+      out->push_back({i, std::move(branch)});
+    }
+  }
+}
+
 bool RoundRobinSwitch::Configure(const std::string& args, std::string* error) {
   int n = 0;
   if (!ParseSmallInt(Trimmed(args), 1, 256, &n)) {
@@ -79,6 +99,15 @@ void RoundRobinSwitch::Push(int /*port*/, Packet& packet) {
   ForwardTo(out, packet);
 }
 
+void RoundRobinSwitch::Apply(ModelContext* /*ctx*/, const SymbolicPacket& packet, int /*in_port*/,
+                             Transitions* out) {
+  // The rotation is state the checker does not model: any output is
+  // possible, so every branch stays live (a sound over-approximation).
+  for (int i = 0; i < n_outputs(); ++i) {
+    out->push_back({i, packet});
+  }
+}
+
 bool HashSwitch::Configure(const std::string& args, std::string* error) {
   int n = 0;
   if (!ParseSmallInt(Trimmed(args), 1, 256, &n)) {
@@ -91,6 +120,14 @@ bool HashSwitch::Configure(const std::string& args, std::string* error) {
 
 void HashSwitch::Push(int /*port*/, Packet& packet) {
   ForwardTo(static_cast<int>(packet.FlowKey() % static_cast<uint64_t>(n_outputs())), packet);
+}
+
+void HashSwitch::Apply(ModelContext* /*ctx*/, const SymbolicPacket& packet, int /*in_port*/,
+                       Transitions* out) {
+  // Flow hashes are not modeled: every output stays live.
+  for (int i = 0; i < n_outputs(); ++i) {
+    out->push_back({i, packet});
+  }
 }
 
 bool RandomSample::Configure(const std::string& args, std::string* error) {
@@ -114,6 +151,13 @@ void RandomSample::Push(int /*port*/, Packet& packet) {
   ForwardTo(u < probability_ ? 0 : 1, packet);
 }
 
+void RandomSample::Apply(ModelContext* /*ctx*/, const SymbolicPacket& packet, int /*in_port*/,
+                         Transitions* out) {
+  // The draw is not modeled: both outputs stay live.
+  out->push_back({0, packet});
+  out->push_back({1, packet});
+}
+
 bool AddressDemux::Configure(const std::string& args, std::string* error) {
   std::string current;
   auto flush = [&]() -> bool {
@@ -127,8 +171,9 @@ bool AddressDemux::Configure(const std::string& args, std::string* error) {
       *error = "AddressDemux: bad address '" + addr_text + "'";
       return false;
     }
-    table_[addr->value()] = static_cast<int>(addresses_.size());
-    addresses_.push_back(*addr);
+    // A repeated address keeps its first output, as the first-match model does.
+    table_.emplace(addr->value(), static_cast<int>(patterns_.size()));
+    patterns_.push_back(FlowSpec::MustParse("dst host " + addr->ToString()));
     return true;
   };
   for (char c : args) {
@@ -143,11 +188,11 @@ bool AddressDemux::Configure(const std::string& args, std::string* error) {
   if (!flush()) {
     return false;
   }
-  if (addresses_.empty()) {
+  if (patterns_.empty()) {
     *error = "AddressDemux: needs at least one address";
     return false;
   }
-  SetPorts(1, static_cast<int>(addresses_.size()));
+  SetPorts(1, static_cast<int>(patterns_.size()));
   return true;
 }
 
@@ -158,6 +203,11 @@ void AddressDemux::Push(int /*port*/, Packet& packet) {
     return;
   }
   ForwardTo(it->second, packet);
+}
+
+void AddressDemux::Apply(ModelContext* ctx, const SymbolicPacket& packet, int /*in_port*/,
+                         Transitions* out) {
+  symexec::EmitClassifierBranches(ctx, packet, patterns_, out);
 }
 
 bool SetTTL::Configure(const std::string& args, std::string* error) {
@@ -176,6 +226,13 @@ void SetTTL::Push(int /*port*/, Packet& packet) {
   ForwardTo(0, packet);
 }
 
+void SetTTL::Apply(ModelContext* /*ctx*/, const SymbolicPacket& packet, int /*in_port*/,
+                   Transitions* out) {
+  SymbolicPacket next = packet;
+  next.SetConst(HeaderField::kTtl, ttl_);
+  out->push_back({0, std::move(next)});
+}
+
 void ICMPPingResponder::Push(int /*port*/, Packet& packet) {
   if (packet.protocol() != kProtoIcmp) {
     CountDrop();
@@ -186,6 +243,19 @@ void ICMPPingResponder::Push(int /*port*/, Packet& packet) {
                                       packet.dst_port(), /*is_reply=*/true);
   reply.set_timestamp_ns(packet.timestamp_ns());
   ForwardTo(0, reply);
+}
+
+void ICMPPingResponder::Apply(ModelContext* /*ctx*/, const SymbolicPacket& packet, int /*in_port*/,
+                              Transitions* out) {
+  SymbolicPacket next = packet;
+  if (!next.Constrain(HeaderField::kProto, ValueSet::Single(kProtoIcmp))) {
+    return;
+  }
+  SymbolicValue old_src = next.value(HeaderField::kIpSrc);
+  SymbolicValue old_dst = next.value(HeaderField::kIpDst);
+  next.SetValue(HeaderField::kIpSrc, old_dst);
+  next.SetValue(HeaderField::kIpDst, old_src);
+  out->push_back({0, std::move(next)});
 }
 
 bool ExplicitProxy::Configure(const std::string& args, std::string* error) {
@@ -238,6 +308,17 @@ void ExplicitProxy::Push(int /*port*/, Packet& packet) {
   packet.set_dst_port(static_cast<uint16_t>(port));
   packet.RefreshChecksums();
   ForwardTo(0, packet);
+}
+
+void ExplicitProxy::Apply(ModelContext* ctx, const SymbolicPacket& packet, int /*in_port*/,
+                          Transitions* out) {
+  // The proxy fetches as itself; the target comes from the request payload
+  // — a fresh unknown, decided at runtime.
+  SymbolicPacket next = packet;
+  next.SetConst(HeaderField::kIpSrc, self_.value());
+  next.SetFresh(HeaderField::kIpDst, ctx->vars);
+  next.SetFresh(HeaderField::kDstPort, ctx->vars);
+  out->push_back({0, std::move(next)});
 }
 
 }  // namespace innet::click

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/click/element.h"
+#include "src/netcore/flowspec.h"
 #include "src/netcore/ip.h"
 
 namespace innet::click {
@@ -19,7 +20,7 @@ class Paint : public Element {
   std::string_view class_name() const override { return "Paint"; }
   bool Configure(const std::string& args, std::string* error) override;
   void Push(int port, Packet& packet) override;
-  uint8_t color() const { return color_; }
+  void Apply(ModelContext*, const SymbolicPacket&, int, Transitions*) override;
 
  private:
   uint8_t color_ = 0;
@@ -32,6 +33,7 @@ class PaintSwitch : public Element {
   std::string_view class_name() const override { return "PaintSwitch"; }
   bool Configure(const std::string& args, std::string* error) override;
   void Push(int port, Packet& packet) override;
+  void Apply(ModelContext*, const SymbolicPacket&, int, Transitions*) override;
 };
 
 // RoundRobinSwitch(N): spreads packets across N outputs in rotation
@@ -41,6 +43,7 @@ class RoundRobinSwitch : public Element {
   std::string_view class_name() const override { return "RoundRobinSwitch"; }
   bool Configure(const std::string& args, std::string* error) override;
   void Push(int port, Packet& packet) override;
+  void Apply(ModelContext*, const SymbolicPacket&, int, Transitions*) override;
 
  private:
   int next_ = 0;
@@ -53,6 +56,7 @@ class HashSwitch : public Element {
   std::string_view class_name() const override { return "HashSwitch"; }
   bool Configure(const std::string& args, std::string* error) override;
   void Push(int port, Packet& packet) override;
+  void Apply(ModelContext*, const SymbolicPacket&, int, Transitions*) override;
 };
 
 // RandomSample(P): forwards a fraction P of traffic to output 0; the rest
@@ -64,6 +68,7 @@ class RandomSample : public Element {
   std::string_view class_name() const override { return "RandomSample"; }
   bool Configure(const std::string& args, std::string* error) override;
   void Push(int port, Packet& packet) override;
+  void Apply(ModelContext*, const SymbolicPacket&, int, Transitions*) override;
 
  private:
   double probability_ = 0.5;
@@ -79,10 +84,12 @@ class AddressDemux : public Element {
   std::string_view class_name() const override { return "AddressDemux"; }
   bool Configure(const std::string& args, std::string* error) override;
   void Push(int port, Packet& packet) override;
-  const std::vector<Ipv4Address>& addresses() const { return addresses_; }
+  void Apply(ModelContext*, const SymbolicPacket&, int, Transitions*) override;
 
  private:
-  std::vector<Ipv4Address> addresses_;
+  // Output i's pattern is "dst host <address i>": the model is an
+  // IPClassifier over them, Push a hash lookup.
+  std::vector<FlowSpec> patterns_;
   std::unordered_map<uint32_t, int> table_;
 };
 
@@ -92,7 +99,7 @@ class SetTTL : public Element {
   std::string_view class_name() const override { return "SetTTL"; }
   bool Configure(const std::string& args, std::string* error) override;
   void Push(int port, Packet& packet) override;
-  uint8_t ttl() const { return ttl_; }
+  void Apply(ModelContext*, const SymbolicPacket&, int, Transitions*) override;
 
  private:
   uint8_t ttl_ = 64;
@@ -104,6 +111,7 @@ class ICMPPingResponder : public Element {
  public:
   std::string_view class_name() const override { return "ICMPPingResponder"; }
   void Push(int port, Packet& packet) override;
+  void Apply(ModelContext*, const SymbolicPacket&, int, Transitions*) override;
   uint64_t echo_count() const { return echo_count_; }
 
  private:
@@ -121,7 +129,7 @@ class ExplicitProxy : public Element {
   std::string_view class_name() const override { return "ExplicitProxy"; }
   bool Configure(const std::string& args, std::string* error) override;
   void Push(int port, Packet& packet) override;
-  Ipv4Address self() const { return self_; }
+  void Apply(ModelContext*, const SymbolicPacket&, int, Transitions*) override;
   uint64_t malformed_count() const { return malformed_; }
 
  private:

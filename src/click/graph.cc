@@ -3,11 +3,20 @@
 #include <set>
 #include <string_view>
 
+#include "src/click/registry.h"
+
 namespace innet::click {
 
+bool IsSourceClass(std::string_view class_name) {
+  return class_name == "FromNetfront" || class_name == "FromDevice";
+}
+
+bool IsSinkClass(std::string_view class_name) {
+  return class_name == "ToNetfront" || class_name == "ToDevice";
+}
+
 bool IsEndpointClass(std::string_view class_name) {
-  return class_name == "FromNetfront" || class_name == "ToNetfront" ||
-         class_name == "FromDevice" || class_name == "ToDevice" || class_name == "Discard";
+  return IsSourceClass(class_name) || IsSinkClass(class_name) || class_name == "Discard";
 }
 
 namespace {
@@ -41,14 +50,14 @@ void ParseTenantPrefix(std::string_view name, obs::ElementNameTable::Entry* entr
 }  // namespace
 
 std::unique_ptr<Graph> Graph::Build(const ConfigGraph& config, std::string* error,
-                                    const Registry& registry, sim::EventQueue* clock) {
+                                    sim::EventQueue* clock) {
   auto graph = std::unique_ptr<Graph>(new Graph());
   graph->context_.clock = clock;
 
   auto names = std::make_shared<obs::ElementNameTable>();
   std::set<int> tenant_slots;
   for (const ElementDecl& decl : config.elements) {
-    std::unique_ptr<Element> element = registry.Create(decl.class_name, decl.args, error);
+    std::unique_ptr<Element> element = Registry::Global().Create(decl.class_name, decl.args, error);
     if (element == nullptr) {
       *error = "element '" + decl.name + "': " + *error;
       return nullptr;
@@ -110,7 +119,7 @@ std::unique_ptr<Graph> Graph::FromText(const std::string& text, std::string* err
   if (!config) {
     return nullptr;
   }
-  return Build(*config, error, Registry::Global(), clock);
+  return Build(*config, error, clock);
 }
 
 Element* Graph::Find(const std::string& name) const {

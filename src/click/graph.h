@@ -12,11 +12,16 @@
 #include "src/click/config_parser.h"
 #include "src/click/element.h"
 #include "src/click/profiler.h"
-#include "src/click/registry.h"
 #include "src/obs/int_telemetry.h"
 #include "src/obs/metrics.h"
 
 namespace innet::click {
+
+// The one source/sink rule: packets enter a module at its FromNetfront
+// elements and leave it at its ToNetfront ones, each under either of its
+// registered names.
+bool IsSourceClass(std::string_view class_name);
+bool IsSinkClass(std::string_view class_name);
 
 // Source/sink adapters sit outside the tenant's processing chain: they are
 // excluded from canonical chains on BOTH sides of INT attestation (the
@@ -27,12 +32,11 @@ bool IsEndpointClass(std::string_view class_name);
 
 class Graph {
  public:
-  // Instantiates every declared element against `registry`, wires the
+  // Instantiates every declared element through the registry, wires the
   // connections, and calls Initialize(). Returns nullptr and fills *error on
   // unknown classes, bad configurations, duplicate element names, or
   // out-of-range ports.
   static std::unique_ptr<Graph> Build(const ConfigGraph& config, std::string* error,
-                                      const Registry& registry = Registry::Global(),
                                       sim::EventQueue* clock = nullptr);
 
   // Convenience: parse + build in one step.

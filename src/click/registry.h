@@ -1,7 +1,7 @@
-// Element class registry: maps Click class names to factories. The registry
-// is what makes the restricted programming model checkable — the controller
-// rejects configurations that reference classes without a registered
-// symbolic model (src/symexec/click_models.h).
+// Element class registry: maps Click class names (aliases included) to
+// factories. It is the one table of classes a tenant may name: each element
+// it creates is both the runtime element and its own symbolic model, so the
+// controller rejects exactly the classes the runtime cannot build.
 #ifndef SRC_CLICK_REGISTRY_H_
 #define SRC_CLICK_REGISTRY_H_
 
@@ -21,7 +21,6 @@ class Registry {
   // The process-wide registry with all built-in elements pre-registered.
   static Registry& Global();
 
-  void Register(const std::string& class_name, ElementFactory factory);
   bool Contains(const std::string& class_name) const;
 
   // Creates and configures an instance; returns nullptr and fills *error on
@@ -33,6 +32,8 @@ class Registry {
 
  private:
   Registry();
+  void Register(const std::string& class_name, ElementFactory factory);
+
   std::vector<std::pair<std::string, ElementFactory>> factories_;
 };
 

@@ -4,18 +4,9 @@
 #include <string_view>
 #include <unordered_set>
 
+#include "src/click/graph.h"
+
 namespace innet::platform {
-
-namespace {
-
-bool IsSource(const std::string& class_name) {
-  return class_name == "FromNetfront" || class_name == "FromDevice";
-}
-bool IsSink(const std::string& class_name) {
-  return class_name == "ToNetfront" || class_name == "ToDevice";
-}
-
-}  // namespace
 
 bool IsStatelessConfig(const click::ConfigGraph& config) {
   // Elements that keep per-flow or per-peer state.
@@ -68,11 +59,11 @@ std::optional<click::ConfigGraph> ConsolidateTenants(
     std::string source_name;
     std::vector<std::string_view> sinks;
     for (const click::ElementDecl& decl : config.elements) {
-      if (IsSource(decl.class_name) && source_name.empty()) {
+      if (click::IsSourceClass(decl.class_name) && source_name.empty()) {
         source_name = decl.name;
         continue;
       }
-      if (IsSink(decl.class_name)) {
+      if (click::IsSinkClass(decl.class_name)) {
         sinks.push_back(decl.name);
         continue;
       }

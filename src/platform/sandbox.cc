@@ -10,6 +10,10 @@ class FlagSink : public click::Element {
   explicit FlagSink(bool* flag) : flag_(flag) {}
   std::string_view class_name() const override { return "FlagSink"; }
   void Push(int /*port*/, Packet& /*packet*/) override { *flag_ = true; }
+  void Apply(click::ModelContext* /*ctx*/, const click::SymbolicPacket& packet, int /*in_port*/,
+             click::Transitions* out) override {
+    out->push_back({symexec::kPortDeliver, packet});
+  }
 
  private:
   bool* flag_;
@@ -33,19 +37,12 @@ std::string EnforcerArgs(const std::vector<Ipv4Address>& whitelist, double timeo
 std::optional<click::ConfigGraph> WrapWithEnforcer(const click::ConfigGraph& config,
                                                    const std::vector<Ipv4Address>& whitelist,
                                                    double timeout_sec, std::string* error) {
-  auto is_source = [](const std::string& cls) {
-    return cls == "FromNetfront" || cls == "FromDevice";
-  };
-  auto is_sink = [](const std::string& cls) {
-    return cls == "ToNetfront" || cls == "ToDevice";
-  };
-
   std::vector<std::string> sources;
   std::vector<std::string> sinks;
   for (const click::ElementDecl& decl : config.elements) {
-    if (is_source(decl.class_name)) {
+    if (click::IsSourceClass(decl.class_name)) {
       sources.push_back(decl.name);
-    } else if (is_sink(decl.class_name)) {
+    } else if (click::IsSinkClass(decl.class_name)) {
       sinks.push_back(decl.name);
     }
   }

@@ -185,7 +185,7 @@ Vm* VmManager::Create(VmKind kind, std::shared_ptr<const click::ConfigGraph> con
     *error = "guest has no configuration";
     return nullptr;
   }
-  auto graph = click::Graph::Build(*config, error, click::Registry::Global(), clock_);
+  auto graph = click::Graph::Build(*config, error, clock_);
   if (graph == nullptr) {
     return nullptr;
   }
@@ -232,8 +232,7 @@ bool VmManager::Restart(Vm::VmId id, ReadyCallback on_ready, std::string* error)
   // configuration (it built once, so this cannot fail in normal operation —
   // but report rather than assert).
   std::string build_error;
-  auto graph =
-      click::Graph::Build(*vm->config_, &build_error, click::Registry::Global(), clock_);
+  auto graph = click::Graph::Build(*vm->config_, &build_error, clock_);
   if (graph == nullptr) {
     if (error != nullptr) {
       *error = "restart config rebuild failed: " + build_error;

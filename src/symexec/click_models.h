@@ -1,10 +1,11 @@
-// Abstract symbolic models for every Click element class in the registry
-// (§4.3: "we have manually modeled all the stock Click elements").
+// The symbolic model of a whole Click configuration (§4.3: "we have
+// manually modeled all the stock Click elements").
 //
-// The models reuse the runtime elements' own Configure() parsing — the model
-// builder instantiates the element, reads its parsed state through accessors,
-// and discards it — so runtime and model can never drift on configuration
-// syntax.
+// Each element class is its own model (click::Element derives from
+// SymbolicModel): the builder creates every element through the registry,
+// configured exactly as the runtime configures it, and makes it a node of
+// the symbolic graph. Push and Apply read the same parsed state of one
+// class, so runtime and model cannot drift on configuration syntax.
 #ifndef SRC_SYMEXEC_CLICK_MODELS_H_
 #define SRC_SYMEXEC_CLICK_MODELS_H_
 
@@ -18,13 +19,14 @@
 namespace innet::symexec {
 
 // Builds the symbolic graph for a full Click configuration. Node names equal
-// element instance names, and node i is config.elements[i]. ToNetfront and
-// ToDevice elements are delivery sinks. nullopt and *error when an element's
-// class is unknown (i.e. not admissible in In-Net), its configuration is
-// malformed, or a connection uses a port the element does not have.
+// element instance names, and node i is config.elements[i]. Sink elements
+// (click::IsSinkClass) are delivery points. nullopt and *error when an
+// element's class is unknown (i.e. not admissible in In-Net), its
+// configuration is malformed, or a connection uses a port the element does
+// not have.
 std::optional<SymGraph> BuildClickModel(const click::ConfigGraph& config, std::string* error);
 
-// Names of the FromNetfront and FromDevice elements in `config` — the
+// Names of the source elements (click::IsSourceClass) in `config` — the
 // module's ingress points where the controller injects symbolic packets.
 std::vector<std::string> ModuleSources(const click::ConfigGraph& config);
 
@@ -34,10 +36,10 @@ std::vector<std::string> ModuleSources(const click::ConfigGraph& config);
 // the controller's embedded fragment are all read from it.
 struct ModuleExploration {
   SymGraph graph;            // BuildClickModel(config): node i is element i
-  std::vector<int> sources;  // FromNetfront/FromDevice node ids, in config order
-  std::vector<int> sinks;    // ToNetfront/ToDevice node ids, in config order
-  // Packets that left through a ToNetfront/ToDevice, and packets dropped
-  // inside the module, each grouped by source in `sources` order.
+  std::vector<int> sources;  // source node ids, in config order
+  std::vector<int> sinks;    // sink node ids, in config order
+  // Packets that left through a sink, and packets dropped inside the
+  // module, each grouped by source in `sources` order.
   std::vector<SymbolicPacket> delivered;
   std::vector<SymbolicPacket> dropped;
   bool truncated = false;  // some run hit the engine's exploration budget

@@ -1,8 +1,10 @@
 // SymbolicModel: the abstract-transfer-function interface every network node
 // (Click element, router, operator middlebox, endpoint) implements for the
-// engine. Models are loop-free and allocation-free by construction, the
-// properties §4.3 credits for SymNet's scalability: a model appends its
-// output packets to a buffer the engine reuses from step to step.
+// engine. Every click::Element is one, so an element's transfer function
+// sits next to its Push. Models are loop-free and allocation-free by
+// construction, the properties §4.3 credits for SymNet's scalability: a
+// model appends its output packets to a buffer the engine reuses from step
+// to step.
 #ifndef SRC_SYMEXEC_MODEL_H_
 #define SRC_SYMEXEC_MODEL_H_
 
@@ -56,6 +58,64 @@ inline void EmitFlowSpecBranches(ModelContext* ctx, const SymbolicPacket& packet
   packet.ConstrainToFlowSpec(spec, ctx->branches);
   for (SymbolicPacket& branch : *ctx->branches) {
     out->push_back({out_port, std::move(branch)});
+  }
+}
+
+// The branch of `packet` that does NOT match `spec`. Exact when the spec has
+// a single directed predicate (the common case for classifier patterns);
+// over-approximate (unconstrained) otherwise — which can only make the
+// checker report *more* reachable flows, never fewer, preserving soundness
+// of "no compliant flow exists" rejections.
+inline SymbolicPacket ElseBranch(const SymbolicPacket& packet, const FlowSpec& spec) {
+  int pred_count = (spec.proto() ? 1 : 0) + (spec.ttl() ? 1 : 0) +
+                   static_cast<int>(spec.addr_predicates().size()) +
+                   static_cast<int>(spec.port_predicates().size());
+  SymbolicPacket out = packet;
+  if (spec.IsWildcard()) {
+    out.MarkInfeasible();
+    return out;
+  }
+  if (pred_count != 1) {
+    return out;  // over-approximate
+  }
+  if (spec.proto()) {
+    out.Constrain(HeaderField::kProto,
+                  ValueSet::Full().Subtract(ValueSet::Single(*spec.proto())));
+    return out;
+  }
+  if (spec.ttl()) {
+    out.Constrain(HeaderField::kTtl, ValueSet::Full().Subtract(ValueSet::Single(*spec.ttl())));
+    return out;
+  }
+  if (!spec.addr_predicates().empty()) {
+    const AddrPredicate& pred = spec.addr_predicates()[0];
+    if (pred.dir == Direction::kEither) {
+      return out;  // negation of a disjunction: over-approximate
+    }
+    HeaderField f = pred.dir == Direction::kSrc ? HeaderField::kIpSrc : HeaderField::kIpDst;
+    out.Constrain(f, ValueSet::Full().Subtract(ValueSet::FromPrefix(pred.prefix)));
+    return out;
+  }
+  const PortPredicate& pred = spec.port_predicates()[0];
+  if (pred.dir == Direction::kEither) {
+    return out;
+  }
+  HeaderField f = pred.dir == Direction::kSrc ? HeaderField::kSrcPort : HeaderField::kDstPort;
+  out.Constrain(f, ValueSet::Full().Subtract(ValueSet::Range(pred.lo, pred.hi)));
+  return out;
+}
+
+// A first-match classifier: the branches of `packet` that match pattern i,
+// and no earlier one, leave on out-port i.
+inline void EmitClassifierBranches(ModelContext* ctx, const SymbolicPacket& packet,
+                                   const std::vector<FlowSpec>& patterns, Transitions* out) {
+  SymbolicPacket remaining = packet;
+  for (size_t i = 0; i < patterns.size(); ++i) {
+    if (!remaining.feasible()) {
+      break;
+    }
+    EmitFlowSpecBranches(ctx, remaining, patterns[i], static_cast<int>(i), out);
+    remaining = ElseBranch(remaining, patterns[i]);
   }
 }
 

@@ -9,10 +9,10 @@
 // packet must match a full verified path exactly, a dropped packet must have
 // followed a verified path up to its drop point.
 //
-// Canonicalization MUST match the runtime exactly: source/sink adapters
-// (FromNetfront/ToNetfront/FromDevice/ToDevice) and Discard are excluded
-// from chains on both sides, and element names are the module's own (the
-// consolidator's "t<i>_" prefixes are stripped at collection time).
+// Canonicalization MUST match the runtime exactly: source/sink adapters and
+// Discard (click::IsEndpointClass) are excluded from chains on both sides,
+// and element names are the module's own (the consolidator's "t<i>_"
+// prefixes are stripped at collection time).
 #ifndef SRC_SYMEXEC_PATH_DIGEST_H_
 #define SRC_SYMEXEC_PATH_DIGEST_H_
 
@@ -30,8 +30,9 @@ namespace innet::symexec {
 obs::IntPathDigest ComputePathDigest(const click::ConfigGraph& config,
                                      const ModuleExploration& exploration);
 
-// Explores `config` and digests the result; an empty digest when the config
-// has no symbolic model.
+// Explores `config` and digests the result; an empty digest when the runtime
+// could not build it either (an unknown class, a malformed element
+// configuration or a port out of range).
 obs::IntPathDigest ComputePathDigest(const click::ConfigGraph& config);
 
 // Convenience overload from raw Click text; empty digest when unparseable.

@@ -234,6 +234,32 @@ TEST(AddressDemux, ExactMatchRouting) {
   EXPECT_EQ(graph->FindAs<AddressDemux>("dm")->drops(), 1u);
 }
 
+TEST(AddressDemux, RepeatedAddressKeepsFirstOutputLikeModel) {
+  // The model is a first-match classifier, so the runtime must send a
+  // repeated address out of its first output too.
+  const std::string text =
+      "src :: FromNetfront(); dm :: AddressDemux(172.16.0.10, 172.16.0.10);"
+      "a :: ToNetfront(); b :: ToNetfront();"
+      "src -> dm; dm[0] -> a; dm[1] -> b;";
+  std::string error;
+  auto graph = Graph::FromText(text, &error);
+  ASSERT_NE(graph, nullptr) << error;
+  Packet p = Udp("9.9.9.9", "172.16.0.10", 1, 2);
+  graph->InjectAtSource(p);
+  EXPECT_EQ(graph->FindAs<ToNetfront>("a")->packet_count(), 1u);
+  EXPECT_EQ(graph->FindAs<ToNetfront>("b")->packet_count(), 0u);
+
+  auto config = ConfigGraph::Parse(text, &error);
+  ASSERT_TRUE(config.has_value()) << error;
+  auto model = symexec::BuildClickModel(*config, &error);
+  ASSERT_TRUE(model.has_value()) << error;
+  symexec::Engine engine;
+  auto result = engine.Run(*model, model->FindNode("src"), symexec::kPortInject,
+                           symexec::SymbolicPacket::MakeUnconstrained(engine.vars()));
+  ASSERT_EQ(result.delivered.size(), 1u);
+  EXPECT_EQ(result.delivered[0].delivered_at(), "a");
+}
+
 TEST(AddressDemux, RejectsEmptyAndMalformed) {
   std::string error;
   EXPECT_EQ(Graph::FromText("a :: AddressDemux();", &error), nullptr);

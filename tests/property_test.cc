@@ -216,6 +216,35 @@ class SymbolicSoundness : public ::testing::TestWithParam<uint64_t> {
     return rng->Bernoulli(0.5) ? Packet::MakeUdp(src, dst, sport, dport, 16)
                                : Packet::MakeTcp(src, dst, sport, dport, 0, 16);
   }
+
+  // Every path from `source` of the model of `config`.
+  static symexec::EngineResult Explore(const click::ConfigGraph& config,
+                                       const std::string& source) {
+    std::string error;
+    auto model = symexec::BuildClickModel(config, &error);
+    if (!model) {
+      ADD_FAILURE() << error;
+      return {};
+    }
+    symexec::Engine engine;
+    return engine.Run(*model, model->FindNode(source), symexec::kPortInject,
+                      symexec::SymbolicPacket::MakeUnconstrained(engine.vars()));
+  }
+
+  // Soundness: some feasible symbolic path admits the observed output (every
+  // field value within the path's final possible values).
+  static bool Admitted(const std::vector<symexec::SymbolicPacket>& paths, const Packet& output) {
+    for (const symexec::SymbolicPacket& path : paths) {
+      if (path.PossibleValues(HeaderField::kIpSrc).Contains(output.ip_src().value()) &&
+          path.PossibleValues(HeaderField::kIpDst).Contains(output.ip_dst().value()) &&
+          path.PossibleValues(HeaderField::kProto).Contains(output.protocol()) &&
+          path.PossibleValues(HeaderField::kSrcPort).Contains(output.src_port()) &&
+          path.PossibleValues(HeaderField::kDstPort).Contains(output.dst_port())) {
+        return true;
+      }
+    }
+    return false;
+  }
 };
 
 TEST_P(SymbolicSoundness, RuntimeDeliveryImpliesFeasibleSymbolicPath) {
@@ -228,13 +257,7 @@ TEST_P(SymbolicSoundness, RuntimeDeliveryImpliesFeasibleSymbolicPath) {
     ASSERT_TRUE(config.has_value()) << config_text << "\n" << error;
     auto graph = click::Graph::Build(*config, &error);
     ASSERT_NE(graph, nullptr) << config_text << "\n" << error;
-    auto model = symexec::BuildClickModel(*config, &error);
-    ASSERT_TRUE(model.has_value()) << config_text << "\n" << error;
-
-    symexec::Engine engine;
-    symexec::EngineResult symbolic =
-        engine.Run(*model, model->FindNode("src"), symexec::kPortInject,
-                   symexec::SymbolicPacket::MakeUnconstrained(engine.vars()));
+    symexec::EngineResult symbolic = Explore(*config, "src");
 
     for (int probe = 0; probe < 10; ++probe) {
       Packet input = RandomPacket(&rng);
@@ -251,29 +274,102 @@ TEST_P(SymbolicSoundness, RuntimeDeliveryImpliesFeasibleSymbolicPath) {
       }
       ++delivered_cases;
 
-      // Soundness: some feasible symbolic path must admit the observed
-      // output (every field value within the path's final possible values).
-      bool admitted = false;
-      for (const symexec::SymbolicPacket& path : symbolic.delivered) {
-        bool fits =
-            path.PossibleValues(HeaderField::kIpSrc).Contains(output.ip_src().value()) &&
-            path.PossibleValues(HeaderField::kIpDst).Contains(output.ip_dst().value()) &&
-            path.PossibleValues(HeaderField::kProto).Contains(output.protocol()) &&
-            path.PossibleValues(HeaderField::kSrcPort).Contains(output.src_port()) &&
-            path.PossibleValues(HeaderField::kDstPort).Contains(output.dst_port());
-        if (fits) {
-          admitted = true;
-          break;
-        }
-      }
-      EXPECT_TRUE(admitted) << "runtime delivered a packet no symbolic path admits\n"
-                            << "config: " << config_text << "\n"
-                            << "input:  " << input.Describe() << "\n"
-                            << "output: " << output.Describe();
+      EXPECT_TRUE(Admitted(symbolic.delivered, output))
+          << "runtime delivered a packet no symbolic path admits\n"
+          << "config: " << config_text << "\n"
+          << "input:  " << input.Describe() << "\n"
+          << "output: " << output.Describe();
     }
   }
   // The generator must actually exercise deliveries, or the property is vacuous.
   EXPECT_GT(delivered_cases, 10);
+}
+
+// The sandboxing element's outbound side: packets enter on port 1, as a
+// wrapped module's egress does. With no inbound peer recorded, the runtime
+// passes exactly the whitelisted destinations.
+TEST_P(SymbolicSoundness, ChangeEnforcerOutboundAgreesWithModel) {
+  const std::string config_text =
+      "src :: FromNetfront(); ce :: ChangeEnforcer(ALLOW 172.16.0.5 172.16.0.9);"
+      "sink :: ToNetfront(); src -> [1]ce; ce[1] -> sink;";
+  const uint32_t allowed[] = {Ipv4Address::MustParse("172.16.0.5").value(),
+                              Ipv4Address::MustParse("172.16.0.9").value()};
+  std::string error;
+  auto config = click::ConfigGraph::Parse(config_text, &error);
+  ASSERT_TRUE(config.has_value()) << error;
+  auto graph = click::Graph::Build(*config, &error);
+  ASSERT_NE(graph, nullptr) << error;
+  symexec::EngineResult symbolic = Explore(*config, "src");
+
+  // The model's whitelist branch leaves on output 1 toward the sink.
+  ValueSet whitelist = ValueSet::Single(allowed[0]).Union(ValueSet::Single(allowed[1]));
+  bool model_passes_whitelist = false;
+  for (const symexec::SymbolicPacket& path : symbolic.delivered) {
+    if (path.delivered_at() == "sink" && path.PossibleValues(HeaderField::kIpDst) == whitelist) {
+      model_passes_whitelist = true;
+    }
+  }
+  EXPECT_TRUE(model_passes_whitelist);
+
+  sim::Rng rng(GetParam());
+  Packet output;
+  bool runtime_delivered = false;
+  graph->FindAs<click::ToNetfront>("sink")->set_handler([&](Packet& p) {
+    output = p;
+    runtime_delivered = true;
+  });
+  int delivered_cases = 0;
+  for (int probe = 0; probe < 40; ++probe) {
+    Packet input = RandomPacket(&rng);
+    bool whitelisted = rng.Bernoulli(0.5);
+    if (whitelisted) {
+      input.set_ip_dst(Ipv4Address(allowed[rng.NextBelow(2)]));
+      input.RefreshChecksums();
+    }
+    runtime_delivered = false;
+    graph->Inject("src", input);
+    EXPECT_EQ(runtime_delivered, whitelisted) << input.Describe();
+    if (runtime_delivered) {
+      ++delivered_cases;
+      EXPECT_TRUE(Admitted(symbolic.delivered, output)) << output.Describe();
+    }
+  }
+  EXPECT_GT(delivered_cases, 0);
+}
+
+// TransparentProxy relays transit traffic with its original addressing; the
+// model keeps every addressing field bound to its ingress value.
+TEST_P(SymbolicSoundness, TransparentProxyAgreesWithModel) {
+  const std::string config_text =
+      "src :: FromNetfront(); sink :: ToNetfront(); src -> TransparentProxy() -> sink;";
+  std::string error;
+  auto config = click::ConfigGraph::Parse(config_text, &error);
+  ASSERT_TRUE(config.has_value()) << error;
+  auto graph = click::Graph::Build(*config, &error);
+  ASSERT_NE(graph, nullptr) << error;
+  symexec::EngineResult symbolic = Explore(*config, "src");
+  ASSERT_EQ(symbolic.delivered.size(), 1u);
+  const symexec::SymbolicPacket& path = symbolic.delivered[0];
+  for (HeaderField field : {HeaderField::kIpSrc, HeaderField::kIpDst, HeaderField::kProto,
+                            HeaderField::kSrcPort, HeaderField::kDstPort}) {
+    EXPECT_EQ(path.value(field).var, path.ingress_var(field));
+  }
+  EXPECT_NE(path.value(HeaderField::kPayload).var, path.ingress_var(HeaderField::kPayload));
+
+  sim::Rng rng(GetParam());
+  Packet output;
+  graph->FindAs<click::ToNetfront>("sink")->set_handler([&](Packet& p) { output = p; });
+  for (int probe = 0; probe < 20; ++probe) {
+    Packet input = RandomPacket(&rng);
+    Packet sent = input;
+    graph->Inject("src", sent);
+    EXPECT_EQ(output.ip_src(), input.ip_src());
+    EXPECT_EQ(output.ip_dst(), input.ip_dst());
+    EXPECT_EQ(output.src_port(), input.src_port());
+    EXPECT_EQ(output.dst_port(), input.dst_port());
+    EXPECT_TRUE(Admitted(symbolic.delivered, output)) << output.Describe();
+  }
+  EXPECT_EQ(graph->FindAs<click::ToNetfront>("sink")->packet_count(), 20u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SymbolicSoundness, ::testing::Values(101, 202, 303, 404));

@@ -5,6 +5,8 @@
 #include <algorithm>
 
 #include "src/click/config_parser.h"
+#include "src/click/elements.h"
+#include "src/click/graph.h"
 #include "src/symexec/click_models.h"
 #include "src/symexec/engine.h"
 #include "src/symexec/path_digest.h"
@@ -445,6 +447,33 @@ TEST(ClickModels, TeeDuplicates) {
       "src :: FromNetfront(); t :: Tee(2); a :: ToNetfront(); b :: ToNetfront();"
       "src -> t; t[0] -> a; t[1] -> b;");
   EXPECT_EQ(delivered.size(), 2u);
+}
+
+TEST(ClickModels, LookupTiesFollowConfigurationOrderLikePush) {
+  // Seventeen routes of one length, port 0 first: the runtime sends every
+  // 10/8 packet out of port 0, so the model must deliver exactly that path.
+  std::string routes = "10.0.0.0/8 0";
+  std::string wiring = "src -> rt; rt[0] -> out;";
+  for (int port = 1; port <= 16; ++port) {
+    routes += ", 10.0.0.0/8 " + std::to_string(port);
+    wiring += " rt[" + std::to_string(port) + "] -> drop;";
+  }
+  const std::string text = "src :: FromNetfront(); rt :: LinearIPLookup(" + routes +
+                           "); out :: ToNetfront(); drop :: Discard();" + wiring;
+  auto delivered = RunModule(text);
+  ASSERT_EQ(delivered.size(), 1u);
+  EXPECT_EQ(delivered[0].delivered_at(), "out");
+  EXPECT_EQ(delivered[0].PossibleValues(HeaderField::kIpDst),
+            ValueSet::FromPrefix(Ipv4Prefix::MustParse("10.0.0.0/8")));
+
+  std::string error;
+  auto graph = click::Graph::FromText(text, &error);
+  ASSERT_NE(graph, nullptr) << error;
+  Packet packet = Packet::MakeUdp(Ipv4Address::MustParse("192.0.2.1"),
+                                  Ipv4Address::MustParse("10.1.2.3"), 1000, 2000, 16);
+  graph->InjectAtSource(packet);
+  EXPECT_EQ(graph->FindAs<click::ToNetfront>("out")->packet_count(), 1u);
+  EXPECT_EQ(graph->FindAs<click::Discard>("drop")->packet_count(), 0u);
 }
 
 TEST(ClickModels, UnknownClassRejected) {
